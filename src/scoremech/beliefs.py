@@ -78,9 +78,6 @@ class SignalModel:
             raise ValidationError("prior precision tau_c must be >= 0")
         if not -1.0 <= self.rho <= 1.0:
             raise ValidationError(f"rho must lie in [-1, 1], got {self.rho}")
-        # Noise covariance determinant (1 - rho^2)/(tau_a tau_b) >= 0 is
-        # automatic given the range checks; keep the guard explicit.
-        assert (1.0 - self.rho**2) / (self.tau_a * self.tau_b) >= 0.0
 
     @property
     def degenerate(self) -> bool:

@@ -91,13 +91,34 @@ def _emit_report(report: dict, out_path: str | None) -> None:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            record = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno})"
         ) from exc
+    return _require_object(record, f"config {path}")
+
+
+def _require_object(record, where: str) -> dict:
+    if not isinstance(record, dict):
+        raise ValidationError(f"{where} must be a JSON object, not {type(record).__name__}")
+    return record
+
+
+def _field(record: dict, key: str, where: str, cast, default=None):
+    """``cast(record[key])``, or ``default`` when the key is absent and a
+    default is given; a missing or malformed value is a config error that
+    names the field."""
+    if key not in record:
+        if default is None:
+            raise ValidationError(f"{where}: missing field {key!r}")
+        return default
+    try:
+        return cast(record[key])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: malformed field {key!r}: {exc}") from exc
 
 
 def _model_from(record: dict, where: str) -> SignalModel:
@@ -123,7 +144,7 @@ def _rule_from(name: str) -> ScoringRule:
     }
     try:
         return aliases[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValidationError(f"unknown rule {name!r} (use log or quadratic)") from None
 
 
@@ -165,7 +186,10 @@ def _parse_values(text: str, name: str) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"{name}: range spec must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        try:
+            start, stop, step = (float(p) for p in parts)
+        except ValueError as exc:
+            raise ValidationError(f"{name}: {exc}") from exc
         if step <= 0 or stop < start:
             raise ValidationError(f"{name}: need positive step and stop >= start")
         count = int(round((stop - start) / step)) + 1
@@ -290,14 +314,11 @@ def cmd_discount(rule: ScoringRule, model: SignalModel, out: str | None) -> dict
 # simulate
 
 
-def _mechanism_comparison(scenario: game.Scenario, seeds: int, seed: int) -> dict:
+def _mechanism_comparison(scenario: game.Scenario, n: int, seed: int) -> dict:
     out: dict = {}
     for mech in ("group", "single", "discounted_msr"):
-        totals: dict[str, float] = {}
-        for i in range(seeds):
-            for expert, pay in game.run_mechanism(mech, scenario, seed, index=i).items():
-                totals[expert] = totals.get(expert, 0.0) + pay
-        out[mech] = {e: v / seeds for e, v in sorted(totals.items())}
+        payoffs = game.run_mechanism_batch(mech, scenario, n, seed)
+        out[mech] = {e: float(v.mean()) for e, v in sorted(payoffs.items())}
     return out
 
 
@@ -306,7 +327,9 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
     model = _model_from(config.get("model", {}), "scenario")
     rule = _rule_from(config.get("rule", "log"))
     schedule = _schedule_from(config.get("schedule"))
-    c_grid = tuple(float(c) for c in config.get("c_grid", _DEFAULT_C_GRID))
+    c_grid = _field(
+        config, "c_grid", "scenario", lambda v: tuple(float(c) for c in v), _DEFAULT_C_GRID
+    )
     if model.tau_c <= 0:
         raise ValidationError(
             "scenario model needs tau_c > 0 to sample outcomes; "
@@ -316,8 +339,8 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
     verdict = classify_log(model) if rule is ScoringRule.LOGARITHMIC else classify_quadratic(model)
     curve = []
     agreement = True
-    for c in c_grid:
-        mc_mean, mc_se = game.deviation_gain(model, rule, schedule, c, samples, seed)
+    estimates = game.deviation_curve(model, rule, schedule, c_grid, samples, seed)
+    for c, (mc_mean, mc_se) in zip(c_grid, estimates):
         analytic = game.analytic_gain(model, rule, schedule, c)
         gap_scale = max(mc_se, 1e-12)
         z = (mc_mean - analytic) / gap_scale
@@ -334,7 +357,7 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
         )
     best = game.best_response(model, rule, schedule)
     scenario = game.Scenario(model=model, rule=rule, schedule=schedule)
-    mech_seeds = min(samples, 2000)
+    mech_worlds = min(samples, 2000)
     report = {
         "schema": "scoremech-simulate v1",
         "rule": rule.value,
@@ -359,7 +382,7 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
             "gain": best.gain,
             "bound_hit": best.bound_hit,
         },
-        "mechanisms": _mechanism_comparison(scenario, mech_seeds, seed),
+        "mechanisms": _mechanism_comparison(scenario, mech_worlds, seed),
         "agreement": agreement,
     }
     _emit_report(report, out)
@@ -402,10 +425,15 @@ def cmd_market_simulate(
     if prior_rec is None:
         prior = NormalBelief(model.c0, model.tau_c)
     else:
-        prior = NormalBelief(prior_rec["mean"], prior_rec["precision"])
+        where = "market config: prior"
+        prior_rec = _require_object(prior_rec, where)
+        prior = NormalBelief(
+            _field(prior_rec, "mean", where, float),
+            _field(prior_rec, "precision", where, float),
+        )
     schedule = _schedule_from(config.get("schedule"))
-    n_bins = int(config.get("n_bins", 512))
-    affine_shift = float(config.get("affine_shift", 0.0))
+    n_bins = _field(config, "n_bins", "market config", int, 512)
+    affine_shift = _field(config, "affine_shift", "market config", float, 0.0)
     if model.tau_c <= 0:
         raise ValidationError("market model needs tau_c > 0 to sample outcomes")
     if sessions < 1:

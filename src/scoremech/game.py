@@ -9,19 +9,23 @@ scalar shift c added to the signal she pretends to have received; Bob
 always updates truthfully on her announcement, and by default Alice's
 correction pools her true signal with the one Bob's report reveals.
 
-Monte-Carlo estimates use a counter-based generator keyed by (seed, rollout
-index): rollout i of a batch reproduces the standalone rollout with that
-index bit-for-bit, and paired designs reuse the same worlds across arms.
+Monte-Carlo worlds come from one counter-based Philox4x64-10 block per
+rollout index (Salmon et al., SC'11), keyed by the seed: a world depends
+only on (seed, index), every Monte-Carlo path works on arrays of worlds,
+and each scalar function is the n = 1 row of its batch counterpart, so the
+two agree bit for bit. Paired designs reuse the same worlds across arms.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
+from scipy.special import ndtri
 
 from .beliefs import (
     SignalModel,
@@ -32,7 +36,7 @@ from .beliefs import (
 )
 from .discounting import DiscountSchedule, schedule_eval
 from .errors import ValidationError
-from .scoring import NormalBelief, ScoringRule, score
+from .scoring import ScoringRule
 
 __all__ = [
     "RewardBreakdown",
@@ -48,12 +52,15 @@ __all__ = [
     "rollout_batch",
     "analytic_gain",
     "deviation_gain",
+    "deviation_curve",
     "best_response",
     "reduce_schedule",
     "run_mechanism",
+    "run_mechanism_batch",
 ]
 
 _SEED_LIMIT = 1 << 64
+_U52 = 2.0**-52
 
 # Slot counters of the scored timeline (0 is the prior / market open).
 _T_PRIOR, _T_FIRST, _T_POOL, _T_CORRECT = 0, 1, 2, 3
@@ -160,15 +167,31 @@ def _require_sampleable(model: SignalModel) -> None:
         )
 
 
-def draw_world(model: SignalModel, seed: int, index: int = 0) -> tuple[float, float, float]:
-    """Sample (lambda, a0, b0) for rollout ``index`` of stream ``seed``."""
-    _require_sampleable(model)
+def _block_normals(seed: int, n: int, start_index: int) -> np.ndarray:
+    """Standard normals of shape (n, 3), row i from counter block start_index + i."""
     seed = _normalize_seed(seed)
-    if index < 0:
-        raise ValidationError("index must be non-negative")
-    z = Generator(Philox(key=[seed, index])).standard_normal(3)
-    lam, a0, b0 = _world_from_noise(model, z[0], z[1], z[2])
-    return float(lam), float(a0), float(b0)
+    if not isinstance(n, (int, np.integer)) or n <= 0:
+        raise ValidationError("n must be a positive integer")
+    if not isinstance(start_index, (int, np.integer)) or start_index < 0:
+        raise ValidationError("index must be a non-negative integer")
+    n, start_index = int(n), int(start_index)
+    if start_index + n > _SEED_LIMIT:
+        raise ValidationError("world indices must lie in [0, 2^64)")
+    # An int counter is the 256-bit value [start_index, 0, 0, 0] without the
+    # float cast numpy applies to list entries of 2^63 and above.
+    raw = Philox(key=seed, counter=start_index).random_raw(4 * n)
+    return _normals_from_words(raw.reshape(-1, 4)[:, :3])
+
+
+def _normals_from_words(words: np.ndarray) -> np.ndarray:
+    """Standard normals from raw 64-bit words by inversion.
+
+    The top 52 bits k give u = (k + 1/2) 2^-52, which float64 holds
+    exactly; u is never 0 or 1 and u(~w) = 1 - u(w), so the normals are
+    finite, symmetric and capped at |z| <= 8.2095.
+    """
+    u = ((words >> np.uint64(12)).astype(np.float64) + 0.5) * _U52
+    return ndtri(u)
 
 
 def _world_from_noise(model: SignalModel, z0, z1, z2):
@@ -182,18 +205,28 @@ def _world_from_noise(model: SignalModel, z0, z1, z2):
 def draw_worlds(
     model: SignalModel, seed: int, n: int, start_index: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized worlds for indices start_index .. start_index + n - 1.
+    """Worlds (lambda, a0, b0) for indices start_index .. start_index + n - 1.
 
-    Row i agrees bit-for-bit with draw_world(model, seed, start_index + i).
+    World i comes from the counter block that
+    ``Philox(key=seed, counter=i).random_raw(4)`` returns, i.e. the 256-bit
+    counter [i, 0, 0, 0]: words 0-2 become the three standard normals,
+    word 3 is unused. Every block makes exactly one world, so a world
+    depends only on (seed, index).
     """
     _require_sampleable(model)
-    seed = _normalize_seed(seed)
-    if n <= 0:
-        raise ValidationError("n must be positive")
-    z = np.empty((n, 3))
-    for i in range(n):
-        z[i] = Generator(Philox(key=[seed, start_index + i])).standard_normal(3)
+    z = _block_normals(seed, n, start_index)
     return _world_from_noise(model, z[:, 0], z[:, 1], z[:, 2])
+
+
+def draw_world(model: SignalModel, seed: int, index: int = 0) -> tuple[float, float, float]:
+    """Row 0 of ``draw_worlds(model, seed, 1, index)``, as floats.
+
+    The row's normals go through the same world arithmetic as Python
+    floats, which is the same IEEE arithmetic without the array overhead.
+    """
+    _require_sampleable(model)
+    z0, z1, z2 = _block_normals(seed, 1, index)[0].tolist()
+    return _world_from_noise(model, z0, z1, z2)
 
 
 def _score_array(rule: ScoringRule, mu, tau: float, x):
@@ -209,46 +242,97 @@ def _score_array(rule: ScoringRule, mu, tau: float, x):
     return 2.0 * dens - 0.5 * math.sqrt(tau / math.pi) - 1.0
 
 
-def _slot_weights(schedule: DiscountSchedule) -> tuple[float, float, float, float]:
-    return tuple(schedule_eval(schedule, t) for t in (_T_PRIOR, _T_FIRST, _T_POOL, _T_CORRECT))
-
-
-def _batch_rewards_from_worlds(model, rule, schedule, c, lam, a0, b0):
-    """Vectorized reward arrays given world arrays; the deviation enters
-    only through Alice's pretended signal a0 + c."""
-    k0, k1, k2, k3 = _slot_weights(schedule)
-    ta, tc, c0 = model.tau_a, model.tau_c, model.c0
-    tau_single = ta + tc
+def _scored_sequence(
+    model, rule, c, lam, a0, b0, correct_at_end=True, freeloader=False
+):
+    """The realized predictions as [(counter, expert, score array), ...],
+    starting from the prior at counter 0; the deviation enters only
+    through Alice's pretended signal a0 + c."""
+    tau_single = posterior_single(model, 0.0).precision
+    tau_pool = posterior_pair(model, 0.0, 0.0).precision
     wa, wb, wc, denom = _pair_weights(model)
-    # Mirror posterior_pair's float expression exactly so batch and scalar
-    # rollouts agree bit for bit, not just to rounding.
-    cross = model.rho * math.sqrt(ta * model.tau_b)
-    tau_pool = (ta - 2.0 * cross + model.tau_b) / (1.0 - model.rho**2) + tc
-
+    ta, tc, c0 = model.tau_a, model.tau_c, model.c0
     a_hat = a0 + c
-    g_mu = (ta * a_hat + tc * c0) / tau_single
-    h_hat_mu = (wa * a_hat + wb * b0 + wc * c0) / denom
-    h_mu = (wa * a0 + wb * b0 + wc * c0) / denom
+    s_first = _score_array(rule, (ta * a_hat + tc * c0) / tau_single, tau_single, lam)
+    s_pool = _score_array(rule, (wa * a_hat + wb * b0 + wc * c0) / denom, tau_pool, lam)
+    if correct_at_end:
+        s_final = _score_array(rule, (wa * a0 + wb * b0 + wc * c0) / denom, tau_pool, lam)
+    else:
+        s_final = s_pool
+    seq = [
+        (_T_PRIOR, None, _score_array(rule, c0, tc, lam)),
+        (_T_FIRST, "alice", s_first),
+        (_T_POOL, "bob", s_pool),
+        (_T_CORRECT, "alice", s_final),
+    ]
+    if freeloader:
+        seq.append((_T_CORRECT + 1, "freeloader", s_final))
+    return seq
 
-    s_prior = _score_array(rule, c0, tc, lam)
-    s_first = _score_array(rule, g_mu, tau_single, lam)
-    s_pool = _score_array(rule, h_hat_mu, tau_pool, lam)
-    s_final = _score_array(rule, h_mu, tau_pool, lam)
 
-    pi_a = k1 * s_first - k0 * s_prior + k3 * s_final - k2 * s_pool
-    pi_b = k2 * s_pool - k1 * s_first
-    return pi_a, pi_b, s_prior, s_final
+def _payoffs(mechanism: str, seq, schedule: DiscountSchedule) -> dict[str, np.ndarray]:
+    """Per-expert payoff arrays of a scored sequence; see ``run_mechanism``."""
+    if mechanism == "group":
+        final = seq[-1][2]
+        return {e: final for _, e, _ in seq[1:]}
+    k = None
+    if mechanism == "discounted_msr":
+        k = {t: schedule_eval(schedule, t) for t, _, _ in seq}
+    payoffs: dict[str, np.ndarray] = {}
+    for (t_prev, _, s_prev), (t, e, s) in zip(seq, seq[1:]):
+        if k is None:
+            inc = s - s_prev
+            payoffs[e] = np.minimum(payoffs[e], inc) if e in payoffs else inc
+        else:
+            inc = k[t] * s - k[t_prev] * s_prev
+            payoffs[e] = payoffs[e] + inc if e in payoffs else inc
+    return payoffs
 
 
 @dataclass(frozen=True)
 class BatchRewards:
-    """Per-rollout reward arrays plus the prior/final score arrays the
-    zero-sum identity telescopes to."""
+    """Per-rollout worlds and reward arrays, plus the prior/final score
+    arrays the zero-sum identity telescopes to."""
 
     pi_a: np.ndarray
     pi_b: np.ndarray
     s_prior: np.ndarray
     s_final: np.ndarray
+    lam: np.ndarray
+    a0: np.ndarray
+    b0: np.ndarray
+    zero_sum_residual: np.ndarray
+
+
+def rollout_batch(
+    model: SignalModel,
+    rule: ScoringRule,
+    schedule: DiscountSchedule,
+    c: float,
+    n: int,
+    seed: int,
+    start_index: int = 0,
+) -> BatchRewards:
+    """Rewards for rollout indices start_index .. start_index + n - 1 of
+    stream ``seed``, with Alice's first-slot signal shifted by c."""
+    lam, a0, b0 = draw_worlds(model, seed, n, start_index)
+    seq = _scored_sequence(model, rule, c, lam, a0, b0)
+    pay = _payoffs("discounted_msr", seq, schedule)
+    s_prior, s_final = seq[0][2], seq[-1][2]
+    telescoped = (
+        schedule_eval(schedule, _T_CORRECT) * s_final
+        - schedule_eval(schedule, _T_PRIOR) * s_prior
+    )
+    return BatchRewards(
+        pi_a=pay["alice"],
+        pi_b=pay["bob"],
+        s_prior=s_prior,
+        s_final=s_final,
+        lam=lam,
+        a0=a0,
+        b0=b0,
+        zero_sum_residual=np.abs((pay["alice"] + pay["bob"]) - telescoped),
+    )
 
 
 def rollout(
@@ -259,41 +343,15 @@ def rollout(
     seed: int,
     index: int = 0,
 ) -> GameRollout:
-    """Play one sampled game with Alice's first-slot signal shifted by c."""
-    lam, a0, b0 = draw_world(model, seed, index)
-    k0, k1, k2, k3 = _slot_weights(schedule)
-
-    prior = NormalBelief(model.c0, model.tau_c)
-    first = posterior_single(model, a0 + c)
-    pooled = posterior_pair(model, a0 + c, b0)
-    final = posterior_pair(model, a0, b0)
-
-    s_prior = score(rule, prior, lam)
-    s_first = score(rule, first, lam)
-    s_pool = score(rule, pooled, lam)
-    s_final = score(rule, final, lam)
-
-    pi_a = k1 * s_first - k0 * s_prior + k3 * s_final - k2 * s_pool
-    pi_b = k2 * s_pool - k1 * s_first
-    residual = abs((pi_a + pi_b) - (k3 * s_final - k0 * s_prior))
-    rewards = RewardBreakdown(pi_a=pi_a, pi_b=pi_b, zero_sum_residual=residual)
-    return GameRollout(lam=lam, a0=a0, b0=b0, deviation_c=c, rewards=rewards)
-
-
-def rollout_batch(
-    model: SignalModel,
-    rule: ScoringRule,
-    schedule: DiscountSchedule,
-    c: float,
-    n: int,
-    seed: int,
-) -> BatchRewards:
-    """Vectorized rewards for rollout indices 0 .. n-1 of stream ``seed``."""
-    lam, a0, b0 = draw_worlds(model, seed, n)
-    pi_a, pi_b, s_prior, s_final = _batch_rewards_from_worlds(
-        model, rule, schedule, c, lam, a0, b0
+    """Row 0 of ``rollout_batch(model, rule, schedule, c, 1, seed, index)``."""
+    b = rollout_batch(model, rule, schedule, c, 1, seed, start_index=index)
+    rewards = RewardBreakdown(
+        pi_a=float(b.pi_a[0]),
+        pi_b=float(b.pi_b[0]),
+        zero_sum_residual=float(b.zero_sum_residual[0]),
     )
-    return BatchRewards(pi_a=pi_a, pi_b=pi_b, s_prior=s_prior, s_final=s_final)
+    lam, a0, b0 = float(b.lam[0]), float(b.a0[0]), float(b.b0[0])
+    return GameRollout(lam=lam, a0=a0, b0=b0, deviation_c=c, rewards=rewards)
 
 
 def analytic_gain(
@@ -325,6 +383,36 @@ def _equal_precision_divergence(rule: ScoringRule, tau: float, shift: float) -> 
     return math.sqrt(tau / math.pi) * math.expm1(-0.25 * tau * shift * shift)
 
 
+def deviation_curve(
+    model: SignalModel,
+    rule: ScoringRule,
+    schedule: DiscountSchedule,
+    c_grid: Iterable[float],
+    n: int,
+    seed: int,
+) -> list[tuple[float, float]]:
+    """Paired Monte-Carlo estimates of E[pi_a(c) - pi_a(0)] for each c in c_grid.
+
+    The n worlds are drawn once and every arm, c = 0 included, replays
+    them, so at c = 0 the estimate is exactly (0, 0) and elsewhere the
+    common noise cancels. Returns one (mean, standard error) per c.
+    """
+    if n < 2:
+        raise ValidationError("n must be at least 2")
+    lam, a0, b0 = draw_worlds(model, seed, n)
+
+    def pi_a(c):
+        seq = _scored_sequence(model, rule, c, lam, a0, b0)
+        return _payoffs("discounted_msr", seq, schedule)["alice"]
+
+    base = pi_a(0.0)
+    out = []
+    for c in c_grid:
+        diff = pi_a(c) - base
+        out.append((float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(n))))
+    return out
+
+
 def deviation_gain(
     model: SignalModel,
     rule: ScoringRule,
@@ -333,21 +421,8 @@ def deviation_gain(
     n: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Paired Monte-Carlo estimate of E[pi_a(c) - pi_a(0)].
-
-    Both arms replay identical (lambda, a0, b0) worlds, so at c = 0 the
-    estimate is exactly (0, 0) and elsewhere the common noise cancels.
-    Returns (mean, standard error).
-    """
-    if n < 2:
-        raise ValidationError("n must be at least 2")
-    lam, a0, b0 = draw_worlds(model, seed, n)
-    pi_a_c, _, _, _ = _batch_rewards_from_worlds(model, rule, schedule, c, lam, a0, b0)
-    pi_a_0, _, _, _ = _batch_rewards_from_worlds(model, rule, schedule, 0.0, lam, a0, b0)
-    diff = pi_a_c - pi_a_0
-    mean = float(diff.mean())
-    std_error = float(diff.std(ddof=1) / math.sqrt(n))
-    return mean, std_error
+    """``deviation_curve`` at the single shift c: (mean, standard error)."""
+    return deviation_curve(model, rule, schedule, (c,), n, seed)[0]
 
 
 # Relative curvature below which the log rule's quadratic gain coefficient
@@ -445,25 +520,26 @@ def reduce_schedule(schedule: ForumSchedule) -> tuple[ABASubgame, ...]:
     return tuple(out)
 
 
-def _scenario_sequence(scenario: Scenario, seed: int, index: int = 0):
-    """The realized prediction sequence [(counter, expert, belief), ...] and
-    the outcome, starting from the prior at counter 0."""
+def run_mechanism_batch(
+    mechanism: str, scenario: Scenario, n: int, seed: int, start_index: int = 0
+) -> dict[str, np.ndarray]:
+    """Per-expert payoff arrays over rollout indices start_index ..
+    start_index + n - 1 of stream ``seed``; see ``run_mechanism``."""
+    if mechanism not in _MECHANISMS:
+        raise ValidationError(f"unknown mechanism {mechanism!r}")
     model = scenario.model
-    lam, a0, b0 = draw_world(model, seed, index)
-    prior = NormalBelief(model.c0, model.tau_c)
-    a_hat = a0 + scenario.deviation_c
-    first = posterior_single(model, a_hat)
-    pooled = posterior_pair(model, a_hat, b0)
-    final = posterior_pair(model, a0, b0) if scenario.correct_at_end else pooled
-    seq = [
-        (_T_PRIOR, None, prior),
-        (_T_FIRST, "alice", first),
-        (_T_POOL, "bob", pooled),
-        (_T_CORRECT, "alice", final),
-    ]
-    if scenario.freeloader:
-        seq.append((_T_CORRECT + 1, "freeloader", final))
-    return seq, lam
+    lam, a0, b0 = draw_worlds(model, seed, n, start_index)
+    seq = _scored_sequence(
+        model,
+        scenario.rule,
+        scenario.deviation_c,
+        lam,
+        a0,
+        b0,
+        correct_at_end=scenario.correct_at_end,
+        freeloader=scenario.freeloader,
+    )
+    return _payoffs(mechanism, seq, scenario.schedule)
 
 
 def run_mechanism(
@@ -477,36 +553,9 @@ def run_mechanism(
     discounted_msr: each prediction pays its discounted increment
                     k(t) S(p_t, x) - k(t') S(p_t', x).
 
-    ``index`` selects the rollout within the seed's stream, as in
+    This is row 0 of ``run_mechanism_batch(mechanism, scenario, 1, seed,
+    index)``; ``index`` selects the rollout within the seed's stream, as in
     ``draw_world``.
     """
-    if mechanism not in _MECHANISMS:
-        raise ValidationError(f"unknown mechanism {mechanism!r}")
-    seq, lam = _scenario_sequence(scenario, seed, index)
-    if len(seq) < 2:
-        raise ValidationError("the scenario produced an empty prediction sequence")
-    rule = scenario.rule
-    experts = {e for _, e, _ in seq if e is not None}
-    scores = [(t, e, score(rule, p, lam)) for t, e, p in seq]
-
-    if mechanism == "group":
-        final_score = scores[-1][2]
-        return {e: final_score for e in experts}
-
-    payoffs: dict[str, float] = {}
-    if mechanism == "single":
-        for i in range(1, len(scores)):
-            t, e, s = scores[i]
-            inc = s - scores[i - 1][2]
-            payoffs[e] = min(payoffs[e], inc) if e in payoffs else inc
-        return payoffs
-
-    for e in experts:
-        payoffs[e] = 0.0
-    for i in range(1, len(scores)):
-        t, e, s = scores[i]
-        t_prev, _, s_prev = scores[i - 1]
-        k_t = schedule_eval(scenario.schedule, t)
-        k_prev = schedule_eval(scenario.schedule, t_prev)
-        payoffs[e] += k_t * s - k_prev * s_prev
-    return payoffs
+    payoffs = run_mechanism_batch(mechanism, scenario, 1, seed, start_index=index)
+    return {e: float(v[0]) for e, v in payoffs.items()}

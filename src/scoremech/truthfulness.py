@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .beliefs import SignalModel, signal_shift_coefficients
-from .errors import DegenerateCorrelationError, NumericError
+from .errors import DegenerateCorrelationError, NumericError, ValidationError
 from .scoring import ScoringRule
 
 __all__ = [
@@ -61,7 +61,8 @@ class TruthfulnessVerdict:
     margin: float
 
     def __post_init__(self) -> None:
-        assert not (self.globally_truthful and not self.locally_truthful)
+        if self.globally_truthful and not self.locally_truthful:
+            raise ValidationError("a globally truthful setting is also locally truthful")
 
 
 def _require_nondegenerate(model: SignalModel) -> None:

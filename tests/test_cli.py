@@ -155,6 +155,10 @@ def test_simulate_malformed_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": {"tau_a": 1.0}})
     assert run(["simulate", "--config", cfg], capsys)[0] == 2
 
+    cfg = write_config(tmp_path, {
+        "model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0}, "rule": ["log"]})
+    assert run(["simulate", "--config", cfg], capsys)[0] == 2
+
 
 def market_config(tmp_path):
     return write_config(tmp_path, {
@@ -219,3 +223,34 @@ def test_market_rejects_zero_noise(tmp_path, capsys):
     })
     code, _, _ = run(["market", "simulate", "--config", cfg], capsys)
     assert code == 2
+
+
+def test_market_prior_missing_field_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0},
+        "prior": {"mu": 0}})
+    code, _, err = run(["market", "simulate", "--config", cfg], capsys)
+    assert code == 2
+    assert "'mean'" in err
+
+
+def test_market_malformed_n_bins_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0},
+        "n_bins": "x"})
+    code, _, err = run(["market", "simulate", "--config", cfg], capsys)
+    assert code == 2
+    assert "'n_bins'" in err
+
+
+def test_classify_malformed_range_is_config_error(capsys):
+    code, _, err = run(["classify", "--grid", "rho=a:b:c"], capsys)
+    assert code == 2
+    assert "rho" in err
+
+
+def test_discount_list_config_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, [{"tau_a": 1.0, "tau_b": 1.0}])
+    code, _, err = run(["discount", "--config", cfg], capsys)
+    assert code == 2
+    assert "JSON object" in err

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Philox
+from scipy import stats
+from scipy.special import ndtri
 
 import oracles
 from scoremech import (
@@ -17,6 +20,7 @@ from scoremech import (
     analytic_gain,
     best_response,
     classify_log,
+    deviation_curve,
     deviation_gain,
     divergence,
     draw_world,
@@ -28,9 +32,11 @@ from scoremech import (
     rollout,
     rollout_batch,
     run_mechanism,
+    run_mechanism_batch,
     score,
     signal_shift_coefficients,
 )
+from scoremech.game import _normals_from_words
 
 LOG = ScoringRule.LOGARITHMIC
 QUAD = ScoringRule.QUADRATIC
@@ -65,6 +71,53 @@ def test_draw_worlds_matches_scalar_bit_for_bit():
         assert (lam[i], a0[i], b0[i]) == want
 
 
+def _world_from_block(model, seed, index):
+    """World ``index`` rebuilt from its own Philox counter block."""
+    counter = np.array([index, 0, 0, 0], dtype=np.uint64)
+    words = Philox(key=seed, counter=counter).random_raw(4)
+    z0, z1, z2 = (
+        float(ndtri(((int(w) >> 12) + 0.5) * 2.0 ** -52)) for w in words[:3])
+    lam = model.c0 + z0 / math.sqrt(model.tau_c)
+    a0 = lam + z1 / math.sqrt(model.tau_a)
+    rho = model.rho
+    b0 = lam + (rho * z1 + math.sqrt(1.0 - rho * rho) * z2) / math.sqrt(
+        model.tau_b)
+    return lam, a0, b0
+
+
+def test_draw_worlds_rows_are_independent_counter_blocks():
+    start = 12
+    lam, a0, b0 = draw_worlds(MODEL, seed=77, n=100_000, start_index=start)
+    for i in (0, 1, 5, 99_999):
+        want = _world_from_block(MODEL, 77, start + i)
+        assert (lam[i], a0[i], b0[i]) == want
+    # The last indices of the stream, where the counter's top bit is set.
+    top = 2 ** 64 - 2
+    lam, a0, b0 = draw_worlds(MODEL, seed=77, n=2, start_index=top)
+    for i in (0, 1):
+        assert (lam[i], a0[i], b0[i]) == _world_from_block(MODEL, 77, top + i)
+
+
+def test_extreme_words_give_finite_symmetric_normals():
+    z = _normals_from_words(np.array([0, 2 ** 64 - 1], dtype=np.uint64))
+    assert np.all(np.isfinite(z))
+    assert z[0] == -z[1]
+    assert z[1] == pytest.approx(8.2095, abs=1e-4)
+
+
+def test_sampled_normals_pass_ks_and_moment_checks():
+    n = 100_000
+    unit = SignalModel(tau_a=1.0, tau_b=1.0, tau_c=1.0, rho=0.0)
+    lam, _, _ = draw_worlds(unit, seed=2024, n=n)
+    # With c0 = 0 and tau_c = 1 the outcome column is the first normal.
+    assert stats.kstest(lam, "norm").pvalue > 1e-3
+    # 4-sigma gates on mean, variance, skewness and excess kurtosis.
+    assert abs(np.mean(lam)) <= 4.0 * math.sqrt(1.0 / n)
+    assert abs(np.var(lam) - 1.0) <= 4.0 * math.sqrt(2.0 / n)
+    assert abs(stats.skew(lam)) <= 4.0 * math.sqrt(6.0 / n)
+    assert abs(stats.kurtosis(lam)) <= 4.0 * math.sqrt(24.0 / n)
+
+
 def test_world_moments_match_model():
     n = 200_000
     lam, a0, b0 = draw_worlds(MODEL, seed=1, n=n)
@@ -91,6 +144,12 @@ def test_seed_validation():
         draw_world(MODEL, seed=-1)
     with pytest.raises(ValidationError):
         draw_world(MODEL, seed=2 ** 64)
+    with pytest.raises(ValidationError):
+        draw_world(MODEL, seed=1, index=-1)
+    with pytest.raises(ValidationError):
+        draw_world(MODEL, seed=1, index=2 ** 64)
+    with pytest.raises(ValidationError):
+        draw_worlds(MODEL, seed=1, n=2, start_index=2 ** 64 - 1)
 
 
 def test_substitution_ladder_keeps_verdicts():
@@ -117,20 +176,30 @@ def test_rollout_zero_sum_residual():
 
 def test_rollout_batch_matches_scalar():
     n = 64
-    for rule, tol in ((LOG, 0.0), (QUAD, 1e-12)):
+    for rule in (LOG, QUAD):
         batch = rollout_batch(MODEL, rule, FLAT, 0.7, n=n, seed=5)
         for i in range(n):
             one = rollout(MODEL, rule, FLAT, 0.7, seed=5, index=i)
-            if tol == 0.0:
-                assert batch.pi_a[i] == one.rewards.pi_a
-                assert batch.pi_b[i] == one.rewards.pi_b
-            else:
-                assert batch.pi_a[i] == pytest.approx(one.rewards.pi_a, rel=tol, abs=tol)
-                assert batch.pi_b[i] == pytest.approx(one.rewards.pi_b, rel=tol, abs=tol)
+            assert (batch.lam[i], batch.a0[i], batch.b0[i]) == (
+                one.lam, one.a0, one.b0)
+            assert batch.pi_a[i] == one.rewards.pi_a
+            assert batch.pi_b[i] == one.rewards.pi_b
+            assert batch.zero_sum_residual[i] == one.rewards.zero_sum_residual
 
 
 def test_deviation_gain_exact_zero_at_truth():
     assert deviation_gain(MODEL, LOG, FLAT, 0.0, n=100, seed=1) == (0.0, 0.0)
+
+
+def test_deviation_curve_points_equal_deviation_gain():
+    sched = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.8)
+    grid = (-4.0, -0.5, 0.0, 1.0, 3.0)
+    for rule in (LOG, QUAD):
+        curve = deviation_curve(MODEL, rule, sched, grid, n=5_000, seed=9)
+        assert len(curve) == len(grid)
+        for c, point in zip(grid, curve):
+            assert point == deviation_gain(MODEL, rule, sched, c, n=5_000,
+                                           seed=9)
 
 
 def test_deviation_gain_sign_matches_classifier():
@@ -277,8 +346,27 @@ def test_msr_mechanism_matches_rollout_rewards():
                             deviation_c=-1.2)
         payoffs = run_mechanism("discounted_msr", scenario, seed=33, index=2)
         out = rollout(MODEL, rule, sched, -1.2, seed=33, index=2)
-        assert payoffs["alice"] == pytest.approx(out.rewards.pi_a, rel=1e-12)
-        assert payoffs["bob"] == pytest.approx(out.rewards.pi_b, rel=1e-12)
+        assert payoffs["alice"] == out.rewards.pi_a
+        assert payoffs["bob"] == out.rewards.pi_b
+
+
+def test_mechanism_batch_rows_equal_scalar_plays():
+    sched = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.8)
+    n, start = 12, 3
+    for mech in ("group", "single", "discounted_msr"):
+        for rule in (LOG, QUAD):
+            for freeloader in (False, True):
+                for correct in (False, True):
+                    scenario = Scenario(
+                        model=MODEL, rule=rule, schedule=sched,
+                        deviation_c=0.9, correct_at_end=correct,
+                        freeloader=freeloader)
+                    batch = run_mechanism_batch(mech, scenario, n, seed=34,
+                                                start_index=start)
+                    for i in range(n):
+                        one = run_mechanism(mech, scenario, seed=34,
+                                            index=start + i)
+                        assert one == {e: v[i] for e, v in batch.items()}
 
 
 def test_unknown_mechanism_rejected():
@@ -304,18 +392,15 @@ def test_group_payoff_suffers_without_correction():
     # Without the correction the lie contaminates the scored prediction and
     # the average group payoff drops.
     n = 20_000
-    truthful = np.empty(n)
-    bent = np.empty(n)
-    for i in range(n):
-        truthful[i] = run_mechanism(
-            "group",
-            Scenario(model=MODEL, rule=LOG, schedule=FLAT, correct_at_end=False),
-            45, index=i)["alice"]
-        bent[i] = run_mechanism(
-            "group",
-            Scenario(model=MODEL, rule=LOG, schedule=FLAT, deviation_c=1.5,
-                     correct_at_end=False),
-            45, index=i)["alice"]
+    truthful = run_mechanism_batch(
+        "group",
+        Scenario(model=MODEL, rule=LOG, schedule=FLAT, correct_at_end=False),
+        n, 45)["alice"]
+    bent = run_mechanism_batch(
+        "group",
+        Scenario(model=MODEL, rule=LOG, schedule=FLAT, deviation_c=1.5,
+                 correct_at_end=False),
+        n, 45)["alice"]
     diff = bent - truthful
     se = float(np.std(diff, ddof=1) / math.sqrt(n))
     assert float(np.mean(diff)) < -3.0 * se

@@ -1,6 +1,9 @@
 """Analytic truthfulness classification: closed forms, limits, boundaries."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from scoremech import (
     ScoringRule,
     SignalModel,
     TruthfulnessVerdict,
+    ValidationError,
     classify_log,
     classify_quadratic,
     delta_log,
@@ -207,6 +211,22 @@ def test_fd_probe_raises_on_exact_boundaries():
 
 
 def test_verdict_consistency_guard():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValidationError):
         TruthfulnessVerdict(globally_truthful=True, locally_truthful=False,
                             margin=1.0)
+
+
+def test_verdict_consistency_guard_survives_optimize():
+    # python -O strips assert statements; the guard must be an explicit raise.
+    code = (
+        "from scoremech import TruthfulnessVerdict, ValidationError\n"
+        "try:\n"
+        "    TruthfulnessVerdict(True, False, 1.0)\n"
+        "except ValidationError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert done.returncode == 0
