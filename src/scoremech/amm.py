@@ -30,7 +30,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -94,12 +94,6 @@ class OutcomeGrid:
     @property
     def edges(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n + 1)
-
-    @property
-    def bins(self) -> tuple[tuple[float, float], ...]:
-        """(left edge, width) pairs."""
-        e = self.edges
-        return tuple((float(l), float(r - l)) for l, r in zip(e[:-1], e[1:]))
 
     @property
     def widths(self) -> np.ndarray:

@@ -18,14 +18,17 @@ Posteriors are reported as NormalBelief values:
 
 Because all updates are linear-Gaussian, a shift c in Alice's reported signal
 moves each posterior mean by a model constant times c and never changes
-posterior precisions; `signal_shift_coefficients` exposes those constants.
+posterior precisions. `SignalModel` derives both precisions and both
+constants once, as the cached properties ``tau_single``, ``tau_pool``,
+``alpha_g`` and ``alpha_h``; every other module reads them from there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DegenerateCorrelationError,
@@ -57,7 +60,9 @@ class SignalModel:
         Prior precision; zero means an uninformative prior.
     rho : float
         Correlation of the signal noises, in [-1, 1]. |rho| = 1 is carried
-        (the classifiers report on it) but posterior_pair rejects it.
+        (the classifiers report on it), but posterior_pair and the pooled
+        quantities ``tau_pool`` and ``alpha_h`` raise
+        DegenerateCorrelationError there.
     c0 : float
         Prior mean; ignored when tau_c = 0.
     """
@@ -83,6 +88,37 @@ class SignalModel:
     def degenerate(self) -> bool:
         """True when |rho| = 1 and the signals jointly pin down the outcome."""
         return abs(self.rho) == 1.0
+
+    def _require_pooled(self) -> None:
+        if self.degenerate:
+            raise DegenerateCorrelationError(
+                "signals with |rho| = 1 reveal the outcome exactly"
+            )
+
+    @functools.cached_property
+    def tau_single(self) -> float:
+        """Precision tau_A + tau_C of the posterior on Alice's signal alone."""
+        return self.tau_a + self.tau_c
+
+    @functools.cached_property
+    def tau_pool(self) -> float:
+        """Precision of the posterior on both signals (unbounded at |rho| = 1)."""
+        self._require_pooled()
+        ta, tb, rho = self.tau_a, self.tau_b, self.rho
+        cross = rho * math.sqrt(ta * tb)
+        return (ta - 2.0 * cross + tb) / (1.0 - rho * rho) + self.tau_c
+
+    @functools.cached_property
+    def alpha_g(self) -> float:
+        """Single-signal posterior mean movement per unit shift of Alice's signal."""
+        return self.tau_a / self.tau_single
+
+    @functools.cached_property
+    def alpha_h(self) -> float:
+        """Pooled posterior mean movement per unit shift of Alice's signal."""
+        self._require_pooled()
+        wa, _, _, denom = _pair_weights(self)
+        return wa / denom
 
 
 @dataclass(frozen=True)
@@ -132,7 +168,7 @@ def posterior_single(model: SignalModel, a0: float) -> NormalBelief:
     Precision-weighted pooling of N(c0, 1/tau_c) with N(a0, 1/tau_a); the
     correlation does not enter with a single signal.
     """
-    tau = model.tau_a + model.tau_c
+    tau = model.tau_single
     mean = (model.tau_a * a0 + model.tau_c * model.c0) / tau
     return NormalBelief(mean=mean, precision=tau)
 
@@ -158,24 +194,19 @@ def posterior_pair(model: SignalModel, a0: float, b0: float) -> NormalBelief:
         If |rho| = 1, where the two signals reveal the outcome exactly and
         the posterior precision is unbounded.
     """
-    if model.degenerate:
-        raise DegenerateCorrelationError(
-            "signals with |rho| = 1 reveal the outcome exactly"
-        )
+    # tau_pool raises at |rho| = 1, before the weights' denominator can vanish.
+    precision = model.tau_pool
     wa, wb, wc, denom = _pair_weights(model)
     mean = (wa * a0 + wb * b0 + wc * model.c0) / denom
-    one_minus_r2 = 1.0 - model.rho**2
-    cross = model.rho * math.sqrt(model.tau_a * model.tau_b)
-    precision = (model.tau_a - 2.0 * cross + model.tau_b) / one_minus_r2 + model.tau_c
     return NormalBelief(mean=mean, precision=precision)
 
 
 def signal_shift_coefficients(model: SignalModel) -> tuple[float, float]:
     """Per-unit movement of each posterior mean under a reported-signal shift.
 
-    Returns ``(alpha_single, alpha_pair)``: if Alice reports her signal as
-    a0 + c instead of a0, the single-signal posterior mean moves by
-    ``alpha_single * c`` and the pooled posterior mean by ``alpha_pair * c``.
+    Returns ``(model.alpha_g, model.alpha_h)``: if Alice reports her signal
+    as a0 + c instead of a0, the single-signal posterior mean moves by
+    ``alpha_g * c`` and the pooled posterior mean by ``alpha_h * c``.
     Posterior precisions are unchanged by the shift.
 
     Raises
@@ -183,13 +214,7 @@ def signal_shift_coefficients(model: SignalModel) -> tuple[float, float]:
     DegenerateCorrelationError
         If |rho| = 1 (the pooled posterior does not exist there).
     """
-    if model.degenerate:
-        raise DegenerateCorrelationError(
-            "signals with |rho| = 1 reveal the outcome exactly"
-        )
-    alpha_single = model.tau_a / (model.tau_a + model.tau_c)
-    wa, _, _, denom = _pair_weights(model)
-    return alpha_single, wa / denom
+    return model.alpha_g, model.alpha_h
 
 
 def lognormal_to_normal(observations: Iterable[float]) -> list[float]:

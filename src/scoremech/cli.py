@@ -399,10 +399,10 @@ def _truthful_session_loss(
     schedule: DiscountSchedule,
     n_bins: int,
     affine_shift: float,
-    seed: int,
-    index: int,
-) -> tuple[float, float, "amm.MarketState", list]:
-    lam, a0, b0 = game.draw_world(model, seed, index)
+    lam: float,
+    a0: float,
+    b0: float,
+) -> tuple["amm.SettlementReport", list]:
     state = amm.open_market(
         prior, schedule, n_bins=n_bins, affine_shift=affine_shift
     )
@@ -413,8 +413,7 @@ def _truthful_session_loss(
     records.append(rec)
     state, rec = amm.trade(state, posterior_pair(model, a0, b0), trader="alice", t=3)
     records.append(rec)
-    report = amm.settle(state, lam, records)
-    return report.maker_loss, lam, state, records
+    return amm.settle(state, lam, records), records
 
 
 def cmd_market_simulate(
@@ -439,23 +438,21 @@ def cmd_market_simulate(
     if sessions < 1:
         raise ValidationError("need at least one session")
 
+    worlds = game.draw_worlds(model, seed, sessions)
     losses = []
-    exemplar = None
-    for i in range(sessions):
-        loss, lam, state, records = _truthful_session_loss(
-            model, prior, schedule, n_bins, affine_shift, seed, i
+    for lam, a0, b0 in zip(*(w.tolist() for w in worlds)):
+        settlement, records = _truthful_session_loss(
+            model, prior, schedule, n_bins, affine_shift, lam, a0, b0
         )
-        losses.append(loss)
-        if i == sessions - 1:
-            exemplar = (state, records, lam)
+        losses.append(settlement.maker_loss)
     mean_loss = sum(losses) / sessions
     if sessions > 1:
         var = sum((x - mean_loss) ** 2 for x in losses) / (sessions - 1)
         se = math.sqrt(var / sessions)
     else:
         se = 0.0
-    state, records, lam = exemplar
-    settlement = amm.settle(state, lam, records)
+    # The loop leaves the last session's settlement and records bound; that
+    # session supplies the reported bound and the written log.
     if log_path is not None:
         opening = amm.open_market(prior, schedule, n_bins=n_bins, affine_shift=affine_shift)
         amm.write_log(log_path, opening, records, settlement)

@@ -9,9 +9,10 @@ deviation calculus: Alice's gain from shifting her report by c becomes
     on the pooled report],
 
 so truth-telling is restored exactly when k(t1)/k(t2) is at least the
-supremum over shifts of the influence/forfeit ratio. ``required_ratio_log``
-evaluates the closed form of that supremum for the logarithmic rule;
-``required_ratio_numeric`` computes it by search for either rule.
+supremum over shifts of the influence/forfeit ratio. For the logarithmic
+rule the ratio does not depend on the shift and ``required_ratio_log``
+evaluates it in closed form; ``required_ratio_numeric`` returns that closed
+form for the log rule and finds the quadratic rule's supremum by search.
 
 ``loss_bound`` gives the market-maker exposure of a discounted scoring
 market: each reset opens a fresh epoch whose worst-case cost is
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .beliefs import SignalModel, signal_shift_coefficients
+from .beliefs import SignalModel
 from .errors import DiscountIneffectiveError, ValidationError
 from .scoring import NormalBelief, ScoringRule, expected_score
 
@@ -37,8 +38,6 @@ __all__ = [
     "loss_bound",
     "nonpositivity_shift",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Loss bounds scale with the number of epochs, so runaway reset lists are a
 # configuration error, not a modeling choice.
@@ -232,12 +231,26 @@ def _sup_ratio(
 
     # Golden-section polish on x = log10|c| between the best point's neighbors.
     lo_i, hi_i = max(best_idx - 1, 0), min(best_idx + 1, len(mags) - 1)
-    a, b = math.log10(mags[lo_i]), math.log10(mags[hi_i])
-    f = lambda x: ratio_fn(best_sign * 10.0**x)
+    _, f1, _, f2 = _golden_section(
+        lambda x: ratio_fn(best_sign * 10.0**x),
+        math.log10(mags[lo_i]),
+        math.log10(mags[hi_i]),
+        grid.refine_iters,
+    )
+    return max([best_val, max(f1, f2), *limit_candidates])
+
+
+def _golden_section(
+    f: Callable[[float], float], a: float, b: float, iters: int
+) -> tuple[float, float, float, float]:
+    """Golden-section maximization of f on [a, b] over ``iters`` steps.
+
+    Returns the two final interior probes and their values (x1, f1, x2, f2).
+    """
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(grid.refine_iters):
+    for _ in range(iters):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -246,9 +259,7 @@ def _sup_ratio(
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
             f1 = f(x1)
-    polished = max(f1, f2)
-
-    return max([best_val, polished, *limit_candidates])
+    return x1, f1, x2, f2
 
 
 def required_ratio_numeric(
@@ -258,7 +269,8 @@ def required_ratio_numeric(
 
     The ratio at shift c is (pooled-report divergence caused by the shift)
     / (first-slot divergence forfeited by it). For the log rule the ratio
-    is shift-free. For the quadratic rule the c -> 0 limit is the curvature
+    is shift-free and ``required_ratio_log`` is returned without a search.
+    For the quadratic rule the c -> 0 limit is the curvature
     quotient (tau_pool a_h)^2 / (tau_single a_g)^2 and the c -> inf tail is
     tau_pool/tau_single; the grid is swept in units of the ratio's
     saturation scale, so the default grid covers the knee for any model.
@@ -282,36 +294,22 @@ def required_ratio_numeric(
         )
     if search is None:
         search = SearchGrid()
-    alpha_g, alpha_h = signal_shift_coefficients(model)
-    ta, tb, tc, rho = model.tau_a, model.tau_b, model.tau_c, model.rho
-    cross = rho * math.sqrt(ta * tb)
-    tau_single = ta + tc
-    tau_pool = (ta - 2.0 * cross + tb) / (1.0 - rho * rho) + tc
+    alpha_g, alpha_h = model.alpha_g, model.alpha_h
+    tau_single, tau_pool = model.tau_single, model.tau_pool
 
     if alpha_h == 0.0:
         # The shift never reaches the pooled report: the ratio is
         # identically zero and no discount is needed.
         return 0.0
-
-    zero_limit = (tau_pool * alpha_h) ** 2 / (tau_single * alpha_g) ** 2
-
     if rule is ScoringRule.LOGARITHMIC:
-
-        def ratio(c: float) -> float:
-            num = 0.5 * tau_pool * (c * alpha_h) ** 2
-            den = 0.5 * tau_single * (c * alpha_g) ** 2
-            return num / den
-
-        # The quotient is shift-free; the limit candidate equals it and the
-        # grid sweep is a consistency pass.
-        const = tau_pool * alpha_h**2 / (tau_single * alpha_g**2)
-        return _sup_ratio(ratio, search, (const,))
+        return required_ratio_log(model)
 
     def ratio(c: float) -> float:
         num = tau_pool * -math.expm1(-0.25 * tau_pool * (c * alpha_h) ** 2)
         den = tau_single * -math.expm1(-0.25 * tau_single * (c * alpha_g) ** 2)
         return num / den
 
+    zero_limit = (tau_pool * alpha_h) ** 2 / (tau_single * alpha_g) ** 2
     tail_limit = tau_pool / tau_single
     # Sweep shifts in units of the slower saturation scale: with tiny shift
     # coefficients the exponential knee sits far beyond any fixed raw-c

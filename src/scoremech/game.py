@@ -27,16 +27,10 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .beliefs import (
-    SignalModel,
-    _pair_weights,
-    posterior_pair,
-    posterior_single,
-    signal_shift_coefficients,
-)
-from .discounting import DiscountSchedule, schedule_eval
+from .beliefs import SignalModel, _pair_weights
+from .discounting import DiscountSchedule, _golden_section, schedule_eval
 from .errors import ValidationError
-from .scoring import ScoringRule
+from .scoring import ScoringRule, _divergence, _score
 
 __all__ = [
     "RewardBreakdown",
@@ -229,38 +223,24 @@ def draw_world(model: SignalModel, seed: int, index: int = 0) -> tuple[float, fl
     return _world_from_noise(model, z0, z1, z2)
 
 
-def _score_array(rule: ScoringRule, mu, tau: float, x):
-    """Score of N(mu, 1/tau) at x, vectorized over mu and x.
-
-    Mirrors the scalar ``scoring.score`` expressions op for op; the log
-    rule reproduces it bit-for-bit, the quadratic rule to exp roundoff.
-    """
-    z = x - mu
-    if rule is ScoringRule.LOGARITHMIC:
-        return 0.5 * (math.log(tau) - math.log(2.0 * math.pi)) - 0.5 * tau * z * z
-    dens = math.sqrt(tau / (2.0 * math.pi)) * np.exp(-0.5 * tau * z * z)
-    return 2.0 * dens - 0.5 * math.sqrt(tau / math.pi) - 1.0
-
-
 def _scored_sequence(
     model, rule, c, lam, a0, b0, correct_at_end=True, freeloader=False
 ):
     """The realized predictions as [(counter, expert, score array), ...],
     starting from the prior at counter 0; the deviation enters only
     through Alice's pretended signal a0 + c."""
-    tau_single = posterior_single(model, 0.0).precision
-    tau_pool = posterior_pair(model, 0.0, 0.0).precision
+    tau_single, tau_pool = model.tau_single, model.tau_pool
     wa, wb, wc, denom = _pair_weights(model)
     ta, tc, c0 = model.tau_a, model.tau_c, model.c0
     a_hat = a0 + c
-    s_first = _score_array(rule, (ta * a_hat + tc * c0) / tau_single, tau_single, lam)
-    s_pool = _score_array(rule, (wa * a_hat + wb * b0 + wc * c0) / denom, tau_pool, lam)
+    s_first = _score(rule, (ta * a_hat + tc * c0) / tau_single, tau_single, lam)
+    s_pool = _score(rule, (wa * a_hat + wb * b0 + wc * c0) / denom, tau_pool, lam)
     if correct_at_end:
-        s_final = _score_array(rule, (wa * a0 + wb * b0 + wc * c0) / denom, tau_pool, lam)
+        s_final = _score(rule, (wa * a0 + wb * b0 + wc * c0) / denom, tau_pool, lam)
     else:
         s_final = s_pool
     seq = [
-        (_T_PRIOR, None, _score_array(rule, c0, tc, lam)),
+        (_T_PRIOR, None, _score(rule, c0, tc, lam)),
         (_T_FIRST, "alice", s_first),
         (_T_POOL, "bob", s_pool),
         (_T_CORRECT, "alice", s_final),
@@ -365,22 +345,11 @@ def analytic_gain(
     weighted k1) and the pooled mean by c a_h (degrading Bob's scored
     report, weighted k2). Positive values mean the lie profits.
     """
-    alpha_g, alpha_h = signal_shift_coefficients(model)
-    ta, tb, tc, rho = model.tau_a, model.tau_b, model.tau_c, model.rho
-    cross = rho * math.sqrt(ta * tb)
-    tau_single = ta + tc
-    tau_pool = (ta - 2.0 * cross + tb) / (1.0 - rho * rho) + tc
     k1 = schedule_eval(schedule, _T_FIRST)
     k2 = schedule_eval(schedule, _T_POOL)
-    div_first = _equal_precision_divergence(rule, tau_single, c * alpha_g)
-    div_pool = _equal_precision_divergence(rule, tau_pool, c * alpha_h)
+    div_first = _divergence(rule, model.tau_single, c * model.alpha_g)
+    div_pool = _divergence(rule, model.tau_pool, c * model.alpha_h)
     return k1 * div_first - k2 * div_pool
-
-
-def _equal_precision_divergence(rule: ScoringRule, tau: float, shift: float) -> float:
-    if rule is ScoringRule.LOGARITHMIC:
-        return -0.5 * tau * shift * shift
-    return math.sqrt(tau / math.pi) * math.expm1(-0.25 * tau * shift * shift)
 
 
 def deviation_curve(
@@ -430,7 +399,6 @@ def deviation_gain(
 _CURV_RTOL = 1e-12
 
 _REFINE_ITERS = 80
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def best_response(
@@ -453,15 +421,12 @@ def best_response(
         raise ValidationError("c_bound must be a positive finite real")
 
     if rule is ScoringRule.LOGARITHMIC:
-        alpha_g, alpha_h = signal_shift_coefficients(model)
-        ta, tb, tc, rho = model.tau_a, model.tau_b, model.tau_c, model.rho
-        cross = rho * math.sqrt(ta * tb)
-        tau_single = ta + tc
-        tau_pool = (ta - 2.0 * cross + tb) / (1.0 - rho * rho) + tc
         k1 = schedule_eval(schedule, _T_FIRST)
         k2 = schedule_eval(schedule, _T_POOL)
-        curv = 0.5 * (k2 * tau_pool * alpha_h**2 - k1 * tau_single * alpha_g**2)
-        scale = 0.5 * (k2 * tau_pool * alpha_h**2 + k1 * tau_single * alpha_g**2)
+        pool = k2 * model.tau_pool * model.alpha_h**2
+        first = k1 * model.tau_single * model.alpha_g**2
+        curv = 0.5 * (pool - first)
+        scale = 0.5 * (pool + first)
         if curv <= _CURV_RTOL * scale:
             return BestResponse(c_star=0.0, gain=0.0, bound_hit=False)
         return BestResponse(
@@ -472,21 +437,9 @@ def best_response(
     cs = [0.0] + [10.0**e for e in np.linspace(-6, math.log10(c_bound), 160)]
     vals = [gain(c) for c in cs]
     best = int(np.argmax(vals))
-    lo = cs[max(best - 1, 0)]
-    hi = cs[min(best + 1, len(cs) - 1)]
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = gain(x1), gain(x2)
-    for _ in range(_REFINE_ITERS):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = gain(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = gain(x1)
+    x1, f1, x2, f2 = _golden_section(
+        gain, cs[max(best - 1, 0)], cs[min(best + 1, len(cs) - 1)], _REFINE_ITERS
+    )
     candidates = [(vals[best], cs[best]), (f1, x1), (f2, x2)]
     best_gain, c_star = max(candidates)
     if best_gain <= 0.0:

@@ -7,13 +7,17 @@ rules are provided:
 * quadratic (Brier): ``S(p, x) = 2 p(x) - p.p - 1`` where ``p.p`` is the
   squared L2 norm of the density.
 
-Expected scores ``S(p, q) = E_{x~q} S(p, x)`` have closed forms when both
-beliefs share one precision; otherwise they are computed by adaptive
-quadrature over ten standard deviations of the integrating belief. The
-divergence ``S(p, q) - S(q, q)`` is the propriety gap: non-positive, zero only
-at p = q.
+Expected scores ``S(p, q) = E_{x~q} S(p, x)`` have closed forms for any two
+normal beliefs (Gneiting & Raftery 2007; tau_p, tau_q the precisions,
+d = mean difference):
 
-Equal-precision closed forms used throughout (tau = shared precision,
+* logarithmic: ``(1/2) log(tau_p / 2 pi) - (tau_p / 2) (1/tau_q + d^2)``
+* quadratic:   ``2 phi(d; 0, 1/tau_p + 1/tau_q) - sqrt(tau_p/pi)/2 - 1``
+
+with phi(.; 0, v) the N(0, v) density. The divergence ``S(p, q) - S(q, q)``
+is the propriety gap: non-positive, zero only at p = q.
+
+Equal-precision divergences used throughout (tau = shared precision,
 d = mean difference):
 
 * logarithmic divergence: ``-(tau/2) d^2``
@@ -33,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import integrate
 from .errors import ValidationError
 
 __all__ = [
@@ -96,12 +99,6 @@ def density(belief: NormalBelief, x: float) -> float:
     return math.sqrt(tau / (2.0 * math.pi)) * math.exp(-0.5 * tau * z * z)
 
 
-def _log_density(belief: NormalBelief, x: float) -> float:
-    tau = belief.precision
-    z = x - belief.mean
-    return 0.5 * (math.log(tau) - _LOG_2PI) - 0.5 * tau * z * z
-
-
 def selfdot(belief: NormalBelief) -> float:
     """Squared L2 norm of the density, ``integral of p(y)^2 dy``.
 
@@ -111,16 +108,23 @@ def selfdot(belief: NormalBelief) -> float:
     return 0.5 * math.sqrt(belief.precision / math.pi)
 
 
-def score(rule: ScoringRule, p: NormalBelief, x: float) -> float:
-    """Realized score of prediction p at outcome x.
+def score(rule: ScoringRule, p: NormalBelief, x):
+    """Realized score of prediction p at outcome x, a float or an array.
 
     The logarithmic score is computed from the log-density directly, so it
     stays finite for any finite x and underflows to -inf only when the
     quadratic exponent overflows; -inf is propagated, never clamped.
     """
+    return _score(rule, p.mean, p.precision, x)
+
+
+def _score(rule: ScoringRule, mean, tau: float, x):
+    """Score of N(mean, 1/tau) at x, elementwise over array mean and x."""
+    z = x - mean
     if rule is ScoringRule.LOGARITHMIC:
-        return _log_density(p, x)
-    return 2.0 * density(p, x) - selfdot(p) - 1.0
+        return 0.5 * (math.log(tau) - _LOG_2PI) - 0.5 * tau * z * z
+    dens = math.sqrt(tau / (2.0 * math.pi)) * np.exp(-0.5 * tau * z * z)
+    return 2.0 * dens - 0.5 * math.sqrt(tau / math.pi) - 1.0
 
 
 def expected_score(
@@ -128,47 +132,15 @@ def expected_score(
 ) -> float:
     """Score expectation ``E_{x~truth} score(rule, predicted, x)``.
 
-    Closed form when the two precisions are equal; otherwise adaptive
-    quadrature over truth.mean +/- 10 truth.sigma at tolerance 1e-10.
-
-    Raises
-    ------
-    NumericError
-        If the quadrature fails to converge.
+    The closed forms quoted in the module docstring, for any two precisions.
     """
-    if predicted.precision == truth.precision:
-        return _self_score(rule, truth) + divergence(rule, predicted, truth)
-    lo = truth.mean - 10.0 * truth.sigma
-    hi = truth.mean + 10.0 * truth.sigma
-    tq, mq = truth.precision, truth.mean
-    tp, mp = predicted.precision, predicted.mean
-    q_norm = math.sqrt(tq / (2.0 * math.pi))
+    tp = predicted.precision
+    d = predicted.mean - truth.mean
     if rule is ScoringRule.LOGARITHMIC:
-        lp_const = 0.5 * (math.log(tp) - _LOG_2PI)
-
-        def integrand(xs: np.ndarray) -> np.ndarray:
-            q = q_norm * np.exp(-0.5 * tq * (xs - mq) ** 2)
-            logp = lp_const - 0.5 * tp * (xs - mp) ** 2
-            return q * logp
-
-    else:
-        p_norm = math.sqrt(tp / (2.0 * math.pi))
-        offset = selfdot(predicted) + 1.0
-
-        def integrand(xs: np.ndarray) -> np.ndarray:
-            q = q_norm * np.exp(-0.5 * tq * (xs - mq) ** 2)
-            p = p_norm * np.exp(-0.5 * tp * (xs - mp) ** 2)
-            return q * (2.0 * p - offset)
-
-    return integrate(integrand, lo, hi, tol=1e-10)
-
-
-def _self_score(rule: ScoringRule, belief: NormalBelief) -> float:
-    """Closed-form S(p, p): the rule's expected score under truthful reporting."""
-    tau = belief.precision
-    if rule is ScoringRule.LOGARITHMIC:
-        return 0.5 * (math.log(tau) - _LOG_2PI) - 0.5
-    return 0.5 * math.sqrt(tau / math.pi) - 1.0
+        return 0.5 * (math.log(tp) - _LOG_2PI) - 0.5 * tp * (1.0 / truth.precision + d * d)
+    var = 1.0 / tp + 1.0 / truth.precision
+    phi = math.exp(-0.5 * d * d / var) / math.sqrt(2.0 * math.pi * var)
+    return 2.0 * phi - selfdot(predicted) - 1.0
 
 
 def divergence(
@@ -176,14 +148,18 @@ def divergence(
 ) -> float:
     """Propriety gap ``expected_score(p, q) - expected_score(q, q)``.
 
-    Equal precisions use the closed forms quoted in the module docstring;
-    unequal precisions fall back to the expected-score difference. Always
-    <= 0, with equality iff the beliefs coincide.
+    Equal precisions use the closed forms quoted in the module docstring,
+    which keep the relative accuracy of small gaps; unequal precisions take
+    the expected-score difference. Always <= 0, with equality iff the
+    beliefs coincide.
     """
     if predicted.precision == truth.precision:
-        tau = truth.precision
-        d = predicted.mean - truth.mean
-        if rule is ScoringRule.LOGARITHMIC:
-            return -0.5 * tau * d * d
-        return math.sqrt(tau / math.pi) * (math.expm1(-0.25 * tau * d * d))
+        return _divergence(rule, truth.precision, predicted.mean - truth.mean)
     return expected_score(rule, predicted, truth) - expected_score(rule, truth, truth)
+
+
+def _divergence(rule: ScoringRule, tau: float, shift: float) -> float:
+    """Divergence of N(mu + shift, 1/tau) from N(mu, 1/tau), for any mu."""
+    if rule is ScoringRule.LOGARITHMIC:
+        return -0.5 * tau * shift * shift
+    return math.sqrt(tau / math.pi) * math.expm1(-0.25 * tau * shift * shift)

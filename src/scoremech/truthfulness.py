@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .beliefs import SignalModel, signal_shift_coefficients
+from .beliefs import SignalModel
 from .errors import DegenerateCorrelationError, NumericError, ValidationError
 from .scoring import ScoringRule
 
@@ -88,13 +88,6 @@ def delta_log(model: SignalModel, c: float) -> float:
     return c * c * ta * (ta / (ta + tc) - gap * gap / denom)
 
 
-def _pooled_precisions(model: SignalModel) -> tuple[float, float]:
-    """Precisions of the single-signal and pooled posteriors (tau_AC, tau_ABC)."""
-    ta, tb, tc, rho = model.tau_a, model.tau_b, model.tau_c, model.rho
-    cross = rho * math.sqrt(ta * tb)
-    return ta + tc, (ta - 2.0 * cross + tb) / (1.0 - rho * rho) + tc
-
-
 def delta_quadratic(model: SignalModel, c: float) -> float:
     """Quadratic-rule deviation criterion at signal shift c.
 
@@ -116,10 +109,9 @@ def delta_quadratic(model: SignalModel, c: float) -> float:
       criterion is identically zero.
     """
     _require_nondegenerate(model)
-    alpha_g, alpha_h = signal_shift_coefficients(model)
-    tau_ac, tau_abc = _pooled_precisions(model)
-    bracket_h = math.expm1(-0.25 * tau_abc * (c * alpha_h) ** 2)
-    bracket_g = math.expm1(-0.25 * tau_ac * (c * alpha_g) ** 2)
+    tau_ac, tau_abc = model.tau_single, model.tau_pool
+    bracket_h = math.expm1(-0.25 * tau_abc * (c * model.alpha_h) ** 2)
+    bracket_g = math.expm1(-0.25 * tau_ac * (c * model.alpha_g) ** 2)
     return (tau_abc * bracket_h - tau_ac * bracket_g) / _SQRT_2PI
 
 

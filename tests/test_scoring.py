@@ -17,7 +17,6 @@ from scoremech import (
     score,
     selfdot,
 )
-from scoremech._quadrature import integrate
 
 LOG = ScoringRule.LOGARITHMIC
 QUAD = ScoringRule.QUADRATIC
@@ -79,9 +78,13 @@ def test_self_expected_scores_frozen():
 
 def test_expected_score_against_quadpack():
     rng = np.random.default_rng(20260819)
-    for _ in range(40):
-        pm, qm = rng.uniform(-10, 10, size=2)
-        pt, qt = np.exp(rng.uniform(np.log(0.1), np.log(100.0), size=2))
+    pairs = [rng.uniform(-10, 10, size=2).tolist()
+             + np.exp(rng.uniform(np.log(0.1), np.log(100.0), size=2)).tolist()
+             for _ in range(40)]
+    # A sharp prediction far out in a wide truth: a quadrature panel over
+    # the truth's span can miss the predicted density's spike here.
+    pairs.append([0.0, -2.5, 1000.0, 0.15])
+    for pm, qm, pt, qt in pairs:
         p = NormalBelief(mean=float(pm), precision=float(pt))
         q = NormalBelief(mean=float(qm), precision=float(qt))
         for rule in (LOG, QUAD):
@@ -145,9 +148,3 @@ def test_far_outcome_scores_stay_finite_or_diverge_cleanly():
     # Overflowing the exponent produces a clean -inf, never a NaN.
     assert score(LOG, p, 1e200) == -math.inf
 
-
-def test_quadrature_helper_on_known_integrals():
-    # The helper evaluates integrands on node arrays, so use ufuncs.
-    assert integrate(lambda x: x * x * x, 0.0, 1.0) == pytest.approx(0.25, abs=1e-13)
-    gauss = integrate(lambda x: np.exp(-0.5 * x * x), -9.0, 9.0)
-    assert gauss == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
