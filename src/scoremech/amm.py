@@ -26,10 +26,12 @@ outlay telescope to the discounted final-vs-prior score difference.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,14 +93,16 @@ class OutcomeGrid:
     def width(self) -> float:
         return (self.hi - self.lo) / self.n
 
-    @property
+    @functools.cached_property
     def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n + 1)
+        """The n + 1 bin edges (read-only)."""
+        return _read_only(np.linspace(self.lo, self.hi, self.n + 1))
 
-    @property
+    @functools.cached_property
     def widths(self) -> np.ndarray:
+        """The n bin widths (read-only)."""
         e = self.edges
-        return e[1:] - e[:-1]
+        return _read_only(e[1:] - e[:-1])
 
     def locate(self, x: float) -> tuple[int, bool]:
         """Bin index of x, clamped to the nearest edge bin when outside.
@@ -115,35 +119,41 @@ class OutcomeGrid:
         return min(i, self.n - 1), False
 
     @classmethod
-    def from_prior(
-        cls, prior: NormalBelief, n: int = 512, span_sigmas: float = _COVER_SIGMAS
-    ) -> "OutcomeGrid":
-        half = span_sigmas * prior.sigma
+    def from_prior(cls, prior: NormalBelief, n: int = 512) -> "OutcomeGrid":
+        """n bins spanning the prior mean +/- 10 prior standard deviations,
+        the coverage every MarketState demands."""
+        half = _COVER_SIGMAS * prior.sigma
         return cls(lo=prior.mean - half, hi=prior.mean + half, n=n)
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class MarketState:
     """Immutable snapshot of the maker's inventory at counter t.
 
+    ``shares`` is stored as a read-only float64 copy of what was passed.
     ``affine_shift`` is the constant subtracted from scores in loss
     reports so the effective rule is non-positive; it is part of the
     market configuration, not of pricing.
     """
 
     grid: OutcomeGrid
-    shares: tuple[float, ...]
+    shares: np.ndarray
     t: int
     schedule: DiscountSchedule
     prior: NormalBelief
     affine_shift: float = 0.0
 
     def __post_init__(self) -> None:
-        shares = tuple(float(s) for s in self.shares)
+        shares = _read_only(np.array(self.shares, dtype=float))
         object.__setattr__(self, "shares", shares)
-        if len(shares) != self.grid.n:
+        if shares.shape != (self.grid.n,):
             raise ValidationError("share vector length must match the grid")
-        if not all(math.isfinite(s) for s in shares):
+        if not np.isfinite(shares).all():
             raise ValidationError("shares must be finite")
         if self.t < 0:
             raise ValidationError("counter must be non-negative")
@@ -159,16 +169,22 @@ class MarketState:
         if abs(total - 1.0) > _MASS_TOL:
             raise NumericError("width-weighted prices failed to sum to 1")
 
+    @functools.cached_property
+    def potential(self) -> float:
+        """C(shares, t); a trade to ``next`` costs next.potential - potential."""
+        return cost_function(self.shares, self.t, self.schedule, self.grid)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class TradeRecord:
     """One executed trade. ``cost`` always equals
     cost_function(post, t) - cost_function(pre, t_pre) with t_pre the
-    counter of the preceding record (the opening counter for the first)."""
+    counter of the preceding record (the opening counter for the first).
+    The share vectors are the read-only arrays of the two states."""
 
     t: int
-    pre_shares: tuple[float, ...]
-    post_shares: tuple[float, ...]
+    pre_shares: np.ndarray
+    post_shares: np.ndarray
     cost: float
     trader: str
     clipped_bins: int = 0
@@ -242,23 +258,23 @@ def open_market(
     prior: NormalBelief,
     schedule: DiscountSchedule,
     n_bins: int = 512,
-    span_sigmas: float = _COVER_SIGMAS,
     affine_shift: float = 0.0,
-    t0: int = 0,
 ) -> MarketState:
-    """Fresh market whose opening prices equal the binned prior density.
+    """Fresh market at counter 0 whose opening prices equal the binned prior
+    density, on ``OutcomeGrid.from_prior(prior, n_bins)``.
 
-    The opening inventory k(t0) log(prior density) gives C(s0, t0) = 0, so
+    The opening inventory k(0) log(prior density) gives C(s0, 0) = 0, so
     collected costs telescope against the prior from the first trade on.
+    The returned state is immutable: any number of sessions may trade from
+    it, and ``potential`` is computed once for all of them.
     """
-    grid = OutcomeGrid.from_prior(prior, n=n_bins, span_sigmas=span_sigmas)
-    k0 = schedule_eval(schedule, t0)
+    grid = OutcomeGrid.from_prior(prior, n=n_bins)
+    k0 = schedule_eval(schedule, 0)
     dens = np.maximum(binned_density(prior, grid), _DENSITY_FLOOR)
-    shares = tuple(float(v) for v in (k0 * np.log(dens)))
     return MarketState(
         grid=grid,
-        shares=shares,
-        t=t0,
+        shares=k0 * np.log(dens),
+        t=0,
         schedule=schedule,
         prior=prior,
         affine_shift=affine_shift,
@@ -284,8 +300,7 @@ def _belief_target_shares(
         )
         dens = np.maximum(dens, _DENSITY_FLOOR)
     k_new = schedule_eval(state.schedule, t_new)
-    gamma = cost_function(state.shares, state.t, state.schedule, state.grid)
-    return k_new * np.log(dens) + gamma, clipped
+    return k_new * np.log(dens) + state.potential, clipped
 
 
 def trade(
@@ -307,7 +322,6 @@ def trade(
     if t_new < state.t:
         raise ValidationError(f"counter may not regress ({t_new} < {state.t})")
 
-    pre = np.asarray(state.shares)
     clipped = 0
     if isinstance(target, NormalBelief):
         post, clipped = _belief_target_shares(state, target, t_new)
@@ -317,24 +331,14 @@ def trade(
             raise ValidationError("share delta length must match the grid")
         if not np.all(np.isfinite(delta)):
             raise ValidationError("share delta must be finite")
-        post = pre + delta
+        post = state.shares + delta
 
-    cost = cost_function(post, t_new, state.schedule, state.grid) - cost_function(
-        state.shares, state.t, state.schedule, state.grid
-    )
-    new_state = MarketState(
-        grid=state.grid,
-        shares=tuple(float(v) for v in post),
-        t=t_new,
-        schedule=state.schedule,
-        prior=state.prior,
-        affine_shift=state.affine_shift,
-    )
+    new_state = replace(state, shares=post, t=t_new)
     record = TradeRecord(
         t=t_new,
-        pre_shares=tuple(float(v) for v in pre),
+        pre_shares=state.shares,
         post_shares=new_state.shares,
-        cost=float(cost),
+        cost=float(new_state.potential - state.potential),
         trader=str(trader),
         clipped_bins=clipped,
     )
@@ -348,19 +352,27 @@ def settle(
 
     Each trader is paid their net acquired shares in the outcome's bin.
     Outcomes outside the grid settle to the nearest edge bin and are
-    flagged. The reported bound is the worst-case expected maker loss
-    -k(0) (S(prior, prior) - affine_shift) under the binned log score.
+    flagged. For belief trades the maker's loss telescopes to
+    k(T) log m_T[x] - k(0) log m_0[x] (m_T the last belief's binned
+    density, m_0 the prior's, T = ``state.t``), so when every traded
+    belief's binned log density is at most ``affine_shift`` the expected
+    loss under the prior is at most the reported bound
+    k(T) affine_shift - k(0) binned_self_score(prior, grid).
     """
     idx, out_of_range = state.grid.locate(outcome)
     payouts: dict[str, float] = {}
     collected = 0.0
     for rec in records:
-        net = rec.post_shares[idx] - rec.pre_shares[idx]
+        net = float(rec.post_shares[idx] - rec.pre_shares[idx])
         payouts[rec.trader] = payouts.get(rec.trader, 0.0) + net
         collected += rec.cost
     maker_loss = sum(payouts.values()) - collected
     k0 = schedule_eval(state.schedule, 0)
-    bound = -k0 * (binned_self_score(state.prior, state.grid) - state.affine_shift)
+    k_final = schedule_eval(state.schedule, state.t)
+    shift = state.affine_shift
+    # Grouped so that k(T) = k(0) rounds exactly like -k(0) (S - shift).
+    bound = -k0 * (binned_self_score(state.prior, state.grid) - shift)
+    bound += (k_final - k0) * shift
     return SettlementReport(
         outcome=float(outcome),
         outcome_bin=idx,
@@ -390,7 +402,7 @@ def log_header(state: MarketState) -> dict:
         "prior": {"mean": state.prior.mean, "precision": state.prior.precision},
         "affine_shift": state.affine_shift,
         "t0": state.t,
-        "s0": list(state.shares),
+        "s0": state.shares.tolist(),
     }
 
 
@@ -399,8 +411,8 @@ def record_to_json(index: int, rec: TradeRecord) -> dict:
         "i": index,
         "t": rec.t,
         "trader": rec.trader,
-        "pre": list(rec.pre_shares),
-        "post": list(rec.post_shares),
+        "pre": rec.pre_shares.tolist(),
+        "post": rec.post_shares.tolist(),
         "cost": rec.cost,
         "clipped_bins": rec.clipped_bins,
     }
@@ -434,102 +446,79 @@ def write_log(
             fh.write(json.dumps(settlement_to_json(report), sort_keys=True) + "\n")
 
 
-def _parse_log(lines: Iterable[str]) -> tuple[dict, list[dict], dict | None]:
-    header = None
-    trades: list[dict] = []
-    settlement = None
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogConsistencyError(f"unparseable line: {exc}", index=i) from exc
-        if header is None:
-            if obj.get("format") != _LOG_FORMAT:
-                raise LogConsistencyError("missing market header", index=0)
-            header = obj
-        elif "settlement" in obj:
-            settlement = obj["settlement"]
-        else:
-            trades.append(obj)
-    if header is None:
-        raise LogConsistencyError("empty log has no header", index=0)
-    return header, trades, settlement
+def _opening_state(header: dict) -> MarketState:
+    if header.get("format") != _LOG_FORMAT:
+        raise ValueError("missing market header")
+    return MarketState(
+        grid=OutcomeGrid(**header["grid"]),
+        shares=header["s0"],
+        t=operator.index(header["t0"]),
+        schedule=DiscountSchedule.from_config(header["schedule"]),
+        prior=NormalBelief(header["prior"]["mean"], header["prior"]["precision"]),
+        affine_shift=float(header["affine_shift"]),
+    )
+
+
+def _replay_trade(
+    state: MarketState, obj: dict, index: int
+) -> tuple[MarketState, TradeRecord]:
+    """Re-execute logged trade number ``index`` from ``state``."""
+    if operator.index(obj.get("i", index)) != index:
+        raise ValueError(f"record number {obj['i']} is out of sequence")
+    t_new = operator.index(obj["t"])
+    if not np.array_equal(np.asarray(obj["pre"], dtype=float), state.shares):
+        raise ValueError("pre-trade inventory does not match the running state")
+    if t_new < state.t:
+        raise ValueError("counter regressed")
+    new_state = replace(state, shares=obj["post"], t=t_new)
+    cost, logged_cost = new_state.potential - state.potential, float(obj["cost"])
+    if not abs(cost - logged_cost) <= _COST_TOL:
+        raise ValueError(f"logged cost {logged_cost!r} differs from recomputed {cost!r}")
+    record = TradeRecord(
+        t=t_new,
+        pre_shares=state.shares,
+        post_shares=new_state.shares,
+        cost=logged_cost,
+        trader=str(obj["trader"]),
+        clipped_bins=operator.index(obj.get("clipped_bins", 0)),
+    )
+    return new_state, record
 
 
 def replay(lines: Iterable[str]) -> tuple[MarketState, list[TradeRecord], SettlementReport | None]:
     """Re-execute a trade log, verifying it is self-consistent.
 
-    Checks, per record: the pre-inventory equals the running inventory
-    exactly, and the logged cost matches the recomputed
-    C(post, t) - C(pre, t_pre) within 1e-10. The first offending record's
-    index is reported. Returns the final state, the verified records, and
-    the recomputed settlement when the log carries one.
+    Checks, per record: its number ``i`` is its position, the
+    pre-inventory equals the running inventory exactly, the counter does
+    not regress, and the logged cost matches the recomputed
+    C(post, t) - C(pre, t_pre) within 1e-10. Any inconsistent or malformed
+    line (a fractional counter included) raises LogConsistencyError naming
+    the line and the number of records verified before it. Returns the
+    final state, the verified records, and the recomputed settlement when
+    the log carries one.
     """
-    header, trade_objs, settlement = _parse_log(lines)
-    try:
-        grid = OutcomeGrid(**header["grid"])
-        schedule = DiscountSchedule.from_config(header["schedule"])
-        prior = NormalBelief(header["prior"]["mean"], header["prior"]["precision"])
-        state = MarketState(
-            grid=grid,
-            shares=tuple(header["s0"]),
-            t=int(header["t0"]),
-            schedule=schedule,
-            prior=prior,
-            affine_shift=float(header["affine_shift"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise LogConsistencyError(f"malformed header: {exc}", index=0) from exc
-
-    records: list[TradeRecord] = []
-    for obj in trade_objs:
-        idx = int(obj.get("i", len(records)))
+    state, records, outcome = None, [], None
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
         try:
-            t_new = int(obj["t"])
-            pre = tuple(float(v) for v in obj["pre"])
-            post = tuple(float(v) for v in obj["post"])
-            logged_cost = float(obj["cost"])
-            trader = str(obj["trader"])
-            clipped = int(obj.get("clipped_bins", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LogConsistencyError(f"malformed record: {exc}", index=idx) from exc
-        if pre != state.shares:
-            raise LogConsistencyError(
-                "pre-trade inventory does not match the running state", index=idx
-            )
-        if t_new < state.t:
-            raise LogConsistencyError("counter regressed", index=idx)
-        cost = cost_function(post, t_new, schedule, grid) - cost_function(
-            state.shares, state.t, schedule, grid
-        )
-        if abs(cost - logged_cost) > _COST_TOL:
-            raise LogConsistencyError(
-                f"logged cost {logged_cost!r} differs from recomputed {cost!r}",
-                index=idx,
-            )
-        state = MarketState(
-            grid=grid,
-            shares=post,
-            t=t_new,
-            schedule=schedule,
-            prior=prior,
-            affine_shift=state.affine_shift,
-        )
-        records.append(
-            TradeRecord(
-                t=t_new,
-                pre_shares=pre,
-                post_shares=post,
-                cost=logged_cost,
-                trader=trader,
-                clipped_bins=clipped,
-            )
-        )
-
-    report = None
-    if settlement is not None:
-        report = settle(state, float(settlement["outcome"]), records)
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise TypeError("not a JSON object")
+            if state is None:
+                state = _opening_state(obj)
+            elif "settlement" in obj:
+                outcome = float(obj["settlement"]["outcome"])
+                if not math.isfinite(outcome):
+                    raise ValueError("settlement outcome must be finite")
+            else:
+                state, record = _replay_trade(state, obj, len(records))
+                records.append(record)
+        except KeyError as exc:
+            raise LogConsistencyError(f"line {lineno}: missing field {exc}", len(records)) from exc
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise LogConsistencyError(f"line {lineno}: {exc}", len(records)) from exc
+    if state is None:
+        raise LogConsistencyError("empty log has no header", index=0)
+    report = None if outcome is None else settle(state, outcome, records)
     return state, records, report

@@ -20,7 +20,9 @@ Because all updates are linear-Gaussian, a shift c in Alice's reported signal
 moves each posterior mean by a model constant times c and never changes
 posterior precisions. `SignalModel` derives both precisions and both
 constants once, as the cached properties ``tau_single``, ``tau_pool``,
-``alpha_g`` and ``alpha_h``; every other module reads them from there.
+``alpha_g`` and ``alpha_h``, and writes both posterior means once, as
+``single_mean`` and ``pair_mean`` (which also take arrays of signals);
+every other module reads them from there.
 """
 
 from __future__ import annotations
@@ -116,9 +118,28 @@ class SignalModel:
     @functools.cached_property
     def alpha_h(self) -> float:
         """Pooled posterior mean movement per unit shift of Alice's signal."""
-        self._require_pooled()
-        wa, _, _, denom = _pair_weights(self)
+        wa, _, _, denom = self._pair_weights
         return wa / denom
+
+    @functools.cached_property
+    def _pair_weights(self) -> tuple[float, float, float, float]:
+        """Numerator weights (on a0, b0, c0) and denominator of the pooled mean."""
+        self._require_pooled()
+        ta, tb, tc, rho = self.tau_a, self.tau_b, self.tau_c, self.rho
+        cross = rho * math.sqrt(ta * tb)
+        one_minus_r2 = 1.0 - rho * rho
+        denom = ta - 2.0 * cross + tb + one_minus_r2 * tc
+        return ta - cross, tb - cross, one_minus_r2 * tc, denom
+
+    def single_mean(self, a0):
+        """Posterior mean on Alice's signal alone; ``a0`` may be an array."""
+        return (self.tau_a * a0 + self.tau_c * self.c0) / self.tau_single
+
+    def pair_mean(self, a0, b0):
+        """Posterior mean on both signals; ``a0`` and ``b0`` may be arrays.
+        Raises DegenerateCorrelationError at |rho| = 1."""
+        wa, wb, wc, denom = self._pair_weights
+        return (wa * a0 + wb * b0 + wc * self.c0) / denom
 
 
 @dataclass(frozen=True)
@@ -168,18 +189,7 @@ def posterior_single(model: SignalModel, a0: float) -> NormalBelief:
     Precision-weighted pooling of N(c0, 1/tau_c) with N(a0, 1/tau_a); the
     correlation does not enter with a single signal.
     """
-    tau = model.tau_single
-    mean = (model.tau_a * a0 + model.tau_c * model.c0) / tau
-    return NormalBelief(mean=mean, precision=tau)
-
-
-def _pair_weights(model: SignalModel) -> tuple[float, float, float, float]:
-    """Numerator weights (on a0, b0, c0) and denominator of the pooled mean."""
-    ta, tb, tc, rho = model.tau_a, model.tau_b, model.tau_c, model.rho
-    cross = rho * math.sqrt(ta * tb)
-    one_minus_r2 = 1.0 - rho * rho
-    denom = ta - 2.0 * cross + tb + one_minus_r2 * tc
-    return ta - cross, tb - cross, one_minus_r2 * tc, denom
+    return NormalBelief(mean=model.single_mean(a0), precision=model.tau_single)
 
 
 def posterior_pair(model: SignalModel, a0: float, b0: float) -> NormalBelief:
@@ -194,11 +204,7 @@ def posterior_pair(model: SignalModel, a0: float, b0: float) -> NormalBelief:
         If |rho| = 1, where the two signals reveal the outcome exactly and
         the posterior precision is unbounded.
     """
-    # tau_pool raises at |rho| = 1, before the weights' denominator can vanish.
-    precision = model.tau_pool
-    wa, wb, wc, denom = _pair_weights(model)
-    mean = (wa * a0 + wb * b0 + wc * model.c0) / denom
-    return NormalBelief(mean=mean, precision=precision)
+    return NormalBelief(mean=model.pair_mean(a0, b0), precision=model.tau_pool)
 
 
 def signal_shift_coefficients(model: SignalModel) -> tuple[float, float]:

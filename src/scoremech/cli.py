@@ -394,26 +394,15 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
 
 
 def _truthful_session_loss(
-    model: SignalModel,
-    prior: NormalBelief,
-    schedule: DiscountSchedule,
-    n_bins: int,
-    affine_shift: float,
-    lam: float,
-    a0: float,
-    b0: float,
+    opening: "amm.MarketState", model: SignalModel, lam: float, a0: float, b0: float
 ) -> tuple["amm.SettlementReport", list]:
-    state = amm.open_market(
-        prior, schedule, n_bins=n_bins, affine_shift=affine_shift
-    )
-    records = []
-    state, rec = amm.trade(state, posterior_single(model, a0), trader="alice", t=1)
-    records.append(rec)
-    state, rec = amm.trade(state, posterior_pair(model, a0, b0), trader="bob", t=2)
-    records.append(rec)
-    state, rec = amm.trade(state, posterior_pair(model, a0, b0), trader="alice", t=3)
-    records.append(rec)
-    return amm.settle(state, lam, records), records
+    """One truthful Alice-Bob-Alice session traded from ``opening``."""
+    single, pooled = posterior_single(model, a0), posterior_pair(model, a0, b0)
+    s1, r1 = amm.trade(opening, single, trader="alice", t=1)
+    s2, r2 = amm.trade(s1, pooled, trader="bob", t=2)
+    s3, r3 = amm.trade(s2, pooled, trader="alice", t=3)
+    records = [r1, r2, r3]
+    return amm.settle(s3, lam, records), records
 
 
 def cmd_market_simulate(
@@ -439,11 +428,10 @@ def cmd_market_simulate(
         raise ValidationError("need at least one session")
 
     worlds = game.draw_worlds(model, seed, sessions)
+    opening = amm.open_market(prior, schedule, n_bins=n_bins, affine_shift=affine_shift)
     losses = []
     for lam, a0, b0 in zip(*(w.tolist() for w in worlds)):
-        settlement, records = _truthful_session_loss(
-            model, prior, schedule, n_bins, affine_shift, lam, a0, b0
-        )
+        settlement, records = _truthful_session_loss(opening, model, lam, a0, b0)
         losses.append(settlement.maker_loss)
     mean_loss = sum(losses) / sessions
     if sessions > 1:
@@ -454,7 +442,6 @@ def cmd_market_simulate(
     # The loop leaves the last session's settlement and records bound; that
     # session supplies the reported bound and the written log.
     if log_path is not None:
-        opening = amm.open_market(prior, schedule, n_bins=n_bins, affine_shift=affine_shift)
         amm.write_log(log_path, opening, records, settlement)
     report = {
         "schema": "scoremech-market v1",

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .beliefs import SignalModel, _pair_weights
+from .beliefs import SignalModel
 from .discounting import DiscountSchedule, _golden_section, schedule_eval
 from .errors import ValidationError
 from .scoring import ScoringRule, _divergence, _score
@@ -229,18 +229,16 @@ def _scored_sequence(
     """The realized predictions as [(counter, expert, score array), ...],
     starting from the prior at counter 0; the deviation enters only
     through Alice's pretended signal a0 + c."""
-    tau_single, tau_pool = model.tau_single, model.tau_pool
-    wa, wb, wc, denom = _pair_weights(model)
-    ta, tc, c0 = model.tau_a, model.tau_c, model.c0
+    tau_pool = model.tau_pool
     a_hat = a0 + c
-    s_first = _score(rule, (ta * a_hat + tc * c0) / tau_single, tau_single, lam)
-    s_pool = _score(rule, (wa * a_hat + wb * b0 + wc * c0) / denom, tau_pool, lam)
+    s_first = _score(rule, model.single_mean(a_hat), model.tau_single, lam)
+    s_pool = _score(rule, model.pair_mean(a_hat, b0), tau_pool, lam)
     if correct_at_end:
-        s_final = _score(rule, (wa * a0 + wb * b0 + wc * c0) / denom, tau_pool, lam)
+        s_final = _score(rule, model.pair_mean(a0, b0), tau_pool, lam)
     else:
         s_final = s_pool
     seq = [
-        (_T_PRIOR, None, _score(rule, c0, tc, lam)),
+        (_T_PRIOR, None, _score(rule, model.c0, model.tau_c, lam)),
         (_T_FIRST, "alice", s_first),
         (_T_POOL, "bob", s_pool),
         (_T_CORRECT, "alice", s_final),

@@ -40,6 +40,18 @@ def toy_state(shares=(0.0, 0.0), t=0, schedule=FLAT):
                        prior=TOY_PRIOR)
 
 
+def test_state_arrays_are_read_only():
+    source = np.zeros(2)
+    state = toy_state(shares=source)
+    source[0] = 5.0
+    assert state.shares.tolist() == [0.0, 0.0]
+    _, rec = trade(state, [1.0, 0.0])
+    for array in (state.shares, rec.pre_shares, rec.post_shares,
+                  TOY_GRID.edges, TOY_GRID.widths):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
 def test_grid_validation_and_locate():
     with pytest.raises(ValidationError):
         OutcomeGrid(lo=1.0, hi=1.0, n=4)
@@ -70,7 +82,7 @@ def test_trade_costs_worked_values():
     state = toy_state()
     moved, rec = trade(state, [1.0, 0.0], trader="alice", t=0)
     assert rec.cost == pytest.approx(0.6201145069582775, rel=1e-13)
-    assert moved.shares == (1.0, 0.0)
+    assert moved.shares.tolist() == [1.0, 0.0]
     # Executing the identical delta from the same start under k = 0.5
     # (delayed into a discounted regime) costs more.
     delayed, rec2 = trade(toy_state(schedule=HALF), [1.0, 0.0], t=0)
@@ -275,6 +287,26 @@ def test_settlement_accounting():
     assert outside.out_of_range and outside.outcome_bin == state.grid.n - 1
 
 
+def test_loss_bound_weights_the_shift_by_the_final_discount():
+    # For belief trades the maker's loss telescopes to
+    # k(T) log m_T[x] - k(0) log m_0[x]; with every traded log density at
+    # most the shift, its expectation is at most k(T) shift - k(0) S_bin.
+    decay = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.9)
+    shift = 0.5
+    state = open_market(STD, decay, affine_shift=shift)
+    records = []
+    for t, belief in enumerate((NormalBelief(0.3, 2.0), NormalBelief(0.1, 3.0),
+                                NormalBelief(0.2, 3.0)), start=1):
+        state, rec = trade(state, belief, t=t)
+        records.append(rec)
+    report = settle(state, 0.4, records)
+    want = (schedule_eval(decay, 3) * shift
+            - schedule_eval(decay, 0) * binned_self_score(STD, state.grid))
+    assert report.loss_bound == pytest.approx(want, rel=1e-14)
+    assert isinstance(report.loss_bound, float)
+    assert all(type(v) is float for v in report.payouts.values())
+
+
 def test_round_trip_delta_trades():
     # Constant discount: buy and unwind cancel to the cent, maker flat.
     state = open_market(STD, FLAT)
@@ -334,14 +366,14 @@ def test_write_log_replay_round_trip(tmp_path):
 
     lines = path.read_text().splitlines()
     final, records, replayed = replay(lines)
-    assert final.shares == s2.shares
+    assert np.array_equal(final.shares, s2.shares)
     assert [r.cost for r in records] == [r1.cost, r2.cost]
     assert replayed is not None
     assert replayed.payouts == report.payouts
     assert replayed.maker_loss == pytest.approx(report.maker_loss, abs=1e-15)
 
     header_only, no_records, no_report = replay(lines[:1])
-    assert header_only.shares == state.shares
+    assert np.array_equal(header_only.shares, state.shares)
     assert no_records == [] and no_report is None
 
 

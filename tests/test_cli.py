@@ -6,6 +6,13 @@ import json
 
 import pytest
 
+from scoremech import (
+    NormalBelief,
+    OutcomeGrid,
+    ScoringRule,
+    binned_self_score,
+    nonpositivity_shift,
+)
 from scoremech.cli import main
 
 
@@ -205,6 +212,67 @@ def test_market_replay_detects_tampering(tmp_path, capsys):
     code, _, err = run(["market", "replay", "--log", str(log)], capsys)
     assert code == 4
     assert "consistency error" in err
+
+
+# Malformed but parseable logs: (line named in the error, edit of the parsed
+# lines of a three-trade log with a settlement on line 5).
+MALFORMED_LOGS = {
+    "record_number_not_int": (2, lambda o: o[1].update(i="x")),
+    "record_not_object": (3, lambda o: o.__setitem__(2, [1, 2])),
+    "header_not_object": (1, lambda o: o.__setitem__(0, [1, 2])),
+    "t0_not_int": (1, lambda o: o[0].update(t0="x")),
+    "affine_shift_not_number": (1, lambda o: o[0].update(affine_shift="x")),
+    "outcome_malformed": (5, lambda o: o[4]["settlement"].update(outcome="x")),
+    "outcome_missing": (5, lambda o: o[4]["settlement"].pop("outcome")),
+    "s0_one_short": (1, lambda o: o[0]["s0"].pop()),
+    "post_one_short": (2, lambda o: o[1]["post"].pop()),
+    "counter_fractional": (2, lambda o: o[1].update(t=1.5)),
+    "record_number_out_of_sequence": (3, lambda o: o[2].update(i=5)),
+    "cost_nan": (2, lambda o: o[1].update(cost=float("nan"))),
+    "outcome_nan": (5, lambda o: o[4]["settlement"].update(outcome=float("nan"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LOGS))
+def test_market_replay_malformed_log_exits_4(case, tmp_path, capsys):
+    line, edit = MALFORMED_LOGS[case]
+    cfg = market_config(tmp_path)
+    log = tmp_path / "session.jsonl"
+    code, _, _ = run(
+        ["market", "simulate", "--config", cfg, "--samples", "2",
+         "--log", str(log)], capsys)
+    assert code == 0
+    objs = [json.loads(text) for text in log.read_text().splitlines()]
+    edit(objs)
+    log.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    code, _, err = run(["market", "replay", "--log", str(log)], capsys)
+    assert code == 4
+    assert err.startswith("consistency error:") and f"line {line}:" in err
+    assert "Traceback" not in err
+
+
+def test_market_loss_bound_holds_across_a_reset(tmp_path, capsys):
+    # The reset at counter 3 raises the weight to 10, so the last belief's
+    # score enters the maker's loss at k(3) = 10 while the prior's enters
+    # at k(0) = 1; a bound that weights the shift by k(0) alone reads 3.15.
+    shift = nonpositivity_shift(ScoringRule.LOGARITHMIC, 201.0)
+    cfg = write_config(tmp_path, {
+        "model": {"tau_a": 100.0, "tau_b": 100.0, "tau_c": 1.0, "rho": 0.0},
+        "schedule": {"kind": "piecewise", "k0": 1.0, "resets": [[3, 10.0]]},
+        "n_bins": 512,
+        "affine_shift": shift,
+    })
+    with pytest.warns(RuntimeWarning, match="clipped"):
+        code, out, _ = run(
+            ["market", "simulate", "--config", cfg, "--samples", "500",
+             "--seed", "0"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    prior = NormalBelief(mean=0.0, precision=1.0)
+    prior_score = binned_self_score(prior, OutcomeGrid.from_prior(prior, 512))
+    assert report["mean_maker_loss"] > shift - prior_score
+    assert report["loss_bound"] == pytest.approx(10.0 * shift - prior_score, rel=1e-11)
+    assert report["bound_satisfied"] is True
 
 
 def test_market_simulate_determinism(tmp_path, capsys):
