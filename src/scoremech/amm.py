@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .discounting import DiscountSchedule, schedule_eval
 from .errors import LogConsistencyError, NumericError, ValidationError
@@ -208,6 +207,9 @@ def binned_density(belief: NormalBelief, grid: OutcomeGrid) -> np.ndarray:
     where the normal CDF keeps full (denormal) precision instead of
     saturating at 1; masses stay positive out to ~38 belief sigmas.
     """
+    # Imported here so that the analytic commands never load scipy.special.
+    from scipy.special import ndtr
+
     z = (grid.edges - belief.mean) * math.sqrt(belief.precision)
     lower = np.diff(ndtr(z))
     upper = np.diff(ndtr(-z[::-1]))[::-1]
@@ -388,8 +390,9 @@ def settle(
 # Trade log serialization and replay.
 #
 # Line-delimited JSON: one header object, one object per trade, optionally
-# one settlement object. Floats serialize via repr and round-trip exactly,
-# so replaying a file reproduces every cost check and report byte for byte.
+# one settlement object as the last line. Floats serialize via repr and
+# round-trip exactly, so replaying a file reproduces every cost check and
+# report byte for byte.
 
 
 def log_header(state: MarketState) -> dict:
@@ -449,6 +452,8 @@ def write_log(
 def _opening_state(header: dict) -> MarketState:
     if header.get("format") != _LOG_FORMAT:
         raise ValueError("missing market header")
+    if header.get("version") != _LOG_VERSION:
+        raise ValueError(f"unsupported log version {header.get('version')!r}")
     return MarketState(
         grid=OutcomeGrid(**header["grid"]),
         shares=header["s0"],
@@ -485,19 +490,38 @@ def _replay_trade(
     return new_state, record
 
 
+def _replay_settlement(
+    state: MarketState, records: Sequence[TradeRecord], logged: dict
+) -> SettlementReport:
+    """Settle at the logged outcome; every logged field must equal the
+    recomputed one exactly, as ``write_log`` serializes it."""
+    outcome = float(logged["outcome"])
+    if not math.isfinite(outcome):
+        raise ValueError("settlement outcome must be finite")
+    report = settle(state, outcome, records)
+    want = settlement_to_json(report)["settlement"]
+    for key in sorted(set(logged) | set(want)):
+        got, expected = logged.get(key), want.get(key)
+        if json.dumps(got, sort_keys=True) != json.dumps(expected, sort_keys=True):
+            raise ValueError(f"settlement {key} {got!r} differs from recomputed {expected!r}")
+    return report
+
+
 def replay(lines: Iterable[str]) -> tuple[MarketState, list[TradeRecord], SettlementReport | None]:
     """Re-execute a trade log, verifying it is self-consistent.
 
-    Checks, per record: its number ``i`` is its position, the
-    pre-inventory equals the running inventory exactly, the counter does
-    not regress, and the logged cost matches the recomputed
-    C(post, t) - C(pre, t_pre) within 1e-10. Any inconsistent or malformed
-    line (a fractional counter included) raises LogConsistencyError naming
-    the line and the number of records verified before it. Returns the
-    final state, the verified records, and the recomputed settlement when
-    the log carries one.
+    Checks that the header's ``version`` is the one this module writes;
+    per record, that its number ``i`` is its position, the pre-inventory
+    equals the running inventory exactly, the counter does not regress,
+    and the logged cost matches the recomputed C(post, t) - C(pre, t_pre)
+    within 1e-10; and that a settlement, if any, is the last non-blank line
+    and equals the settlement recomputed at its outcome in every field
+    exactly. Any inconsistent or malformed line (a fractional counter
+    included) raises LogConsistencyError naming the line and the number of
+    records verified before it. Returns the final state, the verified
+    records, and the recomputed settlement when the log carries one.
     """
-    state, records, outcome = None, [], None
+    state, records, report = None, [], None
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -507,10 +531,10 @@ def replay(lines: Iterable[str]) -> tuple[MarketState, list[TradeRecord], Settle
                 raise TypeError("not a JSON object")
             if state is None:
                 state = _opening_state(obj)
+            elif report is not None:
+                raise ValueError("the settlement must be the last line")
             elif "settlement" in obj:
-                outcome = float(obj["settlement"]["outcome"])
-                if not math.isfinite(outcome):
-                    raise ValueError("settlement outcome must be finite")
+                report = _replay_settlement(state, records, obj["settlement"])
             else:
                 state, record = _replay_trade(state, obj, len(records))
                 records.append(record)
@@ -520,5 +544,4 @@ def replay(lines: Iterable[str]) -> tuple[MarketState, list[TradeRecord], Settle
             raise LogConsistencyError(f"line {lineno}: {exc}", len(records)) from exc
     if state is None:
         raise LogConsistencyError("empty log has no header", index=0)
-    report = None if outcome is None else settle(state, outcome, records)
     return state, records, report

@@ -7,8 +7,7 @@ means uninformative). Alice and Bob observe noisy signals
 
 where (e_A, e_B) is zero-mean bivariate normal with precisions tau_A, tau_B
 and correlation rho. Everything downstream works in signal coordinates
-(A0, B0); `deprior_signal` converts a posterior announcement back to the
-signal that explains it.
+(A0, B0).
 
 Posteriors are reported as NormalBelief values:
 
@@ -30,23 +29,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import (
-    DegenerateCorrelationError,
-    UninformativeSignalError,
-    ValidationError,
-)
+from .errors import DegenerateCorrelationError, ValidationError
 from .scoring import NormalBelief
 
 __all__ = [
     "SignalModel",
-    "PlayerSignal",
-    "deprior_signal",
     "posterior_single",
     "posterior_pair",
     "signal_shift_coefficients",
-    "lognormal_to_normal",
 ]
 
 
@@ -142,47 +133,6 @@ class SignalModel:
         return (wa * a0 + wb * b0 + wc * self.c0) / denom
 
 
-@dataclass(frozen=True)
-class PlayerSignal:
-    """A raw signal observation: its mean and precision."""
-
-    mean: float
-    precision: float
-
-    def __post_init__(self) -> None:
-        if not (self.precision > 0.0 and math.isfinite(self.precision)):
-            raise ValidationError("signal precision must be positive and finite")
-
-
-def deprior_signal(
-    prior_mean: float,
-    prior_precision: float,
-    posterior_mean: float,
-    posterior_precision: float,
-) -> PlayerSignal:
-    """Recover the signal that turns the prior into the stated posterior.
-
-    Inverts precision-weighted pooling: the returned signal has precision
-    ``posterior_precision - prior_precision`` and mean chosen so that pooling
-    it with the prior reproduces the posterior exactly.
-
-    Raises
-    ------
-    UninformativeSignalError
-        If the posterior is not strictly sharper than the prior.
-    """
-    if prior_precision < 0.0:
-        raise ValidationError("prior precision must be >= 0")
-    tau_sig = posterior_precision - prior_precision
-    if tau_sig <= 0.0:
-        raise UninformativeSignalError(
-            "posterior precision must exceed prior precision; "
-            f"got posterior {posterior_precision} vs prior {prior_precision}"
-        )
-    mean = (posterior_precision * posterior_mean - prior_precision * prior_mean) / tau_sig
-    return PlayerSignal(mean=mean, precision=tau_sig)
-
-
 def posterior_single(model: SignalModel, a0: float) -> NormalBelief:
     """Posterior over the outcome given the prior and Alice's signal alone.
 
@@ -221,21 +171,3 @@ def signal_shift_coefficients(model: SignalModel) -> tuple[float, float]:
         If |rho| = 1 (the pooled posterior does not exist there).
     """
     return model.alpha_g, model.alpha_h
-
-
-def lognormal_to_normal(observations: Iterable[float]) -> list[float]:
-    """Map positive observations to the normal domain by elementwise log.
-
-    Raises
-    ------
-    ValidationError
-        On any non-positive observation.
-    """
-    out: list[float] = []
-    for i, obs in enumerate(observations):
-        if not obs > 0.0:
-            raise ValidationError(
-                f"observation {i} must be positive for a log transform, got {obs}"
-            )
-        out.append(math.log(obs))
-    return out

@@ -250,10 +250,7 @@ def cmd_classify(config: SweepConfig) -> str:
                 else:
                     verdict = classify_quadratic(model)
                 try:
-                    if config.rule is ScoringRule.LOGARITHMIC:
-                        k_min = _fmt(required_ratio_log(model))
-                    else:
-                        k_min = _fmt(required_ratio_numeric(config.rule, model))
+                    k_min = _fmt(required_ratio_numeric(config.rule, model))
                 except DiscountIneffectiveError:
                     k_min = "inf"
                 writer.writerow(

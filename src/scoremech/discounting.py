@@ -12,7 +12,8 @@ so truth-telling is restored exactly when k(t1)/k(t2) is at least the
 supremum over shifts of the influence/forfeit ratio. For the logarithmic
 rule the ratio does not depend on the shift and ``required_ratio_log``
 evaluates it in closed form; ``required_ratio_numeric`` returns that closed
-form for the log rule and finds the quadratic rule's supremum by search.
+form for the log rule and, for the quadratic rule, the larger of the
+ratio's two limits, because that ratio is monotone in the shift.
 
 ``loss_bound`` gives the market-maker exposure of a discounted scoring
 market: each reset opens a fresh epoch whose worst-case cost is
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 from .beliefs import SignalModel
 from .errors import DiscountIneffectiveError, ValidationError
@@ -31,7 +32,6 @@ from .scoring import NormalBelief, ScoringRule, expected_score
 
 __all__ = [
     "DiscountSchedule",
-    "SearchGrid",
     "schedule_eval",
     "required_ratio_log",
     "required_ratio_numeric",
@@ -44,12 +44,6 @@ __all__ = [
 _MAX_RESETS = 64
 
 _KINDS = ("constant", "geometric_by_count", "piecewise")
-
-# Relative growth between the last two grid decades that flags an unbounded
-# deviation-ratio and hence an ineffective discount.
-_GROWTH_RTOL = 1e-9
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -165,135 +159,39 @@ def required_ratio_log(model: SignalModel) -> float:
     return numer / denom
 
 
-@dataclass(frozen=True)
-class SearchGrid:
-    """Log-spaced search domain for the deviation-ratio supremum."""
-
-    c_min: float = 1e-6
-    c_max: float = 1e3
-    points_per_decade: int = 12
-    refine_iters: int = 80
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.c_min < self.c_max and math.isfinite(self.c_max)):
-            raise ValidationError("require 0 < c_min < c_max < inf")
-        if self.points_per_decade < 2:
-            raise ValidationError("points_per_decade must be at least 2")
-        if self.refine_iters < 0:
-            raise ValidationError("refine_iters must be non-negative")
-
-    def magnitudes(self) -> list[float]:
-        lo, hi = math.log10(self.c_min), math.log10(self.c_max)
-        n = max(2, int(round((hi - lo) * self.points_per_decade)) + 1)
-        step = (hi - lo) / (n - 1)
-        return [10.0 ** (lo + i * step) for i in range(n)]
-
-
-def _sup_ratio(
-    ratio_fn: Callable[[float], float],
-    grid: SearchGrid,
-    limit_candidates: Sequence[float],
-) -> float:
-    """Supremum of an even, smooth ratio over +/- the grid magnitudes.
-
-    Explicit limit values (c -> 0 and c -> inf) enter as candidates beside
-    the grid; the best grid point is polished by golden-section search on
-    the log-magnitude axis. Sustained growth across the last two decades
-    of the grid means the ratio is unbounded.
-    """
-    mags = grid.magnitudes()
-    best_val = -math.inf
-    best_sign, best_idx = 1.0, 0
-    values: dict[tuple[float, int], float] = {}
-    for sign in (1.0, -1.0):
-        for i, m in enumerate(mags):
-            v = ratio_fn(sign * m)
-            values[(sign, i)] = v
-            if v > best_val:
-                best_val, best_sign, best_idx = v, sign, i
-
-    hi_exp = math.log10(grid.c_max)
-    for sign in (1.0, -1.0):
-        last = max(
-            v for (s, i), v in values.items()
-            if s == sign and mags[i] > 10.0 ** (hi_exp - 1)
-        )
-        prev = max(
-            v
-            for (s, i), v in values.items()
-            if s == sign and 10.0 ** (hi_exp - 2) < mags[i] <= 10.0 ** (hi_exp - 1)
-        )
-        if last > prev * (1.0 + _GROWTH_RTOL) and last > prev + _GROWTH_RTOL:
-            raise DiscountIneffectiveError(
-                "deviation ratio keeps growing at the top of the search grid; "
-                "no finite discount ratio restores truthfulness"
-            )
-
-    # Golden-section polish on x = log10|c| between the best point's neighbors.
-    lo_i, hi_i = max(best_idx - 1, 0), min(best_idx + 1, len(mags) - 1)
-    _, f1, _, f2 = _golden_section(
-        lambda x: ratio_fn(best_sign * 10.0**x),
-        math.log10(mags[lo_i]),
-        math.log10(mags[hi_i]),
-        grid.refine_iters,
-    )
-    return max([best_val, max(f1, f2), *limit_candidates])
-
-
-def _golden_section(
-    f: Callable[[float], float], a: float, b: float, iters: int
-) -> tuple[float, float, float, float]:
-    """Golden-section maximization of f on [a, b] over ``iters`` steps.
-
-    Returns the two final interior probes and their values (x1, f1, x2, f2).
-    """
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    return x1, f1, x2, f2
-
-
-def required_ratio_numeric(
-    rule: ScoringRule, model: SignalModel, search: SearchGrid | None = None
-) -> float:
-    """Minimal early/late ratio by direct search over the deviation shift.
+def required_ratio_numeric(rule: ScoringRule, model: SignalModel) -> float:
+    """Minimal early/late ratio: the supremum over shifts c of the
+    influence/forfeit ratio, for either rule.
 
     The ratio at shift c is (pooled-report divergence caused by the shift)
-    / (first-slot divergence forfeited by it). For the log rule the ratio
-    is shift-free and ``required_ratio_log`` is returned without a search.
-    For the quadratic rule the c -> 0 limit is the curvature
-    quotient (tau_pool a_h)^2 / (tau_single a_g)^2 and the c -> inf tail is
-    tau_pool/tau_single; the grid is swept in units of the ratio's
-    saturation scale, so the default grid covers the knee for any model.
-    The supremum over the search grid plus the applicable limits is
-    returned.
+    / (first-slot divergence forfeited by it). For the log rule it is
+    shift-free and ``required_ratio_log`` is returned. For the quadratic
+    rule, with x = c^2, a = tau_single a_g^2 / 4 and b = tau_pool a_h^2 / 4,
+    it is
+
+        tau_pool (1 - exp(-b x)) / (tau_single (1 - exp(-a x))).
+
+    Numerator and denominator vanish at x = 0 and their derivatives have
+    the monotone quotient (tau_pool b / tau_single a) exp(-(b - a) x), so by
+    the monotone form of l'Hopital's rule the ratio is monotone in |c| and
+    its supremum is the larger of its two limits: the c -> 0 curvature
+    quotient (tau_pool a_h)^2 / (tau_single a_g)^2 and the c -> inf tail
+    tau_pool/tau_single. No search is involved.
 
     On the locus a_h = 0 (rho = sqrt(tau_A/tau_B)) the shift never moves
     the pooled posterior, so the numerator is identically zero for either
-    rule. The function then returns 0 without searching; neither limit
-    above applies there, and the tau_pool/tau_single tail in particular
-    does not.
+    rule and the function returns 0; neither limit above applies there,
+    and the tau_pool/tau_single tail in particular does not.
 
     Raises
     ------
     DiscountIneffectiveError
-        If |rho| = 1, or the ratio is still growing at the top of the grid.
+        If |rho| = 1: no finite ratio restores truthfulness.
     """
     if model.degenerate:
         raise DiscountIneffectiveError(
             "|rho| = 1: no finite discount ratio restores truthfulness"
         )
-    if search is None:
-        search = SearchGrid()
     alpha_g, alpha_h = model.alpha_g, model.alpha_h
     tau_single, tau_pool = model.tau_single, model.tau_pool
 
@@ -303,23 +201,9 @@ def required_ratio_numeric(
         return 0.0
     if rule is ScoringRule.LOGARITHMIC:
         return required_ratio_log(model)
-
-    def ratio(c: float) -> float:
-        num = tau_pool * -math.expm1(-0.25 * tau_pool * (c * alpha_h) ** 2)
-        den = tau_single * -math.expm1(-0.25 * tau_single * (c * alpha_g) ** 2)
-        return num / den
-
     zero_limit = (tau_pool * alpha_h) ** 2 / (tau_single * alpha_g) ** 2
     tail_limit = tau_pool / tau_single
-    # Sweep shifts in units of the slower saturation scale: with tiny shift
-    # coefficients the exponential knee sits far beyond any fixed raw-c
-    # grid, and the climb toward the finite tail would otherwise trip the
-    # unbounded-growth check.
-    c_unit = max(
-        2.0 / (math.sqrt(tau_pool) * abs(alpha_h)),
-        2.0 / (math.sqrt(tau_single) * abs(alpha_g)),
-    )
-    return _sup_ratio(lambda u: ratio(u * c_unit), search, (zero_limit, tail_limit))
+    return max(zero_limit, tail_limit)
 
 
 def loss_bound(

@@ -16,10 +16,6 @@ class ValidationError(MechanismError, ValueError):
     """Inputs violate a documented precondition (domain, shape, range)."""
 
 
-class UninformativeSignalError(ValidationError):
-    """A posterior is no sharper than its prior, so no signal can explain it."""
-
-
 class DegenerateCorrelationError(ValidationError):
     """|rho| = 1: the two signals jointly reveal the outcome exactly."""
 

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import Philox
-from scipy.special import ndtri
 
 from .beliefs import SignalModel
-from .discounting import DiscountSchedule, _golden_section, schedule_eval
+from .discounting import DiscountSchedule, schedule_eval
 from .errors import ValidationError
 from .scoring import ScoringRule, _divergence, _score
 
@@ -118,6 +116,9 @@ class ABASubgame:
 
 
 class BestResponse(NamedTuple):
+    """The maximizing shift c_star >= 0, its analytic gain, and whether
+    c_star is c_bound (also when the gain saturates in float before it)."""
+
     c_star: float
     gain: float
     bound_hit: bool
@@ -171,6 +172,9 @@ def _block_normals(seed: int, n: int, start_index: int) -> np.ndarray:
     n, start_index = int(n), int(start_index)
     if start_index + n > _SEED_LIMIT:
         raise ValidationError("world indices must lie in [0, 2^64)")
+    # Imported here so that the analytic commands never load numpy.random.
+    from numpy.random import Philox
+
     # An int counter is the 256-bit value [start_index, 0, 0, 0] without the
     # float cast numpy applies to list entries of 2^63 and above.
     raw = Philox(key=seed, counter=start_index).random_raw(4 * n)
@@ -184,6 +188,9 @@ def _normals_from_words(words: np.ndarray) -> np.ndarray:
     exactly; u is never 0 or 1 and u(~w) = 1 - u(w), so the normals are
     finite, symmetric and capped at |z| <= 8.2095.
     """
+    # Imported here so that the analytic commands never load scipy.special.
+    from scipy.special import ndtri
+
     u = ((words >> np.uint64(12)).astype(np.float64) + 0.5) * _U52
     return ndtri(u)
 
@@ -396,8 +403,6 @@ def deviation_gain(
 # counts as zero (boundary settings where float residue could fake a sign).
 _CURV_RTOL = 1e-12
 
-_REFINE_ITERS = 80
-
 
 def best_response(
     model: SignalModel,
@@ -405,22 +410,30 @@ def best_response(
     schedule: DiscountSchedule,
     c_bound: float = 1e3,
 ) -> BestResponse:
-    """Maximize the analytic deviation gain over shifts |c| <= c_bound.
+    """Maximize the analytic deviation gain over shifts |c| <= c_bound, exactly.
 
-    The gain is even in c, so the search covers c >= 0 and c_star is
-    reported non-negative. For the log rule the gain is exactly quadratic:
-    the optimum is 0 or the bound, decided by the sign of the curvature
-    (with a relative floor against float residue at boundary settings).
-    For the quadratic rule a log-spaced grid plus golden-section refinement
-    finds the interior optimum; ``bound_hit`` flags a maximizer at the
-    bound, where the analytic gain is still non-decreasing in |c|.
+    The gain is even in c, so c_star is reported non-negative. For the log
+    rule the gain is exactly quadratic: the optimum is 0 or the bound,
+    decided by the sign of the curvature (with a relative floor against
+    float residue at boundary settings). For the quadratic rule, in
+    x = c^2 with a = tau_single a_g^2 / 4 and b = tau_pool a_h^2 / 4, the
+    gain is k1 sqrt(tau_single/pi) (e^{-ax} - 1) - k2 sqrt(tau_pool/pi)
+    (e^{-bx} - 1); for a != b its derivative vanishes only at
+
+        x* = ln(k1 sqrt(tau_single) a / (k2 sqrt(tau_pool) b)) / (a - b),
+
+    and for a = b the gain is monotone. The maximizer is therefore c_bound
+    or sqrt(x*) when 0 < x* < c_bound^2, whichever gains more; a tie goes
+    to c_bound. A gain <= 0 returns (0, 0, False). ``bound_hit`` is
+    ``c_star == c_bound``, which also covers a gain that saturates in
+    float before c_bound.
     """
     if not (math.isfinite(c_bound) and c_bound > 0):
         raise ValidationError("c_bound must be a positive finite real")
+    k1 = schedule_eval(schedule, _T_FIRST)
+    k2 = schedule_eval(schedule, _T_POOL)
 
     if rule is ScoringRule.LOGARITHMIC:
-        k1 = schedule_eval(schedule, _T_FIRST)
-        k2 = schedule_eval(schedule, _T_POOL)
         pool = k2 * model.tau_pool * model.alpha_h**2
         first = k1 * model.tau_single * model.alpha_g**2
         curv = 0.5 * (pool - first)
@@ -431,19 +444,26 @@ def best_response(
             c_star=c_bound, gain=curv * c_bound * c_bound, bound_hit=True
         )
 
-    gain = lambda c: analytic_gain(model, rule, schedule, c)
-    cs = [0.0] + [10.0**e for e in np.linspace(-6, math.log10(c_bound), 160)]
-    vals = [gain(c) for c in cs]
-    best = int(np.argmax(vals))
-    x1, f1, x2, f2 = _golden_section(
-        gain, cs[max(best - 1, 0)], cs[min(best + 1, len(cs) - 1)], _REFINE_ITERS
+    tau_single, tau_pool = model.tau_single, model.tau_pool
+    a = 0.25 * tau_single * model.alpha_g**2
+    b = 0.25 * tau_pool * model.alpha_h**2
+    candidates = [c_bound]
+    if a != b and a > 0.0 and b > 0.0:
+        # A sum of logs, so that no product of small factors underflows.
+        x_star = (
+            math.log(k1) + 0.5 * math.log(tau_single) + math.log(a)
+            - math.log(k2) - 0.5 * math.log(tau_pool) - math.log(b)
+        ) / (a - b)
+        if 0.0 < x_star < c_bound * c_bound:
+            candidates.append(math.sqrt(x_star))
+    # Pairs compare by gain first, so an equal gain goes to c_bound.
+    best_gain, c_star = max(
+        (analytic_gain(model, rule, schedule, c), c) for c in candidates
     )
-    candidates = [(vals[best], cs[best]), (f1, x1), (f2, x2)]
-    best_gain, c_star = max(candidates)
     if best_gain <= 0.0:
         return BestResponse(c_star=0.0, gain=0.0, bound_hit=False)
     return BestResponse(
-        c_star=float(c_star), gain=float(best_gain), bound_hit=bool(c_star >= cs[-2])
+        c_star=float(c_star), gain=float(best_gain), bound_hit=c_star == c_bound
     )
 
 

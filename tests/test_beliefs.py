@@ -1,7 +1,5 @@
 """Belief aggregation against dense linear-algebra conditioning oracles."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,10 +8,7 @@ import oracles
 from scoremech import (
     DegenerateCorrelationError,
     SignalModel,
-    UninformativeSignalError,
     ValidationError,
-    deprior_signal,
-    lognormal_to_normal,
     posterior_pair,
     posterior_single,
     signal_shift_coefficients,
@@ -110,30 +105,6 @@ def test_shift_coefficients_match_posterior_response(ta, tb, tc, rho, a0, b0, c)
     moved_s = posterior_single(model, a0 + c)
     assert moved_s.mean - base_s.mean == pytest.approx(
         c * alpha_single, rel=1e-10, abs=1e-12)
-
-
-def test_deprior_signal_round_trip():
-    model = SignalModel(tau_a=2.0, tau_b=1.0, tau_c=3.0, c0=0.5)
-    post = posterior_single(model, 1.75)
-    sig = deprior_signal(0.5, 3.0, post.mean, post.precision)
-    assert sig.precision == pytest.approx(2.0, rel=1e-12)
-    assert sig.mean == pytest.approx(1.75, rel=1e-12)
-
-
-def test_deprior_signal_rejects_uninformative_posterior():
-    with pytest.raises(UninformativeSignalError):
-        deprior_signal(0.0, 2.0, 1.0, 2.0)
-    with pytest.raises(UninformativeSignalError):
-        deprior_signal(0.0, 2.0, 1.0, 1.5)
-
-
-def test_lognormal_to_normal():
-    out = lognormal_to_normal([math.e, math.e ** 2, 1.0])
-    assert out == pytest.approx([1.0, 2.0, 0.0], abs=1e-15)
-    with pytest.raises(ValidationError):
-        lognormal_to_normal([1.0, 0.0])
-    with pytest.raises(ValidationError):
-        lognormal_to_normal([-3.0])
 
 
 def test_cross_oracle_agreement():

@@ -215,7 +215,9 @@ def test_market_replay_detects_tampering(tmp_path, capsys):
 
 
 # Malformed but parseable logs: (line named in the error, edit of the parsed
-# lines of a three-trade log with a settlement on line 5).
+# lines of a three-trade log with a settlement on line 5). The trade after
+# the settlement is otherwise valid: numbered in sequence, a zero-cost
+# no-op from the final inventory.
 MALFORMED_LOGS = {
     "record_number_not_int": (2, lambda o: o[1].update(i="x")),
     "record_not_object": (3, lambda o: o.__setitem__(2, [1, 2])),
@@ -230,6 +232,14 @@ MALFORMED_LOGS = {
     "record_number_out_of_sequence": (3, lambda o: o[2].update(i=5)),
     "cost_nan": (2, lambda o: o[1].update(cost=float("nan"))),
     "outcome_nan": (5, lambda o: o[4]["settlement"].update(outcome=float("nan"))),
+    "settlement_tampered_loss_and_payee": (5, lambda o: o[4]["settlement"].update(
+        maker_loss=123.0, payouts={"mallory": 1e6})),
+    "settlement_duplicated": (6, lambda o: o.append(o[4])),
+    "header_version_2": (1, lambda o: o[0].update(version=2)),
+    "trade_after_settlement": (6, lambda o: o.append(dict(
+        o[3], i=3, trader="mallory", pre=o[3]["post"], cost=0.0))),
+    "outcome_bin_tampered": (5, lambda o: o[4]["settlement"].update(
+        outcome_bin=o[4]["settlement"]["outcome_bin"] + 1)),
 }
 
 

@@ -266,12 +266,22 @@ def test_best_response_quadratic_interior_optimum():
     out = best_response(model, QUAD, FLAT)
     assert not out.bound_hit
     assert out.gain > 0.0
-    # First-order stationarity and local maximality of the polished point.
+    # First-order stationarity and local maximality of the closed-form point.
     h = 1e-5 * max(1.0, abs(out.c_star))
     up = analytic_gain(model, QUAD, FLAT, out.c_star + h)
     down = analytic_gain(model, QUAD, FLAT, out.c_star - h)
     assert abs(up - down) / (2 * h) <= 1e-6 * max(1.0, out.gain)
     assert out.gain >= up and out.gain >= down
+
+
+def test_best_response_quadratic_plateau_reports_the_bound():
+    # The gain rises toward its tail and saturates in float well before
+    # c_bound; the maximizer of the gain as a function is then c_bound.
+    model = SignalModel(tau_a=0.25, tau_b=1.0, tau_c=0.0, rho=-0.6)
+    out = best_response(model, QUAD, FLAT)
+    assert out.c_star == 1000.0
+    assert out.bound_hit
+    assert out.gain == analytic_gain(model, QUAD, FLAT, 1000.0) > 0.0
 
 
 def test_forum_schedule_validation():

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used there.
+"""Import hygiene: every name a package module imports is used there, and
+the analytic commands never load the sampling stack.
 
 No linter ships with the package, so this walks the syntax trees itself.
 A name counts as used when it is read anywhere in the module or listed in
@@ -6,6 +7,10 @@ its ``__all__`` (the package's re-exports).
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "scoremech"
@@ -38,3 +43,27 @@ def test_no_unused_imports():
         for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_analytic_commands_skip_the_sampling_stack(tmp_path):
+    # scipy.special and numpy.random are imported where worlds are drawn or
+    # densities binned, so classify and discount never load them.
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0, "rho": -0.8}))
+    code = (
+        "import contextlib, io, sys\n"
+        "from scoremech.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main([cmd, '--rule', rule, *extra])\n"
+        "             for rule in ('log', 'quadratic')\n"
+        f"             for cmd, extra in (('classify', []), ('discount', ['--config', {str(config)!r}]))]\n"
+        "loaded = [m for m in ('scipy', 'scipy.special', 'numpy.random') if m in sys.modules]\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", "import json\n" + code],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0, 0, 0, 0], "loaded": []}
