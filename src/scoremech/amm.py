@@ -22,6 +22,10 @@ reachable state.
 Markets open at the prior: the initial inventory is k(0) log(binned prior
 density), which makes the opening potential zero and the maker's total
 outlay telescope to the discounted final-vs-prior score difference.
+
+``simulate_sessions`` runs many truthful sessions from one opening state on
+(sessions, bins) arrays. It shares the density and potential helpers with
+``trade`` and ``MarketState``, which call them on one row.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .beliefs import SignalModel
 from .discounting import DiscountSchedule, schedule_eval
 from .errors import LogConsistencyError, NumericError, ValidationError
 from .scoring import NormalBelief
@@ -45,6 +50,7 @@ __all__ = [
     "MarketState",
     "TradeRecord",
     "SettlementReport",
+    "SessionBatch",
     "binned_density",
     "binned_self_score",
     "open_market",
@@ -53,6 +59,7 @@ __all__ = [
     "cost_function",
     "trade",
     "settle",
+    "simulate_sessions",
     "replay",
     "log_header",
     "record_to_json",
@@ -72,6 +79,10 @@ _MASS_TOL = 1e-10
 
 # Grid coverage demanded of every market state, in prior standard deviations.
 _COVER_SIGMAS = 10.0
+
+# simulate_sessions works on (block, n) arrays of at most this many
+# elements (128 KiB of float64 each), whatever the session count.
+_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -106,16 +117,20 @@ class OutcomeGrid:
     def locate(self, x: float) -> tuple[int, bool]:
         """Bin index of x, clamped to the nearest edge bin when outside.
 
-        Returns (index, out_of_range flag).
+        Returns (index, out_of_range flag): the one-outcome case of
+        ``locate_all``.
         """
-        if not math.isfinite(x):
+        index, outside = self.locate_all(np.array([x], dtype=float))
+        return int(index[0]), bool(outside[0])
+
+    def locate_all(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bin indices and out-of-range flags of a 1-D array of outcomes."""
+        if not np.isfinite(x).all():
             raise ValidationError("outcome must be finite")
-        if x < self.lo:
-            return 0, True
-        if x >= self.hi:
-            return self.n - 1, True
-        i = int((x - self.lo) / (self.hi - self.lo) * self.n)
-        return min(i, self.n - 1), False
+        below, above = x < self.lo, x >= self.hi
+        inside = np.where(below | above, self.lo, x)
+        index = ((inside - self.lo) / (self.hi - self.lo) * self.n).astype(np.intp)
+        return np.where(above, self.n - 1, np.minimum(index, self.n - 1)), below | above
 
     @classmethod
     def from_prior(cls, prior: NormalBelief, n: int = 512) -> "OutcomeGrid":
@@ -137,7 +152,9 @@ class MarketState:
     ``shares`` is stored as a read-only float64 copy of what was passed.
     ``affine_shift`` is the constant subtracted from scores in loss
     reports so the effective rule is non-positive; it is part of the
-    market configuration, not of pricing.
+    market configuration, not of pricing. ``potential`` is C(shares, t),
+    computed with the price-mass check; a trade to ``next`` costs
+    next.potential - potential.
     """
 
     grid: OutcomeGrid
@@ -146,6 +163,7 @@ class MarketState:
     schedule: DiscountSchedule
     prior: NormalBelief
     affine_shift: float = 0.0
+    potential: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         shares = _read_only(np.array(self.shares, dtype=float))
@@ -164,14 +182,15 @@ class MarketState:
             raise ValidationError(
                 f"grid must span the prior mean +/- {_COVER_SIGMAS:g} standard deviations"
             )
-        total = float(np.sum(prices(self) * self.grid.widths))
-        if abs(total - 1.0) > _MASS_TOL:
-            raise NumericError("width-weighted prices failed to sum to 1")
+        k = schedule_eval(self.schedule, self.t)
+        potential, _, mass = _potentials(shares[None, :], k, self.grid.widths)
+        _check_mass(mass)
+        object.__setattr__(self, "potential", float(potential[0]))
 
-    @functools.cached_property
-    def potential(self) -> float:
-        """C(shares, t); a trade to ``next`` costs next.potential - potential."""
-        return cost_function(self.shares, self.t, self.schedule, self.grid)
+
+def _check_mass(mass: np.ndarray) -> None:
+    if np.any(np.abs(mass - 1.0) > _MASS_TOL):
+        raise NumericError("width-weighted prices failed to sum to 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,21 +219,49 @@ class SettlementReport:
     loss_bound: float = 0.0
 
 
-def binned_density(belief: NormalBelief, grid: OutcomeGrid) -> np.ndarray:
-    """Per-bin density (bin mass / bin width) of a normal belief.
+def _binned_densities(means: np.ndarray, precision: float, grid: OutcomeGrid) -> np.ndarray:
+    """Per-bin densities (bin mass / bin width), shape (rows, n), of the
+    normal beliefs N(means[r], 1/precision).
 
-    Bins in the upper tail take their mass from the reflected lower tail,
-    where the normal CDF keeps full (denormal) precision instead of
-    saturating at 1; masses stay positive out to ~38 belief sigmas.
+    A bin in the upper half of a belief (z_j + z_{j+1} > 0, z the
+    standardized edges) takes its mass ndtr(-z_j) - ndtr(-z_{j+1}) from the
+    reflected lower tail, where the normal CDF keeps full (denormal)
+    precision instead of saturating at 1; masses stay positive out to ~38
+    belief sigmas. z_j + z_{j+1} grows with j, so each row splits at one
+    bin c: edges up to c get ndtr(z), the others ndtr(-z), and only edge c
+    is evaluated both ways.
     """
     # Imported here so that the analytic commands never load scipy.special.
     from scipy.special import ndtr
 
-    z = (grid.edges - belief.mean) * math.sqrt(belief.precision)
-    lower = np.diff(ndtr(z))
-    upper = np.diff(ndtr(-z[::-1]))[::-1]
-    mass = np.where(z[:-1] + z[1:] > 0.0, upper, lower)
-    return mass / grid.widths
+    z = (grid.edges - means[:, None]) * math.sqrt(precision)
+    split = np.count_nonzero(z[:, :-1] + z[:, 1:] <= 0.0, axis=1)
+    rows = np.flatnonzero(split < grid.n)
+    at = split[rows]
+    at_split = ndtr(-z[rows, at])
+    upper = np.arange(grid.n + 1) > split[:, None]
+    cdf = ndtr(np.negative(z, out=z, where=upper), out=z)
+    mass = cdf[:, 1:] - cdf[:, :-1]
+    np.subtract(cdf[:, :-1], cdf[:, 1:], out=mass, where=upper[:, 1:])
+    mass[rows, at] = at_split - cdf[rows, at + 1]
+    mass /= grid.widths
+    return mass
+
+
+def _log_densities(
+    means: np.ndarray, precision: float, grid: OutcomeGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """log of the binned densities floored at ``_DENSITY_FLOOR``, and the
+    number of floored bins of each row."""
+    dens = _binned_densities(means, precision, grid)
+    clipped = np.count_nonzero(dens < _DENSITY_FLOOR, axis=1)
+    return np.log(np.maximum(dens, _DENSITY_FLOOR)), clipped
+
+
+def binned_density(belief: NormalBelief, grid: OutcomeGrid) -> np.ndarray:
+    """Per-bin density (bin mass / bin width) of a normal belief, positive
+    out to ~38 belief sigmas: the one-row case of ``_binned_densities``."""
+    return _binned_densities(np.array([belief.mean]), belief.precision, grid)[0]
 
 
 def binned_self_score(belief: NormalBelief, grid: OutcomeGrid) -> float:
@@ -223,6 +270,28 @@ def binned_self_score(belief: NormalBelief, grid: OutcomeGrid) -> float:
     dens = np.maximum(binned_density(belief, grid), _DENSITY_FLOOR)
     mass = dens * grid.widths
     return float(np.sum(mass * np.log(dens)))
+
+
+@functools.lru_cache(maxsize=64)
+def _prior_self_score(prior: NormalBelief, lo: float, hi: float, n: int) -> float:
+    """``binned_self_score`` of a market's prior, computed once per market
+    configuration; keyed by the grid's fields so no grid arrays are kept."""
+    return binned_self_score(prior, OutcomeGrid(lo, hi, n))
+
+
+def _potentials(shares: np.ndarray, k: float, widths: np.ndarray):
+    """For each row s of ``shares`` (rows, n) at level k = k(t): the
+    potential C(s, t) = k log sum_j w_j exp(s_j / k), evaluated stably, the
+    price densities, and the width-weighted price mass (1 up to rounding)."""
+    z = shares / k
+    top = z.max(axis=1)
+    z -= top[:, None]
+    e = np.exp(z, out=z)
+    total = np.sum(widths * e, axis=1)
+    dens = np.divide(e, total[:, None], out=e)
+    # math.log, not np.log: the two can differ in the last bit.
+    log_total = np.array([math.log(v) for v in total.tolist()])
+    return k * (top + log_total), dens, np.sum(dens * widths, axis=1)
 
 
 def cost_function(
@@ -234,19 +303,14 @@ def cost_function(
         raise ValidationError("share vector length must match the grid")
     if not np.all(np.isfinite(s)):
         raise ValidationError("shares must be finite")
-    k = schedule_eval(schedule, t)
-    z = s / k
-    m = float(np.max(z))
-    return k * (m + math.log(float(np.sum(grid.widths * np.exp(z - m)))))
+    potential, _, _ = _potentials(s[None, :], schedule_eval(schedule, t), grid.widths)
+    return float(potential[0])
 
 
 def prices(state: MarketState) -> np.ndarray:
     """Instantaneous price density of every bin."""
     k = schedule_eval(state.schedule, state.t)
-    z = np.asarray(state.shares) / k
-    z -= z.max()
-    e = np.exp(z)
-    return e / float(np.sum(state.grid.widths * e))
+    return _potentials(state.shares[None, :], k, state.grid.widths)[1][0]
 
 
 def price(state: MarketState, bin_index: int) -> float:
@@ -272,10 +336,10 @@ def open_market(
     """
     grid = OutcomeGrid.from_prior(prior, n=n_bins)
     k0 = schedule_eval(schedule, 0)
-    dens = np.maximum(binned_density(prior, grid), _DENSITY_FLOOR)
+    log_dens, _ = _log_densities(np.array([prior.mean]), prior.precision, grid)
     return MarketState(
         grid=grid,
-        shares=k0 * np.log(dens),
+        shares=k0 * log_dens[0],
         t=0,
         schedule=schedule,
         prior=prior,
@@ -292,17 +356,16 @@ def _belief_target_shares(
     potential, which keeps the trade's cash cost at the pure re-pricing
     level (zero for an exactly unit-mass target).
     """
-    dens = binned_density(belief, state.grid)
-    clipped = int(np.sum(dens < _DENSITY_FLOOR))
+    log_dens, clipped = _log_densities(np.array([belief.mean]), belief.precision, state.grid)
+    clipped = int(clipped[0])
     if clipped:
         warnings.warn(
             f"belief density clipped to {_DENSITY_FLOOR:g} on {clipped} bins",
             RuntimeWarning,
             stacklevel=3,
         )
-        dens = np.maximum(dens, _DENSITY_FLOOR)
     k_new = schedule_eval(state.schedule, t_new)
-    return k_new * np.log(dens) + state.potential, clipped
+    return k_new * log_dens[0] + state.potential, clipped
 
 
 def trade(
@@ -359,7 +422,8 @@ def settle(
     density, m_0 the prior's, T = ``state.t``), so when every traded
     belief's binned log density is at most ``affine_shift`` the expected
     loss under the prior is at most the reported bound
-    k(T) affine_shift - k(0) binned_self_score(prior, grid).
+    k(T) affine_shift - k(0) binned_self_score(prior, grid); the self score
+    is computed once per (prior, grid).
     """
     idx, out_of_range = state.grid.locate(outcome)
     payouts: dict[str, float] = {}
@@ -372,8 +436,9 @@ def settle(
     k0 = schedule_eval(state.schedule, 0)
     k_final = schedule_eval(state.schedule, state.t)
     shift = state.affine_shift
+    grid = state.grid
     # Grouped so that k(T) = k(0) rounds exactly like -k(0) (S - shift).
-    bound = -k0 * (binned_self_score(state.prior, state.grid) - shift)
+    bound = -k0 * (_prior_self_score(state.prior, grid.lo, grid.hi, grid.n) - shift)
     bound += (k_final - k0) * shift
     return SettlementReport(
         outcome=float(outcome),
@@ -386,6 +451,113 @@ def settle(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class SessionBatch:
+    """Sessions run by ``simulate_sessions``. Row i of each array is session
+    i; ``costs`` and ``clipped_bins`` have one column per trade. ``records``
+    and ``settlement`` are the last session's, settled through ``settle``."""
+
+    maker_loss: np.ndarray
+    costs: np.ndarray
+    clipped_bins: np.ndarray
+    records: tuple[TradeRecord, ...]
+    settlement: SettlementReport
+
+
+def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> SessionBatch:
+    """Run one truthful Alice-Bob-Alice session per world from ``opening``.
+
+    ``worlds`` is (outcomes, a0, b0), three equal-length 1-D arrays such as
+    ``game.draw_worlds`` returns. Session i, with t = ``opening.t``, is
+
+        s1, r1 = trade(opening, posterior_single(model, a0[i]), "alice", t + 1)
+        s2, r2 = trade(s1, posterior_pair(model, a0[i], b0[i]), "bob", t + 2)
+        s3, r3 = trade(s2, posterior_pair(model, a0[i], b0[i]), "alice", t + 3)
+        settle(s3, outcomes[i], [r1, r2, r3])
+
+    evaluated on (block, n) arrays of at most ``_BLOCK_ELEMENTS`` elements,
+    whatever the number of sessions, with the same floating-point
+    operations in the same order, so each row equals its chain exactly.
+    Every row passes the checks a MarketState makes (finite shares, unit
+    price mass). The pooled belief is binned once for both of its trades.
+    Clipped belief bins are counted per trade, and one RuntimeWarning
+    reports their total.
+    """
+    outcomes, a0, b0 = (np.asarray(w, dtype=float) for w in worlds)
+    if not (outcomes.ndim == 1 and outcomes.size and outcomes.shape == a0.shape == b0.shape):
+        raise ValidationError("worlds must be three equal-length, non-empty 1-D arrays")
+    single, pooled = model.single_mean(a0), model.pair_mean(a0, b0)
+    for means, precision in ((single, model.tau_single), (pooled, model.tau_pool)):
+        if not (np.isfinite(means).all() and 0.0 < precision < math.inf):
+            raise ValidationError("posterior beliefs need finite means and precisions")
+    grid, count = opening.grid, outcomes.size
+    index, _ = grid.locate_all(outcomes)
+    counters = tuple(opening.t + j for j in (1, 2, 3))
+    levels = [schedule_eval(opening.schedule, t) for t in counters]
+
+    maker_loss = np.empty(count)
+    costs = np.empty((count, 3))
+    clipped = np.empty((count, 3), dtype=np.intp)
+    block = max(1, _BLOCK_ELEMENTS // grid.n)
+    for start in range(0, count, block):
+        rows = slice(start, start + block)
+        log_single, clip_single = _log_densities(single[rows], model.tau_single, grid)
+        log_pooled, clip_pooled = _log_densities(pooled[rows], model.tau_pool, grid)
+        clipped[rows] = np.stack([clip_single, clip_pooled, clip_pooled], axis=1)
+        at = index[rows]
+        held = opening.shares[at]
+        potential = np.full(at.size, opening.potential)
+        nets, finals = [], []
+        for j, (k, log_dens) in enumerate(zip(levels, (log_single, log_pooled, log_pooled))):
+            post = k * log_dens + potential[:, None]
+            if not np.isfinite(post).all():
+                raise ValidationError("shares must be finite")
+            post_potential, _, mass = _potentials(post, k, grid.widths)
+            _check_mass(mass)
+            costs[rows, j] = post_potential - potential
+            post_held = post[np.arange(at.size), at]
+            nets.append(post_held - held)
+            finals.append(post[-1].copy())
+            held, potential = post_held, post_potential
+        # settle's accounting, in its order: payouts per trader in record
+        # order, their sum, and the collected costs.
+        alice, bob = 0.0 + nets[0] + nets[2], 0.0 + nets[1]
+        collected = 0.0 + costs[rows, 0] + costs[rows, 1] + costs[rows, 2]
+        maker_loss[rows] = (0.0 + alice + bob) - collected
+
+    total = int(clipped.sum())
+    if total:
+        warnings.warn(
+            f"belief density clipped to {_DENSITY_FLOOR:g} on {total} bins in "
+            f"{np.count_nonzero(clipped.any(axis=1))} of {count} sessions",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    state, records = opening, []
+    for j, (t, trader, shares) in enumerate(zip(counters, ("alice", "bob", "alice"), finals)):
+        post = replace(state, shares=shares, t=t)
+        records.append(
+            TradeRecord(
+                t=t,
+                pre_shares=state.shares,
+                post_shares=post.shares,
+                cost=float(costs[-1, j]),
+                trader=trader,
+                clipped_bins=int(clipped[-1, j]),
+            )
+        )
+        state = post
+    for array in (maker_loss, costs, clipped):
+        _read_only(array)
+    return SessionBatch(
+        maker_loss=maker_loss,
+        costs=costs,
+        clipped_bins=clipped,
+        records=tuple(records),
+        settlement=settle(state, float(outcomes[-1]), records),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Trade log serialization and replay.
 #
@@ -395,8 +567,7 @@ def settle(
 # report byte for byte.
 
 
-def log_header(state: MarketState) -> dict:
-    """Header describing the market configuration and opening inventory."""
+def _header_fields(state: MarketState) -> dict:
     return {
         "format": _LOG_FORMAT,
         "version": _LOG_VERSION,
@@ -405,19 +576,29 @@ def log_header(state: MarketState) -> dict:
         "prior": {"mean": state.prior.mean, "precision": state.prior.precision},
         "affine_shift": state.affine_shift,
         "t0": state.t,
-        "s0": state.shares.tolist(),
     }
 
 
-def record_to_json(index: int, rec: TradeRecord) -> dict:
+def _record_fields(index: int, rec: TradeRecord) -> dict:
     return {
         "i": index,
         "t": rec.t,
         "trader": rec.trader,
-        "pre": rec.pre_shares.tolist(),
-        "post": rec.post_shares.tolist(),
         "cost": rec.cost,
         "clipped_bins": rec.clipped_bins,
+    }
+
+
+def log_header(state: MarketState) -> dict:
+    """Header describing the market configuration and opening inventory."""
+    return {**_header_fields(state), "s0": state.shares.tolist()}
+
+
+def record_to_json(index: int, rec: TradeRecord) -> dict:
+    return {
+        **_record_fields(index, rec),
+        "pre": rec.pre_shares.tolist(),
+        "post": rec.post_shares.tolist(),
     }
 
 
@@ -435,16 +616,50 @@ def settlement_to_json(report: SettlementReport) -> dict:
     }
 
 
+def _dumps_spliced(fields: dict, inventories: dict[str, str]) -> str:
+    """``json.dumps(fields | inventories, sort_keys=True)`` with each
+    inventory spliced in as its already-encoded JSON text.
+
+    Each inventory key is dumped with a null value first. The text
+    ``"<key>": null`` can only be that key: quotes inside string values
+    are escaped, and no other key of the log's objects ends in "pre",
+    "post" or "s0".
+    """
+    text = json.dumps({**fields, **dict.fromkeys(inventories)}, sort_keys=True)
+    for key, encoded in inventories.items():
+        text = text.replace(f'"{key}": null', f'"{key}": {encoded}', 1)
+    return text
+
+
 def write_log(
     path,
     opening: MarketState,
     records: Sequence[TradeRecord],
     report: SettlementReport | None = None,
 ) -> None:
+    """Write the header, one line per record and the settlement, if any;
+    each line is ``json.dumps`` of ``log_header``, ``record_to_json`` or
+    ``settlement_to_json`` with sorted keys.
+
+    Consecutive states share their inventory array (the opening's shares
+    are the first record's ``pre``, a record's ``post`` the next one's
+    ``pre``), so an inventory that is the same array as the one encoded
+    just before it is not encoded again.
+    """
+    last_shares, last_text = None, ""
+
+    def encode(shares: np.ndarray) -> str:
+        nonlocal last_shares, last_text
+        if shares is not last_shares:
+            last_shares, last_text = shares, json.dumps(shares.tolist())
+        return last_text
+
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(log_header(opening), sort_keys=True) + "\n")
+        header = _dumps_spliced(_header_fields(opening), {"s0": encode(opening.shares)})
+        fh.write(header + "\n")
         for i, rec in enumerate(records):
-            fh.write(json.dumps(record_to_json(i, rec), sort_keys=True) + "\n")
+            inventories = {"pre": encode(rec.pre_shares), "post": encode(rec.post_shares)}
+            fh.write(_dumps_spliced(_record_fields(i, rec), inventories) + "\n")
         if report is not None:
             fh.write(json.dumps(settlement_to_json(report), sort_keys=True) + "\n")
 

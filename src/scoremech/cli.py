@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 
 from . import amm, game
-from .beliefs import SignalModel, posterior_pair, posterior_single
+from .beliefs import SignalModel
 from .discounting import (
     DiscountSchedule,
     required_ratio_log,
@@ -59,6 +59,9 @@ _CSV_SCHEMA = "# scoremech-classify v1"
 _AGREEMENT_SIGMAS = 4.0
 
 _DEFAULT_C_GRID = (-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0)
+
+# Largest market grid a config may ask for: 8 MiB per inventory array.
+_MAX_BINS = 2**20
 
 
 def _fmt(x: float) -> str:
@@ -119,6 +122,13 @@ def _field(record: dict, key: str, where: str, cast, default=None):
         return cast(record[key])
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: malformed field {key!r}: {exc}") from exc
+
+
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer (not a float, string or boolean)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"must be a JSON integer, not {value!r}")
+    return value
 
 
 def _model_from(record: dict, where: str) -> SignalModel:
@@ -390,18 +400,6 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
 # market
 
 
-def _truthful_session_loss(
-    opening: "amm.MarketState", model: SignalModel, lam: float, a0: float, b0: float
-) -> tuple["amm.SettlementReport", list]:
-    """One truthful Alice-Bob-Alice session traded from ``opening``."""
-    single, pooled = posterior_single(model, a0), posterior_pair(model, a0, b0)
-    s1, r1 = amm.trade(opening, single, trader="alice", t=1)
-    s2, r2 = amm.trade(s1, pooled, trader="bob", t=2)
-    s3, r3 = amm.trade(s2, pooled, trader="alice", t=3)
-    records = [r1, r2, r3]
-    return amm.settle(s3, lam, records), records
-
-
 def cmd_market_simulate(
     config: dict, sessions: int, seed: int, out: str | None, log_path: str | None
 ) -> dict:
@@ -417,7 +415,11 @@ def cmd_market_simulate(
             _field(prior_rec, "precision", where, float),
         )
     schedule = _schedule_from(config.get("schedule"))
-    n_bins = _field(config, "n_bins", "market config", int, 512)
+    n_bins = _field(config, "n_bins", "market config", _json_int, 512)
+    if not 2 <= n_bins <= _MAX_BINS:
+        raise ValidationError(
+            f"market config: 'n_bins' must lie in [2, {_MAX_BINS}], not {n_bins}"
+        )
     affine_shift = _field(config, "affine_shift", "market config", float, 0.0)
     if model.tau_c <= 0:
         raise ValidationError("market model needs tau_c > 0 to sample outcomes")
@@ -426,20 +428,18 @@ def cmd_market_simulate(
 
     worlds = game.draw_worlds(model, seed, sessions)
     opening = amm.open_market(prior, schedule, n_bins=n_bins, affine_shift=affine_shift)
-    losses = []
-    for lam, a0, b0 in zip(*(w.tolist() for w in worlds)):
-        settlement, records = _truthful_session_loss(opening, model, lam, a0, b0)
-        losses.append(settlement.maker_loss)
+    batch = amm.simulate_sessions(opening, model, worlds)
+    losses = batch.maker_loss.tolist()
     mean_loss = sum(losses) / sessions
     if sessions > 1:
         var = sum((x - mean_loss) ** 2 for x in losses) / (sessions - 1)
         se = math.sqrt(var / sessions)
     else:
         se = 0.0
-    # The loop leaves the last session's settlement and records bound; that
-    # session supplies the reported bound and the written log.
+    # The last session supplies the reported bound and the written log.
+    settlement = batch.settlement
     if log_path is not None:
-        amm.write_log(log_path, opening, records, settlement)
+        amm.write_log(log_path, opening, batch.records, settlement)
     report = {
         "schema": "scoremech-market v1",
         "sessions": sessions,

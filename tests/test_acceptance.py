@@ -52,6 +52,7 @@ from scoremech import (
     deviation_gain,
     divergence,
     draw_world,
+    draw_worlds,
     local_truthfulness_fd,
     loss_bound,
     open_market,
@@ -64,6 +65,7 @@ from scoremech import (
     schedule_eval,
     settle,
     signal_shift_coefficients,
+    simulate_sessions,
     trade,
 )
 
@@ -600,17 +602,11 @@ def test_criterion_09_market_maker():
     quad_bound = -oracles.quad_expected_score("logarithmic", 0.0, 1.0, 0.0, 1.0)
     assert abs(quad_bound - bound) <= 1e-6
 
+    # Worlds 0..9999 of seed 901, each a truthful Alice-Bob-Alice session;
+    # simulate_sessions equals the trade/settle chain above row by row.
     flat_market = open_market(STD, FLAT)
-    losses = np.empty(10_000)
-    for i in range(losses.size):
-        lam, a0, b0 = draw_world(model, seed=901, index=i)
-        g = posterior_single(model, a0)
-        h = posterior_pair(model, a0, b0)
-        s1, r1 = trade(flat_market, g, trader="alice", t=1)
-        s2, r2 = trade(s1, h, trader="bob", t=2)
-        s3, r3 = trade(s2, h, trader="alice", t=3)
-        losses[i] = settle(s3, lam, [r1, r2, r3]).maker_loss
-    mean_loss = float(losses.mean())
+    worlds = draw_worlds(model, seed=901, n=10_000)
+    mean_loss = float(simulate_sessions(flat_market, model, worlds).maker_loss.mean())
     assert mean_loss <= bound
     elapsed = time.perf_counter() - t0
     record_acceptance(

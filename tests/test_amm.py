@@ -2,9 +2,11 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import oracles
 from scoremech import (
@@ -13,16 +15,24 @@ from scoremech import (
     MarketState,
     NormalBelief,
     OutcomeGrid,
+    ScoringRule,
+    SignalModel,
     ValidationError,
+    amm,
     binned_density,
     binned_self_score,
     cost_function,
+    draw_worlds,
+    nonpositivity_shift,
     open_market,
+    posterior_pair,
+    posterior_single,
     price,
     prices,
     replay,
     schedule_eval,
     settle,
+    simulate_sessions,
     trade,
     write_log,
 )
@@ -88,6 +98,27 @@ def test_trade_costs_worked_values():
     delayed, rec2 = trade(toy_state(schedule=HALF), [1.0, 0.0], t=0)
     assert rec2.cost == pytest.approx(0.7168904152415134, rel=1e-13)
     assert rec2.cost > rec.cost
+
+
+def test_batched_potentials_equal_the_scalar_formula_bit_for_bit():
+    # Trade logs must not change between versions: each row's potential is
+    # k (max z + log sum_j w_j exp(z_j - max z)) with math.log, whose last
+    # bit np.log does not always match.
+    rng = np.random.default_rng(29)
+    grid = OutcomeGrid(lo=-1.0, hi=2.0, n=8)
+    shares = rng.normal(scale=3.0, size=(4000, grid.n))
+    # Rows whose largest share is 0 carry the log's last bit into C.
+    shares[::2] -= shares[::2].max(axis=1, keepdims=True)
+    potential, dens, mass = amm._potentials(shares, 0.7, grid.widths)
+    for row, got, got_dens, got_mass in zip(shares, potential, dens, mass):
+        z = row / 0.7
+        e = np.exp(z - z.max())
+        total = float(np.sum(grid.widths * e))
+        assert got == 0.7 * (float(z.max()) + math.log(total))
+        assert got_dens.tobytes() == (e / total).tobytes()
+        assert got_mass == np.sum(e / total * grid.widths)
+    assert cost_function(shares[0], 0, HALF, grid) == amm._potentials(
+        shares[:1], 0.5, grid.widths)[0][0]
 
 
 def test_prices_worked_values():
@@ -172,6 +203,54 @@ def test_binned_density_tails_stay_positive_and_symmetric():
     # The CDF saturates around 8 sigma; the reflected-tail evaluation keeps
     # the outermost bins at their true (tiny) mass instead of zero.
     assert 0.0 < mass[-1] < 1e-20
+
+
+def two_sided_density(belief, grid):
+    """The reflected-tail densities with ndtr evaluated at every edge twice,
+    directly and reflected, keeping one of the two per bin."""
+    z = (grid.edges - belief.mean) * math.sqrt(belief.precision)
+    lower = np.diff(ndtr(z))
+    upper = np.diff(ndtr(-z[::-1]))[::-1]
+    return np.where(z[:-1] + z[1:] > 0.0, upper, lower) / grid.widths
+
+
+def test_binned_density_equals_the_two_sided_formula_bit_for_bit():
+    rng = np.random.default_rng(77)
+    beliefs = [NormalBelief(0.0, 1.0), NormalBelief(10.0, 1.0), NormalBelief(-10.0, 1.0)]
+    for _ in range(60):
+        # Sigmas down to 1/4 put the far edges of the [-10, 10] grids 40
+        # belief sigmas out, past where the reflected tail underflows.
+        beliefs.append(NormalBelief(float(rng.uniform(-12.0, 12.0)),
+                                    float(rng.uniform(0.01, 16.0))))
+    for n in (2, 3, 128, 512, 4096):
+        grid = OutcomeGrid(lo=-10.0, hi=10.0, n=n)
+        for belief in beliefs:
+            got = binned_density(belief, grid)
+            assert got.tobytes() == two_sided_density(belief, grid).tobytes()
+        # The batch helper: one row per mean, at one precision.
+        means = np.array([b.mean for b in beliefs])
+        rows = amm._binned_densities(means, 16.0, grid)
+        want = [two_sided_density(NormalBelief(m, 16.0), grid) for m in means]
+        assert rows.tobytes() == np.array(want).tobytes()
+
+
+def test_settle_bins_the_prior_once_per_market(monkeypatch):
+    calls = []
+
+    def counting(belief, grid):
+        calls.append(grid.n)
+        return binned_self_score(belief, grid)
+
+    monkeypatch.setattr(amm, "binned_self_score", counting)
+    amm._prior_self_score.cache_clear()
+    decay = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.9)
+    state = open_market(STD, decay, n_bins=300, affine_shift=0.25)
+    moved, rec = trade(state, NormalBelief(0.2, 3.0))
+    reports = [settle(moved, x, [rec]) for x in (-1.0, 0.0, 0.5, 2.0)]
+    assert calls == [300]
+    k0, k1 = schedule_eval(decay, 0), schedule_eval(decay, 1)
+    want = -k0 * (binned_self_score(STD, state.grid) - 0.25) + (k1 - k0) * 0.25
+    assert all(r.loss_bound == want for r in reports)
 
 
 def test_binned_self_score_matches_oracle():
@@ -402,3 +481,160 @@ def test_replay_detects_tampering(tmp_path):
         replay(["not json"])
     with pytest.raises(LogConsistencyError):
         replay([])
+
+
+SESSION_SCHEDULES = (
+    DiscountSchedule(kind="constant", k0=1.0),
+    DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.9),
+    DiscountSchedule(kind="piecewise", k0=1.0, resets=((3, 10.0),)),
+)
+# The second model's pooled belief (precision 201) clips the far bins.
+SESSION_MODELS = (
+    (SignalModel(tau_a=2.0, tau_b=0.7, tau_c=0.5, rho=-0.4, c0=0.3), 0.0),
+    (SignalModel(tau_a=100.0, tau_b=100.0, tau_c=1.0),
+     nonpositivity_shift(ScoringRule.LOGARITHMIC, 201.0)),
+)
+
+
+def scalar_session(opening, model, lam, a0, b0):
+    """The truthful Alice-Bob-Alice chain that simulate_sessions batches."""
+    g, h = posterior_single(model, a0), posterior_pair(model, a0, b0)
+    s1, r1 = trade(opening, g, trader="alice", t=1)
+    s2, r2 = trade(s1, h, trader="bob", t=2)
+    s3, r3 = trade(s2, h, trader="alice", t=3)
+    return [r1, r2, r3], settle(s3, lam, [r1, r2, r3])
+
+
+@pytest.mark.parametrize("n_bins", (128, 512, 4096))
+@pytest.mark.parametrize("schedule", SESSION_SCHEDULES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("which", (0, 1))
+def test_simulate_sessions_rows_equal_the_trade_chain(which, schedule, n_bins):
+    model, shift = SESSION_MODELS[which]
+    prior = NormalBelief(model.c0, model.tau_c)
+    opening = open_market(prior, schedule, n_bins=n_bins, affine_shift=shift)
+    # More sessions than one block holds, so the last block is partial.
+    count = amm._BLOCK_ELEMENTS // n_bins + 3
+    worlds = draw_worlds(model, 17 + n_bins, count)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batch = simulate_sessions(opening, model, worlds)
+        chains = [scalar_session(opening, model, *w)
+                  for w in zip(*(x.tolist() for x in worlds))]
+    batch_warnings = [str(w.message) for w in caught if "sessions" in str(w.message)]
+    clipping = sum(r.clipped_bins for records, _ in chains for r in records)
+    assert clipping > 0 or which == 0
+    clipped_sessions = sum(any(r.clipped_bins for r in records) for records, _ in chains)
+    assert batch_warnings == ([f"belief density clipped to 1e-300 on {clipping} bins "
+                               f"in {clipped_sessions} of {count} sessions"] if clipping else [])
+    assert batch.maker_loss.tolist() == [report.maker_loss for _, report in chains]
+    assert batch.costs.tolist() == [[r.cost for r in records] for records, _ in chains]
+    assert batch.clipped_bins.tolist() == [
+        [r.clipped_bins for r in records] for records, _ in chains]
+
+    records, report = chains[-1]
+    assert batch.records[0].pre_shares is opening.shares
+    for got, want in zip(batch.records, records):
+        assert got.pre_shares.tobytes() == want.pre_shares.tobytes()
+        assert got.post_shares.tobytes() == want.post_shares.tobytes()
+        assert (got.t, got.trader, got.cost, got.clipped_bins) == (
+            want.t, want.trader, want.cost, want.clipped_bins)
+        assert not got.post_shares.flags.writeable
+    assert batch.records[0].post_shares is batch.records[1].pre_shares
+    assert batch.settlement == report
+
+
+def test_simulate_sessions_single_session_and_validation():
+    model, _ = SESSION_MODELS[0]
+    opening = open_market(NormalBelief(model.c0, model.tau_c), SESSION_SCHEDULES[1])
+    worlds = draw_worlds(model, 5, 1)
+    batch = simulate_sessions(opening, model, worlds)
+    records, report = scalar_session(opening, model, *(x.item() for x in worlds))
+    assert batch.maker_loss.tolist() == [report.maker_loss]
+    assert batch.settlement == report
+    assert [r.cost for r in batch.records] == [r.cost for r in records]
+    for array in (batch.maker_loss, batch.costs, batch.clipped_bins):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    lam, a0, b0 = worlds
+    for bad in ((lam[:0], a0[:0], b0[:0]), (lam, a0, np.append(b0, 0.0)),
+                (np.array([np.nan]), a0, b0), (lam, np.array([np.inf]), b0)):
+        with pytest.raises(ValidationError):
+            simulate_sessions(opening, model, bad)
+
+
+def test_locate_all_matches_locate():
+    grid = OutcomeGrid(lo=-1.0, hi=2.0, n=7)
+    xs = np.concatenate([np.linspace(-1.5, 2.5, 401), grid.edges, [np.nextafter(2.0, 0)]])
+    index, outside = grid.locate_all(xs)
+    assert list(zip(index.tolist(), outside.tolist())) == [grid.locate(x) for x in xs]
+    with pytest.raises(ValidationError):
+        grid.locate(float("nan"))
+
+
+def reference_log_lines(opening, records, report):
+    return [json.dumps(log_obj, sort_keys=True) for log_obj in (
+        [amm.log_header(opening)]
+        + [amm.record_to_json(i, rec) for i, rec in enumerate(records)]
+        + ([amm.settlement_to_json(report)] if report is not None else []))]
+
+
+def test_write_log_encodes_each_session_inventory_once(tmp_path, monkeypatch):
+    model, _ = SESSION_MODELS[0]
+    opening = open_market(NormalBelief(model.c0, model.tau_c), FLAT, n_bins=64)
+    records, report = scalar_session(opening, model, *draw_world_floats(model))
+    encoded = []
+    dumps = json.dumps
+
+    def counting_dumps(obj, **kwargs):
+        if isinstance(obj, list):
+            encoded.append(len(obj))
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    write_log(tmp_path / "session.jsonl", opening, records, report)
+    # s0 = pre of record 0, post of records 0 and 1 = pre of the next, post 2.
+    assert encoded == [64, 64, 64, 64]
+
+
+def test_write_log_lines_equal_json_dumps(tmp_path):
+    decay = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.9)
+    rng = np.random.default_rng(91)
+    logs = {}
+
+    # Belief trades, as market simulate writes them.
+    model, _ = SESSION_MODELS[0]
+    opening = open_market(NormalBelief(model.c0, model.tau_c), decay, n_bins=256)
+    records, report = scalar_session(opening, model, *draw_world_floats(model))
+    logs["beliefs"] = (opening, records, report)
+
+    # Share deltas, including a no-op and a trade at a repeated counter.
+    state = delta_open = open_market(STD, FLAT, n_bins=64)
+    records = []
+    for t, scale in ((1, 1.0), (1, 0.0), (4, 2.5)):
+        state, rec = trade(state, rng.normal(scale=scale, size=64), trader="d", t=t)
+        records.append(rec)
+    logs["deltas"] = (delta_open, records, None)
+
+    # Many traders, one of whose names mimics an inventory field.
+    state = multi_open = open_market(NormalBelief(-0.5, 2.0), decay, n_bins=128)
+    names = ["t0", "t1", 'x", "pre": null, "post": null, "y', "pre"]
+    records = []
+    for i in range(12):
+        belief = NormalBelief(float(rng.normal(-0.5, 0.7)), float(rng.uniform(2.0, 10.0)))
+        state, rec = trade(state, belief, trader=names[i % len(names)])
+        records.append(rec)
+    logs["multi"] = (multi_open, records, settle(state, 0.1, records))
+
+    # Records that do not chain: two trades from the same state.
+    _, first = trade(delta_open, np.ones(64), trader="a")
+    _, second = trade(delta_open, -np.ones(64), trader="b")
+    logs["unchained"] = (delta_open, [first, second], None)
+
+    for name, (opening, records, report) in logs.items():
+        path = tmp_path / f"{name}.jsonl"
+        write_log(path, opening, records, report)
+        assert path.read_text().splitlines() == reference_log_lines(opening, records, report)
+
+
+def draw_world_floats(model):
+    return (x.item() for x in draw_worlds(model, 23, 1))

@@ -321,6 +321,25 @@ def test_market_malformed_n_bins_is_config_error(tmp_path, capsys):
     assert "'n_bins'" in err
 
 
+@pytest.mark.parametrize("n_bins", [128.9, 128.0, "64", True, None, [64], 1, 0, -512, 2**20 + 1])
+def test_market_n_bins_must_be_an_integer_in_range(n_bins, tmp_path, capsys):
+    # 2**20 + 1 is refused before any grid is built.
+    cfg = write_config(tmp_path, {
+        "model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0},
+        "n_bins": n_bins})
+    code, out, err = run(["market", "simulate", "--config", cfg, "--samples", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "'n_bins'" in err
+
+
+def test_market_n_bins_accepts_json_integers(tmp_path, capsys):
+    for n_bins in (2, 64):
+        cfg = write_config(tmp_path, {
+            "model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0}, "n_bins": n_bins})
+        code, out, _ = run(["market", "simulate", "--config", cfg, "--samples", "3"], capsys)
+        assert code == 0 and json.loads(out)["n_bins"] == n_bins
+
+
 def test_classify_malformed_range_is_config_error(capsys):
     code, _, err = run(["classify", "--grid", "rho=a:b:c"], capsys)
     assert code == 2
