@@ -664,6 +664,79 @@ def write_log(
             fh.write(json.dumps(settlement_to_json(report), sort_keys=True) + "\n")
 
 
+# Replay decodes an inventory's text once: the header's ``s0`` and each
+# record's ``post``. A record's ``pre`` usually repeats the running
+# inventory's text (``write_log`` writes it so), and identical text is an
+# identical value. The other fields are parsed from the line with the
+# inventories cut out, each replaced by a bare JSON constant that the
+# decoder below turns into a marker object.
+_RAW_DECODER = json.JSONDecoder()
+_MARKS = {"NaN": object(), "Infinity": object()}
+_MARKED_DECODER = json.JSONDecoder(parse_constant=lambda name: _MARKS.get(name) or float(name))
+
+
+def _decode_inventory(line: str, start: int):
+    """The JSON value that starts at ``line[start]``, and the index just
+    past its text."""
+    return _RAW_DECODER.raw_decode(line, start)
+
+
+def _splice_decode(
+    line: str, keys: tuple[str, ...], running: tuple[str, np.ndarray] | None
+) -> tuple[dict, str] | None:
+    """``json.loads(line)`` and the exact source text of the first key's
+    value, or None on any doubt, where the caller parses the line whole.
+
+    The value of each key is cut from after the first ``"<key>": `` in the
+    line and decoded once. ``running`` is the text and the shares array of
+    the running inventory: a ``pre`` whose text is that text is given that
+    array itself and is not decoded. Doubt is a missing key, a value that
+    fails to decode, a marker constant already in the line, or a cut value
+    that is not the key's value in the parsed object (a key such as
+    ``x"pre``, a nested or a duplicate key).
+    """
+    sites = []
+    try:
+        for key, constant in zip(keys, _MARKS):
+            start = line.find(f'"{key}": ')
+            if start < 0 or constant in line:
+                return None
+            start += len(key) + 4
+            if key == "pre" and running is not None and line.startswith(running[0], start):
+                value, end = running[1], start + len(running[0])
+            else:
+                value, end = _decode_inventory(line, start)
+            sites.append((start, end, key, constant, value))
+        pieces, pos = [], 0
+        for start, end, _, constant, _ in sorted(sites, key=lambda site: site[0]):
+            if start < pos:
+                return None
+            pieces += (line[pos:start], constant)
+            pos = end
+        pieces.append(line[pos:])
+        obj = _MARKED_DECODER.decode("".join(pieces))
+    except (ValueError, RecursionError):
+        return None
+    # Each constant occurs once, where it was spliced in, so a key holding
+    # its marker after json's last-key-wins rule holds the value cut there.
+    if not isinstance(obj, dict) or any(
+        obj.get(key) is not _MARKS[constant] for _, _, key, constant, _ in sites
+    ):
+        return None
+    for _, _, key, _, value in sites:
+        obj[key] = value
+    start, end = sites[0][:2]
+    return obj, line[start:end]
+
+
+def _log_int(obj: dict, key: str) -> int:
+    """``obj[key]``, which must be a JSON integer; a boolean is not one."""
+    value = obj[key]
+    if isinstance(value, bool):
+        raise TypeError(f"field {key!r} must be an integer, not {value!r}")
+    return operator.index(value)
+
+
 def _opening_state(header: dict) -> MarketState:
     if header.get("format") != _LOG_FORMAT:
         raise ValueError("missing market header")
@@ -672,7 +745,7 @@ def _opening_state(header: dict) -> MarketState:
     return MarketState(
         grid=OutcomeGrid(**header["grid"]),
         shares=header["s0"],
-        t=operator.index(header["t0"]),
+        t=_log_int(header, "t0"),
         schedule=DiscountSchedule.from_config(header["schedule"]),
         prior=NormalBelief(header["prior"]["mean"], header["prior"]["precision"]),
         affine_shift=float(header["affine_shift"]),
@@ -682,11 +755,14 @@ def _opening_state(header: dict) -> MarketState:
 def _replay_trade(
     state: MarketState, obj: dict, index: int
 ) -> tuple[MarketState, TradeRecord]:
-    """Re-execute logged trade number ``index`` from ``state``."""
-    if operator.index(obj.get("i", index)) != index:
+    """Re-execute logged trade number ``index`` from ``state``. A ``pre``
+    that is the running shares array itself (see ``_splice_decode``) is the
+    running inventory; any other is compared with it by value."""
+    if _log_int(obj, "i") != index:
         raise ValueError(f"record number {obj['i']} is out of sequence")
-    t_new = operator.index(obj["t"])
-    if not np.array_equal(np.asarray(obj["pre"], dtype=float), state.shares):
+    t_new = _log_int(obj, "t")
+    pre = obj["pre"]
+    if pre is not state.shares and not np.array_equal(np.asarray(pre, dtype=float), state.shares):
         raise ValueError("pre-trade inventory does not match the running state")
     if t_new < state.t:
         raise ValueError("counter regressed")
@@ -694,13 +770,19 @@ def _replay_trade(
     cost, logged_cost = new_state.potential - state.potential, float(obj["cost"])
     if not abs(cost - logged_cost) <= _COST_TOL:
         raise ValueError(f"logged cost {logged_cost!r} differs from recomputed {cost!r}")
+    trader = obj["trader"]
+    if not isinstance(trader, str):
+        raise TypeError(f"field 'trader' must be a string, not {trader!r}")
+    clipped = _log_int(obj, "clipped_bins") if "clipped_bins" in obj else 0
+    if clipped < 0:
+        raise ValueError(f"field 'clipped_bins' must be non-negative, not {clipped}")
     record = TradeRecord(
         t=t_new,
         pre_shares=state.shares,
         post_shares=new_state.shares,
         cost=logged_cost,
-        trader=str(obj["trader"]),
-        clipped_bins=operator.index(obj.get("clipped_bins", 0)),
+        trader=trader,
+        clipped_bins=clipped,
     )
     return new_state, record
 
@@ -722,7 +804,9 @@ def _replay_settlement(
     return report
 
 
-def replay(lines: Iterable[str]) -> tuple[MarketState, list[TradeRecord], SettlementReport | None]:
+def replay(
+    lines: Iterable[str | bytes],
+) -> tuple[MarketState, list[TradeRecord], SettlementReport | None]:
     """Re-execute a trade log, verifying it is self-consistent.
 
     Checks that the header's ``version`` is the one this module writes;
@@ -731,17 +815,28 @@ def replay(lines: Iterable[str]) -> tuple[MarketState, list[TradeRecord], Settle
     and the logged cost matches the recomputed C(post, t) - C(pre, t_pre)
     within 1e-10; and that a settlement, if any, is the last non-blank line
     and equals the settlement recomputed at its outcome in every field
-    exactly. Any inconsistent or malformed line (a fractional counter
-    included) raises LogConsistencyError naming the line and the number of
-    records verified before it. Returns the final state, the verified
-    records, and the recomputed settlement when the log carries one.
+    exactly. Counters, record numbers and clipped-bin counts must be JSON
+    integers (not booleans; clipped bins at least 0) and traders strings.
+    Any inconsistent or malformed line (a fractional counter, text nested
+    too deeply to parse or a bytes line that is not UTF-8 included) raises
+    LogConsistencyError naming the line and the number of records verified
+    before it. Returns the final state, the verified records, and the
+    recomputed settlement when the log carries one.
+
+    Each inventory's text is decoded once (see ``_splice_decode``): a
+    ``pre`` that repeats the running inventory's text is that inventory,
+    and any other ``pre`` is compared with it by value.
     """
     state, records, report = None, [], None
+    running = None  # the running inventory's source text and array, when known
     for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
         try:
-            obj = json.loads(line)
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if not line.strip():
+                continue
+            keys = ("s0",) if state is None else ("post", "pre")
+            obj, text = _splice_decode(line, keys, running) or (json.loads(line), None)
             if not isinstance(obj, dict):
                 raise TypeError("not a JSON object")
             if state is None:
@@ -753,9 +848,10 @@ def replay(lines: Iterable[str]) -> tuple[MarketState, list[TradeRecord], Settle
             else:
                 state, record = _replay_trade(state, obj, len(records))
                 records.append(record)
+            running = None if text is None else (text, state.shares)
         except KeyError as exc:
             raise LogConsistencyError(f"line {lineno}: missing field {exc}", len(records)) from exc
-        except (TypeError, ValueError, ArithmeticError) as exc:
+        except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:
             raise LogConsistencyError(f"line {lineno}: {exc}", len(records)) from exc
     if state is None:
         raise LogConsistencyError("empty log has no header", index=0)

@@ -101,6 +101,10 @@ def _load_json(path: str) -> dict:
         raise ValidationError(
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno})"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"config {path} is nested too deeply to parse") from exc
     return _require_object(record, f"config {path}")
 
 
@@ -456,13 +460,22 @@ def cmd_market_simulate(
     return report
 
 
-def cmd_market_replay(log_path: str, out: str | None) -> dict:
+def _read_log(log_path: str) -> list[str] | list[bytes]:
+    """The log's lines as text or, when the log is not UTF-8, as the bytes
+    of each line, so that ``amm.replay`` names the first line that is not."""
     try:
-        with open(log_path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        try:
+            with open(log_path, "r", encoding="utf-8") as fh:
+                return fh.readlines()
+        except UnicodeDecodeError:
+            with open(log_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+                return [line.encode("utf-8", "surrogateescape") for line in fh]
     except OSError as exc:
         raise ValidationError(f"cannot read log {log_path}: {exc}") from exc
-    state, records, settlement = amm.replay(lines)
+
+
+def cmd_market_replay(log_path: str, out: str | None) -> dict:
+    state, records, settlement = amm.replay(_read_log(log_path))
     report: dict = {
         "schema": "scoremech-replay v1",
         "trades": len(records),

@@ -638,3 +638,181 @@ def test_write_log_lines_equal_json_dumps(tmp_path):
 
 def draw_world_floats(model):
     return (x.item() for x in draw_worlds(model, 23, 1))
+
+
+def delta_log(tmp_path, deltas, traders="abc"):
+    """Lines of a chained delta-trade log on the toy grid, with a settlement."""
+    state = opening = toy_state()
+    records = []
+    for delta, trader in zip(deltas, traders):
+        state, rec = trade(state, delta, trader=trader)
+        records.append(rec)
+    path = tmp_path / "toy.jsonl"
+    write_log(path, opening, records, settle(state, 0.5, records))
+    return path.read_text().splitlines()
+
+
+def replay_outcome(lines):
+    """What replay returns or refuses, in comparable form."""
+    try:
+        state, records, report = replay(lines)
+    except LogConsistencyError as exc:
+        return "refused", str(exc), exc.index
+    rows = [(r.t, r.pre_shares, r.post_shares, r.cost, r.trader, r.clipped_bins) for r in records]
+    return "accepted", (state.t, state.shares), rows, report
+
+
+def assert_same_outcome(got, want):
+    assert got[0] == want[0]
+    if got[0] == "refused":
+        assert got[1:] == want[1:]
+        return
+    (t, shares), rows, report = got[1:]
+    (want_t, want_shares), want_rows, want_report = want[1:]
+    assert t == want_t and np.array_equal(shares, want_shares)
+    assert len(rows) == len(want_rows)
+    for row, want_row in zip(rows, want_rows):
+        assert row[0] == want_row[0] and row[3:] == want_row[3:]
+        assert np.array_equal(row[1], want_row[1]) and np.array_equal(row[2], want_row[2])
+    assert report == want_report
+
+
+def assert_replays_as_full_decoding(lines, monkeypatch):
+    """Replay agrees with replay that parses every line whole by json.loads
+    and compares every pre by value. Returns the outcome."""
+    got = replay_outcome(lines)
+    with monkeypatch.context() as patched:
+        patched.setattr(amm, "_splice_decode", lambda *args: None)
+        want = replay_outcome(lines)
+    assert_same_outcome(got, want)
+    return got
+
+
+# Deltas whose inventories print as short decimals: [1.0, 0.0], [1.0, 2.5], ...
+TOY_DELTAS = ([1.0, 0.0], [0.0, 2.5], [-0.5, 0.25])
+
+
+@pytest.mark.parametrize("spelling", ("[1.00, 0.0]", "[1e0, 0.0]", "[ 1.0 ,  0.0 ]", "[1.0, -0.0]"))
+def test_replay_accepts_a_pre_spelled_differently(spelling, tmp_path, monkeypatch):
+    lines = delta_log(tmp_path, TOY_DELTAS)
+    assert '"pre": [1.0, 0.0]' in lines[2]
+    lines[2] = lines[2].replace('"pre": [1.0, 0.0]', f'"pre": {spelling}')
+    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    assert got[0] == "accepted" and len(got[2]) == 3
+
+
+def test_replay_refuses_a_pre_one_ulp_off(tmp_path, monkeypatch):
+    lines = delta_log(tmp_path, TOY_DELTAS)
+    ulp_off = json.dumps([float(np.nextafter(1.0, 2.0)), 0.0])
+    lines[2] = lines[2].replace('"pre": [1.0, 0.0]', f'"pre": {ulp_off}')
+    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    assert got[0] == "refused" and got[2] == 1
+    assert "line 3: pre-trade inventory does not match" in got[1]
+
+
+def test_replay_of_a_zero_delta_trade(tmp_path, monkeypatch):
+    lines = delta_log(tmp_path, ([1.0, 0.0], [0.0, 0.0], [0.5, 0.5]))
+    record = json.loads(lines[2])
+    assert record["pre"] == record["post"] == [1.0, 0.0]
+    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    assert got[0] == "accepted" and len(got[2]) == 3
+
+
+def test_replay_refuses_an_escaped_pre_key_that_repeats_the_inventory(tmp_path, monkeypatch):
+    # The key x"pre holds the running inventory's text and comes first;
+    # the real pre differs by one ulp.
+    lines = delta_log(tmp_path, TOY_DELTAS)
+    ulp_off = json.dumps([1.0, float(np.nextafter(0.0, 1.0))])
+    line = lines[2].replace('"pre": [1.0, 0.0]', f'"pre": {ulp_off}')
+    lines[2] = '{"x\\"pre": [1.0, 0.0], ' + line[1:]
+    assert json.loads(lines[2])['x"pre'] == [1.0, 0.0]
+    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    assert got[0] == "refused" and got[2] == 1
+
+
+@pytest.mark.parametrize("trader", ('x", "pre": [1.0, 0.0], "y', "[1.0, 0.0]", '"pre": [1.0, 0.0]'))
+def test_replay_of_a_trader_string_holding_the_inventory_text(trader, tmp_path, monkeypatch):
+    lines = delta_log(tmp_path, TOY_DELTAS)
+    record = json.loads(lines[2])
+    # The trader comes first, so its text precedes the real pre.
+    lines[2] = json.dumps({"trader": trader, **{k: v for k, v in record.items() if k != "trader"}})
+    lines[-1] = lines[-1].replace('"b":', json.dumps(trader) + ":")
+    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    assert got[0] == "accepted" and got[2][1][4] == trader
+
+
+@pytest.mark.parametrize("last_is_running", (True, False))
+def test_replay_of_duplicate_pre_keys_takes_the_last(last_is_running, tmp_path, monkeypatch):
+    lines = delta_log(tmp_path, TOY_DELTAS)
+    other = '"pre": [1.0, 0.5]'
+    running = '"pre": [1.0, 0.0]'
+    first, last = (other, running) if last_is_running else (running, other)
+    lines[2] = lines[2].replace(running, first)[:-1] + ", " + last + "}"
+    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    assert got[0] == ("accepted" if last_is_running else "refused")
+
+
+@pytest.mark.parametrize("trader", ("NaN", "Infinity"))
+def test_replay_of_a_line_holding_a_marker_constant(trader, tmp_path, monkeypatch):
+    lines = delta_log(tmp_path, TOY_DELTAS, traders=("a", trader, "c"))
+    assert trader in lines[2]
+    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    assert got[0] == "accepted" and got[2][1][4] == trader
+
+
+def test_replay_decodes_each_inventory_once(tmp_path, monkeypatch):
+    model, _ = SESSION_MODELS[0]
+    opening = open_market(NormalBelief(model.c0, model.tau_c), FLAT, n_bins=64)
+    records, report = scalar_session(opening, model, *draw_world_floats(model))
+    path = tmp_path / "session.jsonl"
+    write_log(path, opening, records, report)
+    lines = path.read_text().splitlines()
+    decoded, whole = [], []
+    decode_inventory, loads = amm._decode_inventory, json.loads
+
+    def counting_decode(line, start):
+        value, end = decode_inventory(line, start)
+        decoded.append(len(value))
+        return value, end
+
+    def counting_loads(text, **kwargs):
+        obj = loads(text, **kwargs)
+        whole.extend(key for key in ("s0", "pre", "post") if key in obj)
+        return obj
+
+    monkeypatch.setattr(amm, "_decode_inventory", counting_decode)
+    monkeypatch.setattr(json, "loads", counting_loads)
+    final, replayed, _ = replay(lines)
+    # s0, then the post of each record; every pre repeats the text before it.
+    assert decoded == [64, 64, 64, 64]
+    assert whole == []
+    assert np.array_equal(final.shares, records[-1].post_shares)
+    assert all(r.pre_shares is p.post_shares for p, r in zip(replayed, replayed[1:]))
+
+
+def test_replay_refuses_undecodable_lines(tmp_path):
+    lines = delta_log(tmp_path, TOY_DELTAS)
+    bad = lines[2].encode().replace(b'"b"', b'"\xff"')
+    with pytest.raises(LogConsistencyError, match="line 3: 'utf-8' codec") as err:
+        replay([lines[0], lines[1].encode(), bad])
+    assert err.value.index == 1
+    with pytest.raises(LogConsistencyError, match="line 2: maximum recursion depth") as err:
+        replay([lines[0], "[" * 100000 + "]" * 100000])
+    assert err.value.index == 0
+
+
+@pytest.mark.parametrize("key, text, constant", (
+    ("pre", "[1.0, 0.0]", "Infinity"),
+    ("post", "[1.0, 2.5]", "NaN"),
+))
+def test_replay_refuses_a_marker_constant_in_place_of_an_inventory(
+    key, text, constant, tmp_path, monkeypatch
+):
+    # An escaped key ending in the inventory's name comes first and holds
+    # the inventory's text; the real key holds a bare constant.
+    lines = delta_log(tmp_path, TOY_DELTAS)
+    assert f'"{key}": {text}' in lines[2]
+    line = lines[2].replace(f'"{key}": {text}', f'"{key}": {constant}')
+    lines[2] = f'{{"x\\"{key}": {text}, ' + line[1:]
+    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    assert got[0] == "refused" and got[2] == 1

@@ -214,10 +214,11 @@ def test_market_replay_detects_tampering(tmp_path, capsys):
     assert "consistency error" in err
 
 
-# Malformed but parseable logs: (line named in the error, edit of the parsed
-# lines of a three-trade log with a settlement on line 5). The trade after
-# the settlement is otherwise valid: numbered in sequence, a zero-cost
-# no-op from the final inventory.
+# Malformed logs: (line named in the error, edit of the parsed lines of a
+# three-trade log with a settlement on line 5). An edit may replace a line
+# by raw bytes, which are written as they are. The trade after the
+# settlement is otherwise valid: numbered in sequence, a zero-cost no-op
+# from the final inventory.
 MALFORMED_LOGS = {
     "record_number_not_int": (2, lambda o: o[1].update(i="x")),
     "record_not_object": (3, lambda o: o.__setitem__(2, [1, 2])),
@@ -240,6 +241,16 @@ MALFORMED_LOGS = {
         o[3], i=3, trader="mallory", pre=o[3]["post"], cost=0.0))),
     "outcome_bin_tampered": (5, lambda o: o[4]["settlement"].update(
         outcome_bin=o[4]["settlement"]["outcome_bin"] + 1)),
+    "line_not_utf8": (3, lambda o: o.__setitem__(
+        2, json.dumps(o[2]).encode().replace(b'"bob"', b'"b\xffb"'))),
+    "line_nested_too_deeply": (4, lambda o: o.__setitem__(3, b"[" * 100000 + b"]" * 100000)),
+    "trader_not_string": (2, lambda o: o[1].update(trader=5)),
+    "counter_boolean": (2, lambda o: o[1].update(t=True)),
+    "record_number_boolean": (2, lambda o: o[1].update(i=False)),
+    "record_number_missing": (2, lambda o: o[1].pop("i")),
+    "t0_boolean": (1, lambda o: o[0].update(t0=False)),
+    "clipped_bins_boolean": (2, lambda o: o[1].update(clipped_bins=True)),
+    "clipped_bins_negative": (2, lambda o: o[1].update(clipped_bins=-4)),
 }
 
 
@@ -254,10 +265,30 @@ def test_market_replay_malformed_log_exits_4(case, tmp_path, capsys):
     assert code == 0
     objs = [json.loads(text) for text in log.read_text().splitlines()]
     edit(objs)
-    log.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    log.write_bytes(b"".join(
+        (obj if isinstance(obj, bytes) else json.dumps(obj).encode()) + b"\n" for obj in objs))
     code, _, err = run(["market", "replay", "--log", str(log)], capsys)
     assert code == 4
     assert err.startswith("consistency error:") and f"line {line}:" in err
+    assert "Traceback" not in err
+
+
+# Config text that json.load cannot take: bytes that are not UTF-8, and
+# arrays nested past the interpreter's recursion limit.
+UNDECODABLE_CONFIGS = {
+    "not_utf8": b'{"model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0}, "rule": "l\xffg"}',
+    "nested_too_deeply": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("command", (["simulate"], ["discount"], ["market", "simulate"]))
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_CONFIGS))
+def test_undecodable_config_is_config_error(case, command, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(UNDECODABLE_CONFIGS[case])
+    code, _, err = run([*command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and str(cfg) in err
     assert "Traceback" not in err
 
 

@@ -1,5 +1,6 @@
 """Import hygiene: every name a package module imports is used there, and
-the analytic commands never load the sampling stack.
+the analytic commands never load the sampling stack. No package module
+validates with ``assert``, which ``python -O`` strips.
 
 No linter ships with the package, so this walks the syntax trees itself.
 A name counts as used when it is read anywhere in the module or listed in
@@ -43,6 +44,18 @@ def test_no_unused_imports():
         for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_no_assert_statements():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no modules found under {SRC}"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, "assert statements: " + ", ".join(found)
 
 
 def test_analytic_commands_skip_the_sampling_stack(tmp_path):
