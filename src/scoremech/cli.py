@@ -14,8 +14,10 @@ Every command is deterministic given (config, seed); reports print floats
 with 12 significant digits. Trade logs keep full-precision floats because
 replay re-verifies costs to 1e-10, which rounding would break.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure, 4 consistency
-failure (tampered logs, Monte-Carlo disagreement with the analytic curve).
+Exit codes: 0 success, 2 config error (including a grid or ``--samples``
+beyond its cap and an output path that cannot be written), 3 numeric
+failure, 4 consistency failure (tampered logs, Monte-Carlo disagreement
+with the analytic curve).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .scoring import NormalBelief, ScoringRule
-from .truthfulness import classify_log, classify_quadratic
+from .truthfulness import TruthfulnessVerdict, classify_log, classify_quadratic
 
 __all__ = ["main", "SweepConfig", "cmd_classify", "cmd_simulate", "cmd_market"]
 
@@ -62,6 +64,16 @@ _DEFAULT_C_GRID = (-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0)
 
 # Largest market grid a config may ask for: 8 MiB per inventory array.
 _MAX_BINS = 2**20
+
+# Most worlds or sessions one run may sample. Every per-sample array grows
+# with it: about 107 B per sample for simulate and 150 B per session for
+# market simulate, so the cap keeps a run near 200 MiB.
+_MAX_SAMPLES = 2**20
+
+# Most values one classify grid dimension may hold, and most models a grid
+# may sweep; both are checked before any value is built.
+_MAX_GRID_VALUES = 10_000
+_MAX_GRID_MODELS = 2**18
 
 
 def _fmt(x: float) -> str:
@@ -82,9 +94,12 @@ def _round12(obj):
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _emit_report(report: dict, out_path: str | None) -> None:
@@ -168,6 +183,17 @@ def _schedule_from(record: dict | None) -> DiscountSchedule:
     return DiscountSchedule.from_config(record)
 
 
+def _require_samples(samples: int) -> None:
+    if samples > _MAX_SAMPLES:
+        raise ValidationError(f"--samples must be at most {_MAX_SAMPLES}, not {samples}")
+
+
+def _classify(rule: ScoringRule, model: SignalModel) -> TruthfulnessVerdict:
+    if rule is ScoringRule.LOGARITHMIC:
+        return classify_log(model)
+    return classify_quadratic(model)
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -191,27 +217,43 @@ class SweepConfig:
             raise ValidationError("precision ratios must be positive")
         if any(c < 0 for c in self.tau_c_values):
             raise ValidationError("tau_c values must be non-negative")
+        models = len(self.rho_values) * len(self.ratio_values) * len(self.tau_c_values)
+        if models > _MAX_GRID_MODELS:
+            raise ValidationError(
+                f"the grid holds {models} models; at most {_MAX_GRID_MODELS} are supported"
+            )
+
+
+def _parse_floats(parts: list[str], name: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"{name}: values must be finite")
+    return values
 
 
 def _parse_values(text: str, name: str) -> tuple[float, ...]:
-    """Comma list ('0,1,100') or inclusive range ('-0.95:0.95:0.05')."""
+    """Comma list ('0,1,100') or inclusive range ('-0.95:0.95:0.05') of
+    finite values, at most ``_MAX_GRID_VALUES`` of them."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"{name}: range spec must be start:stop:step")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ValidationError(f"{name}: {exc}") from exc
-        if step <= 0 or stop < start:
-            raise ValidationError(f"{name}: need positive step and stop >= start")
-        count = int(round((stop - start) / step)) + 1
-        return tuple(round(start + i * step, 12) for i in range(count))
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"{name}: {exc}") from exc
+    if ":" not in text:
+        parts = text.split(",")
+        if len(parts) > _MAX_GRID_VALUES:
+            raise ValidationError(f"{name}: at most {_MAX_GRID_VALUES} values are supported")
+        return _parse_floats(parts, name)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValidationError(f"{name}: range spec must be start:stop:step")
+    start, stop, step = _parse_floats(parts, name)
+    if step <= 0 or stop < start:
+        raise ValidationError(f"{name}: need positive step and stop >= start")
+    # Count before building: the span may be inf, which fails the test too.
+    span = (stop - start) / step
+    if not span < _MAX_GRID_VALUES - 0.5:
+        raise ValidationError(f"{name}: at most {_MAX_GRID_VALUES} values are supported")
+    return tuple(round(start + i * step, 12) for i in range(round(span) + 1))
 
 
 def _parse_grid_spec(spec: str | None) -> dict[str, tuple[float, ...]]:
@@ -259,10 +301,7 @@ def cmd_classify(config: SweepConfig) -> str:
         for ratio in sorted(config.ratio_values):
             for tau_c in sorted(config.tau_c_values):
                 model = SignalModel(tau_a=ratio, tau_b=1.0, tau_c=tau_c, rho=rho)
-                if config.rule is ScoringRule.LOGARITHMIC:
-                    verdict = classify_log(model)
-                else:
-                    verdict = classify_quadratic(model)
+                verdict = _classify(config.rule, model)
                 try:
                     k_min = _fmt(required_ratio_numeric(config.rule, model))
                 except DiscountIneffectiveError:
@@ -291,10 +330,7 @@ def cmd_classify(config: SweepConfig) -> str:
 
 
 def cmd_discount(rule: ScoringRule, model: SignalModel, out: str | None) -> dict:
-    if rule is ScoringRule.LOGARITHMIC:
-        verdict = classify_log(model)
-    else:
-        verdict = classify_quadratic(model)
+    verdict = _classify(rule, model)
     report: dict = {
         "schema": "scoremech-discount v1",
         "rule": rule.value,
@@ -335,6 +371,7 @@ def _mechanism_comparison(scenario: game.Scenario, n: int, seed: int) -> dict:
 
 def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tuple[dict, bool]:
     """Run the scenario's Monte-Carlo checks; returns (report, agreement)."""
+    _require_samples(samples)
     model = _model_from(config.get("model", {}), "scenario")
     rule = _rule_from(config.get("rule", "log"))
     schedule = _schedule_from(config.get("schedule"))
@@ -347,7 +384,7 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
             "use a small positive tau_c to approximate an uninformative prior"
         )
 
-    verdict = classify_log(model) if rule is ScoringRule.LOGARITHMIC else classify_quadratic(model)
+    verdict = _classify(rule, model)
     curve = []
     agreement = True
     estimates = game.deviation_curve(model, rule, schedule, c_grid, samples, seed)
@@ -429,6 +466,7 @@ def cmd_market_simulate(
         raise ValidationError("market model needs tau_c > 0 to sample outcomes")
     if sessions < 1:
         raise ValidationError("need at least one session")
+    _require_samples(sessions)
 
     worlds = game.draw_worlds(model, seed, sessions)
     opening = amm.open_market(prior, schedule, n_bins=n_bins, affine_shift=affine_shift)
@@ -443,7 +481,10 @@ def cmd_market_simulate(
     # The last session supplies the reported bound and the written log.
     settlement = batch.settlement
     if log_path is not None:
-        amm.write_log(log_path, opening, batch.records, settlement)
+        try:
+            amm.write_log(log_path, opening, batch.records, settlement)
+        except OSError as exc:
+            raise ValidationError(f"cannot write log {log_path}: {exc}") from exc
     report = {
         "schema": "scoremech-market v1",
         "sessions": sessions,

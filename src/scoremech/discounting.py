@@ -9,11 +9,13 @@ deviation calculus: Alice's gain from shifting her report by c becomes
     on the pooled report],
 
 so truth-telling is restored exactly when k(t1)/k(t2) is at least the
-supremum over shifts of the influence/forfeit ratio. For the logarithmic
-rule the ratio does not depend on the shift and ``required_ratio_log``
-evaluates it in closed form; ``required_ratio_numeric`` returns that closed
-form for the log rule and, for the quadratic rule, the larger of the
-ratio's two limits, because that ratio is monotone in the shift.
+supremum over shifts of the influence/forfeit ratio: the two divergences
+of ``truthfulness.deviation_criterion``, read from ``scoring``. For the
+logarithmic rule the ratio does not depend on the shift and
+``required_ratio_log`` evaluates it in closed form;
+``required_ratio_numeric`` returns that closed form for the log rule and,
+for the quadratic rule, the larger of the ratio's two limits, because that
+ratio is monotone in the shift.
 
 ``loss_bound`` gives the market-maker exposure of a discounted scoring
 market: each reset opens a fresh epoch whose worst-case cost is
@@ -29,6 +31,7 @@ from typing import Mapping
 from .beliefs import SignalModel
 from .errors import DiscountIneffectiveError, ValidationError
 from .scoring import NormalBelief, ScoringRule, expected_score
+from .truthfulness import _quadratic_curvature_ratio
 
 __all__ = [
     "DiscountSchedule",
@@ -164,24 +167,25 @@ def required_ratio_numeric(rule: ScoringRule, model: SignalModel) -> float:
     influence/forfeit ratio, for either rule.
 
     The ratio at shift c is (pooled-report divergence caused by the shift)
-    / (first-slot divergence forfeited by it). For the log rule it is
-    shift-free and ``required_ratio_log`` is returned. For the quadratic
-    rule, with x = c^2, a = tau_single a_g^2 / 4 and b = tau_pool a_h^2 / 4,
-    it is
+    / (first-slot divergence forfeited by it), the two terms of
+    ``deviation_criterion``. For the log rule it is shift-free and
+    ``required_ratio_log`` is returned. For the quadratic rule, with
+    x = c^2, a = tau_single a_g^2 / 4 and b = tau_pool a_h^2 / 4, it is
 
-        tau_pool (1 - exp(-b x)) / (tau_single (1 - exp(-a x))).
+        sqrt(tau_pool) (1 - exp(-b x)) / (sqrt(tau_single) (1 - exp(-a x))).
 
     Numerator and denominator vanish at x = 0 and their derivatives have
-    the monotone quotient (tau_pool b / tau_single a) exp(-(b - a) x), so by
-    the monotone form of l'Hopital's rule the ratio is monotone in |c| and
-    its supremum is the larger of its two limits: the c -> 0 curvature
-    quotient (tau_pool a_h)^2 / (tau_single a_g)^2 and the c -> inf tail
-    tau_pool/tau_single. No search is involved.
+    the monotone quotient (sqrt(tau_pool) b / sqrt(tau_single) a)
+    exp(-(b - a) x), so by the monotone form of l'Hopital's rule the ratio
+    is monotone in |c| and its supremum is the larger of its two limits:
+    the c -> 0 curvature quotient (tau_pool/tau_single)^{3/2} a_h^2/a_g^2,
+    which ``classify_quadratic``'s margin also reads, and the c -> inf tail
+    sqrt(tau_pool/tau_single). No search is involved.
 
     On the locus a_h = 0 (rho = sqrt(tau_A/tau_B)) the shift never moves
     the pooled posterior, so the numerator is identically zero for either
     rule and the function returns 0; neither limit above applies there,
-    and the tau_pool/tau_single tail in particular does not.
+    and the sqrt(tau_pool/tau_single) tail in particular does not.
 
     Raises
     ------
@@ -192,18 +196,15 @@ def required_ratio_numeric(rule: ScoringRule, model: SignalModel) -> float:
         raise DiscountIneffectiveError(
             "|rho| = 1: no finite discount ratio restores truthfulness"
         )
-    alpha_g, alpha_h = model.alpha_g, model.alpha_h
-    tau_single, tau_pool = model.tau_single, model.tau_pool
-
-    if alpha_h == 0.0:
+    if model.alpha_h == 0.0:
         # The shift never reaches the pooled report: the ratio is
         # identically zero and no discount is needed.
         return 0.0
     if rule is ScoringRule.LOGARITHMIC:
         return required_ratio_log(model)
-    zero_limit = (tau_pool * alpha_h) ** 2 / (tau_single * alpha_g) ** 2
-    tail_limit = tau_pool / tau_single
-    return max(zero_limit, tail_limit)
+    return max(
+        _quadratic_curvature_ratio(model), math.sqrt(model.tau_pool / model.tau_single)
+    )
 
 
 def loss_bound(

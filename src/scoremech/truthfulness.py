@@ -2,15 +2,19 @@
 
 Alice predicts, Bob predicts, Alice corrects, the outcome is revealed, and
 each slot is paid its incremental score. If Alice shifts her reported signal
-by c, her shifted report moves the interim posterior by alpha_single * c and
-Bob's pooled posterior by alpha_pair * c (see beliefs). The deviation
-criterion functions below measure how much such a shift costs her:
+by c, her shifted report moves the interim posterior by alpha_g * c and
+Bob's pooled posterior by alpha_h * c (see beliefs).
+``deviation_criterion(rule, model, c)`` measures how much such a shift costs
+her at equal payment weights: the divergence it causes in the pooled report
+minus the divergence it forfeits in her first report, both read from
+``scoring``'s closed forms. It is exactly ``-game.analytic_gain`` under the
+constant schedule k = 1, so the criterion, the game and the Monte-Carlo
+engine share one derivation:
 
-* ``delta_log(model, c)``: for the logarithmic rule, proportional to the
-  expected reward Alice forfeits by shifting; exactly quadratic in c, so its
-  sign at any c != 0 decides truthfulness globally.
-* ``delta_quadratic(model, c)``: the analogous criterion for the quadratic
-  rule; bounded in c, with a negative large-c limit off two loci: on
+* logarithmic rule: exactly quadratic in c, so its sign at any c != 0
+  decides truthfulness globally;
+* quadratic rule: bounded in c, with large-c limit
+  -(sqrt(tau_pool) - sqrt(tau_single))/sqrt(pi), negative off two loci: on
   rho = sqrt(tau_A/tau_B) the pooled posterior ignores the shift and the
   criterion stays positive, and on rho = sqrt(tau_B/tau_A) it is
   identically zero.
@@ -19,8 +23,8 @@ Positive values mean deviating by c hurts Alice; truth-telling is optimal
 iff the criterion is non-negative for every c. The classifiers evaluate the
 equivalent closed-form inequalities and report a signed margin.
 
-Both criterion functions are invariant to the players' actual signals; only
-the model's precisions and correlation enter.
+The criterion is invariant to the players' actual signals; only the
+model's precisions and correlation enter.
 """
 
 from __future__ import annotations
@@ -29,19 +33,16 @@ import math
 from dataclasses import dataclass
 
 from .beliefs import SignalModel
-from .errors import DegenerateCorrelationError, NumericError, ValidationError
-from .scoring import ScoringRule
+from .errors import NumericError, ValidationError
+from .scoring import ScoringRule, _divergence
 
 __all__ = [
     "TruthfulnessVerdict",
-    "delta_log",
-    "delta_quadratic",
+    "deviation_criterion",
     "classify_log",
     "classify_quadratic",
     "local_truthfulness_fd",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Below this curvature magnitude the finite-difference test refuses to call
 # a side: the model sits on the truthfulness boundary.
@@ -65,54 +66,34 @@ class TruthfulnessVerdict:
             raise ValidationError("a globally truthful setting is also locally truthful")
 
 
-def _require_nondegenerate(model: SignalModel) -> None:
-    if model.degenerate:
-        raise DegenerateCorrelationError(
-            "deviation criteria are undefined at |rho| = 1"
-        )
+def deviation_criterion(rule: ScoringRule, model: SignalModel, c: float) -> float:
+    """Cost to Alice of shifting her signal by c, at equal payment weights.
 
+    ``D(tau_pool, c a_h) - D(tau_single, c a_g)`` with D the rule's
+    equal-precision divergence from ``scoring``; this is exactly
+    ``-analytic_gain(model, rule, constant k = 1, c)``. For the log rule it
+    is ``(c^2/2)(tau_single a_g^2 - tau_pool a_h^2)``; for the quadratic
+    rule its large-c limit is -(sqrt(tau_pool) - sqrt(tau_single))/sqrt(pi)
+    (see the module docstring for its two loci).
 
-def delta_log(model: SignalModel, c: float) -> float:
-    """Log-rule deviation criterion at signal shift c.
-
-    Closed form ``c^2 tau_A [ tau_A/(tau_A+tau_C) - (sqrt(tau_A) - rho
-    sqrt(tau_B))^2 / ((1-rho^2)(sqrt(tau_A) - rho sqrt(tau_B))^2 +
-    (1-rho^2)^2 (tau_B + tau_C)) ]``. Positive for all c != 0 exactly when
-    the setting is promptly truthful under the logarithmic rule.
+    Raises
+    ------
+    DegenerateCorrelationError
+        If |rho| = 1: the pooled posterior is undefined.
     """
-    _require_nondegenerate(model)
-    ta, tb, tc, rho = model.tau_a, model.tau_b, model.tau_c, model.rho
-    gap = math.sqrt(ta) - rho * math.sqrt(tb)
-    one_minus_r2 = 1.0 - rho * rho
-    denom = one_minus_r2 * gap * gap + one_minus_r2 * one_minus_r2 * (tb + tc)
-    return c * c * ta * (ta / (ta + tc) - gap * gap / denom)
+    return _divergence(rule, model.tau_pool, c * model.alpha_h) - _divergence(
+        rule, model.tau_single, c * model.alpha_g
+    )
 
 
-def delta_quadratic(model: SignalModel, c: float) -> float:
-    """Quadratic-rule deviation criterion at signal shift c.
+def _quadratic_curvature_ratio(model: SignalModel) -> float:
+    """c -> 0 limit of the quadratic pooled/forfeited divergence ratio.
 
-    A difference of precision-weighted exponential brackets:
-
-        (1/sqrt(2 pi)) { tau_ABC [exp(-(tau_ABC/4)(c a_h)^2) - 1]
-                        - tau_AC  [exp(-(tau_AC /4)(c a_g)^2) - 1] }
-
-    with (a_g, a_h) the signal-shift coefficients. The c -> inf limit is
-    -(tau_ABC - tau_AC)/sqrt(2 pi), where tau_ABC - tau_AC =
-    (rho sqrt(tau_A) - sqrt(tau_B))^2 / (1 - rho^2). It is negative except
-    on two loci:
-
-    * rho = sqrt(tau_A/tau_B), where a_h = 0: the shift cannot move the
-      pooled posterior and the criterion stays positive for every c != 0,
-      tending to tau_AC/sqrt(2 pi);
-    * rho = sqrt(tau_B/tau_A) = sigma_A/sigma_B, where a_h != 0 but
-      tau_ABC = tau_AC and a_h = a_g: the two brackets cancel and the
-      criterion is identically zero.
+    The quadratic divergence is -tau^{3/2} s^2 / (4 sqrt(pi)) + O(s^4), so
+    the limit is (tau_pool/tau_single)^{3/2} a_h^2 / a_g^2. Raises
+    DegenerateCorrelationError at |rho| = 1.
     """
-    _require_nondegenerate(model)
-    tau_ac, tau_abc = model.tau_single, model.tau_pool
-    bracket_h = math.expm1(-0.25 * tau_abc * (c * model.alpha_h) ** 2)
-    bracket_g = math.expm1(-0.25 * tau_ac * (c * model.alpha_g) ** 2)
-    return (tau_abc * bracket_h - tau_ac * bracket_g) / _SQRT_2PI
+    return (model.tau_pool / model.tau_single) ** 1.5 * (model.alpha_h / model.alpha_g) ** 2
 
 
 def classify_log(model: SignalModel) -> TruthfulnessVerdict:
@@ -145,26 +126,27 @@ def classify_quadratic(model: SignalModel) -> TruthfulnessVerdict:
     """Classify the quadratic-rule game.
 
     Global truthfulness is never reported: a large enough shift always
-    profits except on two measure-zero loci (see ``delta_quadratic``). On
-    rho = sqrt(tau_A/tau_B) every shift strictly loses, and on
+    profits except on two measure-zero loci (see ``deviation_criterion``).
+    On rho = sqrt(tau_A/tau_B) every shift strictly loses, and on
     rho = sqrt(tau_B/tau_A) no shift changes the expected score. Deviations
     never strictly profit on either locus and the criterion is
     non-negative for every c, yet ``globally_truthful`` is ``False`` there
-    too, by convention. Local truthfulness holds iff
+    too, by convention. Local truthfulness holds iff the criterion's
+    curvature at c = 0 is positive:
 
-        margin = 1 - ((1 - rho sqrt(tau_B/tau_A)) / (1 - rho^2))^2 > 0,
+        margin = 1 - (tau_pool/tau_single)^{3/2} a_h^2 / a_g^2
+               = 1 - f^2 sqrt(tau_single/tau_pool) > 0,
+        f = (1 - rho sqrt(tau_B/tau_A)) / (1 - rho^2).
 
-    which solves to 0 < rho < min(sqrt(tau_B/tau_A), rho*) with
-    rho* = (-r + sqrt(r^2 + 8))/2, r = sqrt(tau_B/tau_A). The margin does
-    not involve tau_C.
+    The margin involves tau_C through both posterior precisions. It is 1 on
+    the zero-response locus and 0 on the neutral one; |rho| = 1 reports
+    a margin of -inf.
     """
     if model.degenerate:
         return TruthfulnessVerdict(
             globally_truthful=False, locally_truthful=False, margin=-math.inf
         )
-    r = math.sqrt(model.tau_b / model.tau_a)
-    f = (1.0 - model.rho * r) / (1.0 - model.rho**2)
-    margin = 1.0 - f * f
+    margin = 1.0 - _quadratic_curvature_ratio(model)
     return TruthfulnessVerdict(
         globally_truthful=False, locally_truthful=margin > 0.0, margin=margin
     )
@@ -174,8 +156,8 @@ def local_truthfulness_fd(rule: ScoringRule, model: SignalModel) -> bool:
     """Numerically decide local truthfulness from criterion curvature at c = 0.
 
     Richardson-extrapolated central second differences (base step 1e-4) of
-    the rule's deviation criterion. Positive curvature means infinitesimal
-    shifts hurt, i.e. locally truthful.
+    ``deviation_criterion``. Positive curvature means infinitesimal shifts
+    hurt, i.e. locally truthful.
 
     Raises
     ------
@@ -183,11 +165,11 @@ def local_truthfulness_fd(rule: ScoringRule, model: SignalModel) -> bool:
         If the extrapolated curvature magnitude falls below 1e-12; the model
         then sits on the boundary and the sign is not trustworthy.
     """
-    crit = delta_log if rule is ScoringRule.LOGARITHMIC else delta_quadratic
 
     def second_diff(h: float) -> float:
-        # crit(0) = 0 for both rules, so the central stencil collapses.
-        return (crit(model, h) + crit(model, -h)) / (h * h)
+        # The criterion vanishes at c = 0, so the central stencil collapses.
+        crit = deviation_criterion(rule, model, h) + deviation_criterion(rule, model, -h)
+        return crit / (h * h)
 
     h = 1e-4
     coarse = second_diff(h)

@@ -3,6 +3,8 @@ terminal-summary hook that prints one line per acceptance criterion."""
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import HealthCheck, settings
 
 from scoremech import SignalModel
@@ -29,6 +31,16 @@ def canonical_models() -> list[SignalModel]:
         for ratio in RATIO_GRID
         for tau_c in TAU_C_GRID
     ]
+
+
+def saturating_shift(model: SignalModel) -> float:
+    """A shift past both exponential knees, scaled to the model.
+
+    At this c both quadratic-rule divergence brackets sit within exp(-41)
+    of their large-shift limit of -1.
+    """
+    return 2.0 * max(math.sqrt(41.0 / model.tau_single) / abs(model.alpha_g),
+                     math.sqrt(41.0 / model.tau_pool) / abs(model.alpha_h))
 
 
 # Twelve frozen benchmark models, six truthful and six untruthful under the

