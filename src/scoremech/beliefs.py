@@ -37,7 +37,6 @@ __all__ = [
     "SignalModel",
     "posterior_single",
     "posterior_pair",
-    "signal_shift_coefficients",
 ]
 
 
@@ -156,18 +155,3 @@ def posterior_pair(model: SignalModel, a0: float, b0: float) -> NormalBelief:
     """
     return NormalBelief(mean=model.pair_mean(a0, b0), precision=model.tau_pool)
 
-
-def signal_shift_coefficients(model: SignalModel) -> tuple[float, float]:
-    """Per-unit movement of each posterior mean under a reported-signal shift.
-
-    Returns ``(model.alpha_g, model.alpha_h)``: if Alice reports her signal
-    as a0 + c instead of a0, the single-signal posterior mean moves by
-    ``alpha_g * c`` and the pooled posterior mean by ``alpha_h * c``.
-    Posterior precisions are unchanged by the shift.
-
-    Raises
-    ------
-    DegenerateCorrelationError
-        If |rho| = 1 (the pooled posterior does not exist there).
-    """
-    return model.alpha_g, model.alpha_h

@@ -30,10 +30,13 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import amm, game
 from .beliefs import SignalModel
 from .discounting import (
     DiscountSchedule,
+    _is_real,
     required_ratio_log,
     required_ratio_numeric,
 )
@@ -150,6 +153,15 @@ def _json_int(value) -> int:
     return value
 
 
+def _finite_list(value) -> tuple[float, ...]:
+    """``value`` as floats if it is a non-empty JSON array of finite numbers."""
+    if not (isinstance(value, list) and value):
+        raise TypeError("must be a non-empty list of numbers")
+    if not all(_is_real(v) for v in value):
+        raise ValueError("entries must be finite numbers")
+    return tuple(float(v) for v in value)
+
+
 def _model_from(record: dict, where: str) -> SignalModel:
     try:
         return SignalModel(
@@ -253,7 +265,10 @@ def _parse_values(text: str, name: str) -> tuple[float, ...]:
     span = (stop - start) / step
     if not span < _MAX_GRID_VALUES - 0.5:
         raise ValidationError(f"{name}: at most {_MAX_GRID_VALUES} values are supported")
-    return tuple(round(start + i * step, 12) for i in range(round(span) + 1))
+    values = tuple(round(start + i * step, 12) for i in range(round(span) + 1))
+    if len(set(values)) < len(values):
+        raise ValidationError(f"{name}: values repeat once rounded to 12 decimals")
+    return values
 
 
 def _parse_grid_spec(spec: str | None) -> dict[str, tuple[float, ...]]:
@@ -375,9 +390,7 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
     model = _model_from(config.get("model", {}), "scenario")
     rule = _rule_from(config.get("rule", "log"))
     schedule = _schedule_from(config.get("schedule"))
-    c_grid = _field(
-        config, "c_grid", "scenario", lambda v: tuple(float(c) for c in v), _DEFAULT_C_GRID
-    )
+    c_grid = _field(config, "c_grid", "scenario", _finite_list, _DEFAULT_C_GRID)
     if model.tau_c <= 0:
         raise ValidationError(
             "scenario model needs tau_c > 0 to sample outcomes; "
@@ -387,12 +400,17 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
     verdict = _classify(rule, model)
     curve = []
     agreement = True
-    estimates = game.deviation_curve(model, rule, schedule, c_grid, samples, seed)
+    # Overflow at a huge shift is caught from the non-finite results below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = game.deviation_curve(model, rule, schedule, c_grid, samples, seed)
     for c, (mc_mean, mc_se) in zip(c_grid, estimates):
         analytic = game.analytic_gain(model, rule, schedule, c)
         gap_scale = max(mc_se, 1e-12)
         z = (mc_mean - analytic) / gap_scale
-        if abs(z) > _AGREEMENT_SIGMAS:
+        if not all(math.isfinite(v) for v in (mc_mean, mc_se, analytic, z)):
+            raise NumericError(f"the gain curve is not finite at c = {c}")
+        # Written so that a NaN fails the comparison.
+        if not abs(z) <= _AGREEMENT_SIGMAS:
             agreement = False
         curve.append(
             {

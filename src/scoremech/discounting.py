@@ -10,12 +10,10 @@ deviation calculus: Alice's gain from shifting her report by c becomes
 
 so truth-telling is restored exactly when k(t1)/k(t2) is at least the
 supremum over shifts of the influence/forfeit ratio: the two divergences
-of ``truthfulness.deviation_criterion``, read from ``scoring``. For the
-logarithmic rule the ratio does not depend on the shift and
-``required_ratio_log`` evaluates it in closed form;
-``required_ratio_numeric`` returns that closed form for the log rule and,
-for the quadratic rule, the larger of the ratio's two limits, because that
-ratio is monotone in the shift.
+of ``truthfulness.deviation_criterion``, read from ``scoring``.
+``required_ratio_numeric`` reads it from the curvature ratio R of
+``truthfulness`` for both rules; ``required_ratio_log`` is the log-rule
+ratio in closed form, an independent reference.
 
 ``loss_bound`` gives the market-maker exposure of a discounted scoring
 market: each reset opens a fresh epoch whose worst-case cost is
@@ -25,13 +23,14 @@ market: each reset opens a fresh epoch whose worst-case cost is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .beliefs import SignalModel
 from .errors import DiscountIneffectiveError, ValidationError
 from .scoring import NormalBelief, ScoringRule, expected_score
-from .truthfulness import _quadratic_curvature_ratio
+from .truthfulness import _curvatures
 
 __all__ = [
     "DiscountSchedule",
@@ -49,6 +48,13 @@ _MAX_RESETS = 64
 _KINDS = ("constant", "geometric_by_count", "piecewise")
 
 
+def _is_real(value) -> bool:
+    """An int or float, not a bool, that a finite float can hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class DiscountSchedule:
     """Payment weight k(t) on a prediction counter t = 0, 1, 2, ...
@@ -64,7 +70,7 @@ class DiscountSchedule:
         kinds.
     resets:
         Ordered (counter, new_k) pairs; at each counter the level restarts
-        at new_k. Counters are >= 1 and strictly increasing.
+        at new_k. Counters are integers >= 1, strictly increasing.
     """
 
     kind: str
@@ -75,23 +81,25 @@ class DiscountSchedule:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown schedule kind {self.kind!r}")
-        if not (isinstance(self.k0, (int, float)) and math.isfinite(self.k0) and self.k0 > 0):
+        if not (_is_real(self.k0) and self.k0 > 0):
             raise ValidationError("k0 must be a positive finite real")
-        if not (isinstance(self.decay, (int, float)) and 0.0 < self.decay <= 1.0):
-            raise ValidationError("decay must lie in (0, 1]")
+        if not (_is_real(self.decay) and 0.0 < self.decay <= 1.0):
+            raise ValidationError("decay must be a real in (0, 1]")
         if self.kind != "geometric_by_count" and self.decay != 1.0:
             raise ValidationError(f"kind {self.kind!r} does not decay; set decay=1")
-        resets = tuple((int(c), float(k)) for c, k in self.resets)
-        object.__setattr__(self, "resets", resets)
-        if len(resets) > _MAX_RESETS:
-            raise ValidationError(f"at most {_MAX_RESETS} resets are supported")
+        resets = self.resets
+        if not (isinstance(resets, (list, tuple)) and len(resets) <= _MAX_RESETS):
+            raise ValidationError(f"resets must be a list of at most {_MAX_RESETS} pairs")
         last = 0
-        for counter, new_k in resets:
-            if counter <= last:
-                raise ValidationError("reset counters must be >= 1 and strictly increasing")
-            if not (math.isfinite(new_k) and new_k > 0):
-                raise ValidationError("reset levels must be positive finite reals")
-            last = counter
+        for entry in resets:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and type(entry[0]) is int and entry[0] > last
+                    and _is_real(entry[1]) and entry[1] > 0):
+                raise ValidationError(
+                    f"resets: {entry!r} is not a [counter, level] pair with an integer "
+                    f"counter above {last} and a positive finite level")
+            last = entry[0]
+        object.__setattr__(self, "resets", tuple((c, float(k)) for c, k in resets))
 
     def to_config(self) -> dict:
         """Plain-data form for embedding in market configs and trade logs."""
@@ -109,7 +117,7 @@ class DiscountSchedule:
                 kind=record["kind"],
                 k0=record["k0"],
                 decay=record.get("decay", 1.0),
-                resets=tuple((c, k) for c, k in record.get("resets", ())),
+                resets=record.get("resets", ()),
             )
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed schedule record: {exc}") from exc
@@ -168,24 +176,23 @@ def required_ratio_numeric(rule: ScoringRule, model: SignalModel) -> float:
 
     The ratio at shift c is (pooled-report divergence caused by the shift)
     / (first-slot divergence forfeited by it), the two terms of
-    ``deviation_criterion``. For the log rule it is shift-free and
-    ``required_ratio_log`` is returned. For the quadratic rule, with
-    x = c^2, a = tau_single a_g^2 / 4 and b = tau_pool a_h^2 / 4, it is
+    ``deviation_criterion``; it tends to the curvature ratio R of
+    ``truthfulness`` as c -> 0. For the log rule it is R at every shift,
+    and R is returned (``required_ratio_log`` to rounding). For the
+    quadratic rule, with x = c^2 and ``scoring``'s weight W and rate q,
+    a = q(tau_single) a_g^2 and b = q(tau_pool) a_h^2, it is
 
-        sqrt(tau_pool) (1 - exp(-b x)) / (sqrt(tau_single) (1 - exp(-a x))).
+        W(tau_pool) (1 - exp(-b x)) / (W(tau_single) (1 - exp(-a x))).
 
     Numerator and denominator vanish at x = 0 and their derivatives have
-    the monotone quotient (sqrt(tau_pool) b / sqrt(tau_single) a)
-    exp(-(b - a) x), so by the monotone form of l'Hopital's rule the ratio
-    is monotone in |c| and its supremum is the larger of its two limits:
-    the c -> 0 curvature quotient (tau_pool/tau_single)^{3/2} a_h^2/a_g^2,
-    which ``classify_quadratic``'s margin also reads, and the c -> inf tail
-    sqrt(tau_pool/tau_single). No search is involved.
+    the monotone quotient R exp(-(b - a) x), so by the monotone form of
+    l'Hopital's rule the ratio is monotone in |c| and its supremum is the
+    larger of its two limits: R as c -> 0 and the tail
+    W(tau_pool)/W(tau_single) = sqrt(tau_pool/tau_single) as c -> inf.
 
     On the locus a_h = 0 (rho = sqrt(tau_A/tau_B)) the shift never moves
-    the pooled posterior, so the numerator is identically zero for either
-    rule and the function returns 0; neither limit above applies there,
-    and the sqrt(tau_pool/tau_single) tail in particular does not.
+    the pooled posterior: the ratio is identically zero for either rule,
+    the tail does not apply, and 0 is returned.
 
     Raises
     ------
@@ -200,11 +207,8 @@ def required_ratio_numeric(rule: ScoringRule, model: SignalModel) -> float:
         # The shift never reaches the pooled report: the ratio is
         # identically zero and no discount is needed.
         return 0.0
-    if rule is ScoringRule.LOGARITHMIC:
-        return required_ratio_log(model)
-    return max(
-        _quadratic_curvature_ratio(model), math.sqrt(model.tau_pool / model.tau_single)
-    )
+    ratio, tail, _, _ = _curvatures(rule, model)
+    return ratio if rule is ScoringRule.LOGARITHMIC else max(ratio, tail)
 
 
 def loss_bound(

@@ -29,6 +29,7 @@ from .beliefs import SignalModel
 from .discounting import DiscountSchedule, schedule_eval
 from .errors import ValidationError
 from .scoring import ScoringRule, _divergence, _score
+from .truthfulness import _curvatures, _reports
 
 __all__ = [
     "RewardBreakdown",
@@ -352,8 +353,9 @@ def analytic_gain(
     """
     k1 = schedule_eval(schedule, _T_FIRST)
     k2 = schedule_eval(schedule, _T_POOL)
-    div_first = _divergence(rule, model.tau_single, c * model.alpha_g)
-    div_pool = _divergence(rule, model.tau_pool, c * model.alpha_h)
+    (tau_first, alpha_first), (tau_pool, alpha_pool) = _reports(model)
+    div_first = _divergence(rule, tau_first, c * alpha_first)
+    div_pool = _divergence(rule, tau_pool, c * alpha_pool)
     return k1 * div_first - k2 * div_pool
 
 
@@ -399,8 +401,8 @@ def deviation_gain(
     return deviation_curve(model, rule, schedule, (c,), n, seed)[0]
 
 
-# Relative curvature below which the log rule's quadratic gain coefficient
-# counts as zero (boundary settings where float residue could fake a sign).
+# Relative excess of w over 1 below which the log rule's gain counts as
+# flat (boundary settings where float residue could fake a sign).
 _CURV_RTOL = 1e-12
 
 
@@ -412,48 +414,30 @@ def best_response(
 ) -> BestResponse:
     """Maximize the analytic deviation gain over shifts |c| <= c_bound, exactly.
 
-    The gain is even in c, so c_star is reported non-negative. For the log
-    rule the gain is exactly quadratic: the optimum is 0 or the bound,
-    decided by the sign of the curvature (with a relative floor against
-    float residue at boundary settings). For the quadratic rule, in
-    x = c^2 with a = tau_single a_g^2 / 4 and b = tau_pool a_h^2 / 4, the
-    gain is k1 sqrt(tau_single/pi) (e^{-ax} - 1) - k2 sqrt(tau_pool/pi)
-    (e^{-bx} - 1); for a != b its derivative vanishes only at
-
-        x* = ln(k1 sqrt(tau_single) a / (k2 sqrt(tau_pool) b)) / (a - b),
-
-    and for a = b the gain is monotone. The maximizer is therefore c_bound
-    or sqrt(x*) when 0 < x* < c_bound^2, whichever gains more; a tie goes
-    to c_bound. A gain <= 0 returns (0, 0, False). ``bound_hit`` is
-    ``c_star == c_bound``, which also covers a gain that saturates in
-    float before c_bound.
+    The gain is even in c, so c_star is reported non-negative. In x = c^2,
+    with ``scoring``'s weights W and rates q, a = q(tau_single) a_g^2 and
+    b = q(tau_pool) a_h^2, it is k1 W(tau_single) phi(a x) - k2 W(tau_pool)
+    phi(b x), and both rules read w = (k2/k1) R, with R, a and b from
+    ``truthfulness._curvatures``. The log gain is k1 a (w - 1) x: the
+    optimum is c_bound when w - 1 > 1e-12 (w + 1), a floor against float
+    residue at boundary settings, and 0 otherwise. The quadratic gain's
+    derivative vanishes only at x* = -ln(w) / (a - b) when a != b, and the
+    gain is monotone when a = b, so the maximizer is c_bound or sqrt(x*)
+    when 0 < x* < c_bound^2, whichever gains more; a tie goes to c_bound. A
+    gain <= 0 returns (0, 0, False). ``bound_hit`` is ``c_star == c_bound``,
+    which also covers a gain that saturates in float before c_bound.
     """
     if not (math.isfinite(c_bound) and c_bound > 0):
         raise ValidationError("c_bound must be a positive finite real")
     k1 = schedule_eval(schedule, _T_FIRST)
     k2 = schedule_eval(schedule, _T_POOL)
-
-    if rule is ScoringRule.LOGARITHMIC:
-        pool = k2 * model.tau_pool * model.alpha_h**2
-        first = k1 * model.tau_single * model.alpha_g**2
-        curv = 0.5 * (pool - first)
-        scale = 0.5 * (pool + first)
-        if curv <= _CURV_RTOL * scale:
-            return BestResponse(c_star=0.0, gain=0.0, bound_hit=False)
-        return BestResponse(
-            c_star=c_bound, gain=curv * c_bound * c_bound, bound_hit=True
-        )
-
-    tau_single, tau_pool = model.tau_single, model.tau_pool
-    a = 0.25 * tau_single * model.alpha_g**2
-    b = 0.25 * tau_pool * model.alpha_h**2
+    ratio, _, a, b = _curvatures(rule, model)
+    w = k2 / k1 * ratio
+    if rule is ScoringRule.LOGARITHMIC and not w - 1.0 > _CURV_RTOL * (w + 1.0):
+        return BestResponse(c_star=0.0, gain=0.0, bound_hit=False)
     candidates = [c_bound]
-    if a != b and a > 0.0 and b > 0.0:
-        # A sum of logs, so that no product of small factors underflows.
-        x_star = (
-            math.log(k1) + 0.5 * math.log(tau_single) + math.log(a)
-            - math.log(k2) - 0.5 * math.log(tau_pool) - math.log(b)
-        ) / (a - b)
+    if rule is ScoringRule.QUADRATIC and a != b and w > 0.0:
+        x_star = -math.log(w) / (a - b)
         if 0.0 < x_star < c_bound * c_bound:
             candidates.append(math.sqrt(x_star))
     # Pairs compare by gain first, so an equal gain goes to c_bound.

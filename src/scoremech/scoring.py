@@ -18,10 +18,11 @@ with phi(.; 0, v) the N(0, v) density. The divergence ``S(p, q) - S(q, q)``
 is the propriety gap: non-positive, zero only at p = q.
 
 Equal-precision divergences used throughout (tau = shared precision,
-d = mean difference):
+d = mean difference) are ``W phi(q d^2)``, which is ``-W q d^2`` near
+d = 0, with a weight W and a rate q that ``_divergence_scale`` holds:
 
-* logarithmic divergence: ``-(tau/2) d^2``
-* quadratic divergence:  ``sqrt(tau/pi) (exp(-tau d^2 / 4) - 1)``
+* logarithmic: ``W = 1``, ``q = tau/2``, ``phi(x) = -x``;
+* quadratic:   ``W = sqrt(tau/pi)``, ``q = tau/4``, ``phi(x) = exp(-x) - 1``.
 
 Realized scores are not non-positive for every belief: the log score is
 positive wherever the density exceeds 1 (possible once tau > 2*pi) and the
@@ -158,8 +159,15 @@ def divergence(
     return expected_score(rule, predicted, truth) - expected_score(rule, truth, truth)
 
 
+def _divergence_scale(rule: ScoringRule, tau: float) -> tuple[float, float]:
+    """Weight W and rate q of the equal-precision divergence at precision tau."""
+    if rule is ScoringRule.LOGARITHMIC:
+        return 1.0, 0.5 * tau
+    return math.sqrt(tau / math.pi), 0.25 * tau
+
+
 def _divergence(rule: ScoringRule, tau: float, shift: float) -> float:
     """Divergence of N(mu + shift, 1/tau) from N(mu, 1/tau), for any mu."""
-    if rule is ScoringRule.LOGARITHMIC:
-        return -0.5 * tau * shift * shift
-    return math.sqrt(tau / math.pi) * math.expm1(-0.25 * tau * shift * shift)
+    weight, rate = _divergence_scale(rule, tau)
+    x = rate * shift * shift
+    return weight * (-x if rule is ScoringRule.LOGARITHMIC else math.expm1(-x))

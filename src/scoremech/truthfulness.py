@@ -20,8 +20,11 @@ engine share one derivation:
   identically zero.
 
 Positive values mean deviating by c hurts Alice; truth-telling is optimal
-iff the criterion is non-negative for every c. The classifiers evaluate the
-equivalent closed-form inequalities and report a signed margin.
+iff the criterion is non-negative for every c. As c -> 0 each divergence
+is -W q (alpha c)^2 (``scoring``'s weight and rate), so the pooled/forfeited
+ratio tends to R = W(tau_pool) q(tau_pool) a_h^2 / (W(tau_single)
+q(tau_single) a_g^2): the quadratic margin is 1 - R, and ``discounting``
+and ``game.best_response`` read the same R.
 
 The criterion is invariant to the players' actual signals; only the
 model's precisions and correlation enter.
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 from .beliefs import SignalModel
 from .errors import NumericError, ValidationError
-from .scoring import ScoringRule, _divergence
+from .scoring import ScoringRule, _divergence, _divergence_scale
 
 __all__ = [
     "TruthfulnessVerdict",
@@ -81,19 +84,35 @@ def deviation_criterion(rule: ScoringRule, model: SignalModel, c: float) -> floa
     DegenerateCorrelationError
         If |rho| = 1: the pooled posterior is undefined.
     """
-    return _divergence(rule, model.tau_pool, c * model.alpha_h) - _divergence(
-        rule, model.tau_single, c * model.alpha_g
-    )
+    (tau_first, alpha_first), (tau_pool, alpha_pool) = _reports(model)
+    pooled = _divergence(rule, tau_pool, c * alpha_pool)
+    return pooled - _divergence(rule, tau_first, c * alpha_first)
 
 
-def _quadratic_curvature_ratio(model: SignalModel) -> float:
-    """c -> 0 limit of the quadratic pooled/forfeited divergence ratio.
+def _reports(model: SignalModel) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(tau, alpha) of Alice's first report, then of Bob's pooled one: its
+    precision and its mean's movement per unit shift of her signal."""
+    return (model.tau_single, model.alpha_g), (model.tau_pool, model.alpha_h)
 
-    The quadratic divergence is -tau^{3/2} s^2 / (4 sqrt(pi)) + O(s^4), so
-    the limit is (tau_pool/tau_single)^{3/2} a_h^2 / a_g^2. Raises
-    DegenerateCorrelationError at |rho| = 1.
+
+def _curvatures(rule: ScoringRule, model: SignalModel) -> tuple[float, float, float, float]:
+    """(R, tail, a, b) of a shift c of Alice's signal.
+
+    Through ``scoring``'s weight W and rate q, the shift costs her first
+    report W(tau_single) phi(a c^2) and the pooled one W(tau_pool)
+    phi(b c^2), with a = q(tau_single) a_g^2 and b = q(tau_pool) a_h^2.
+    R = W(tau_pool) b / (W(tau_single) a) is their ratio as c -> 0 and
+    tail = W(tau_pool)/W(tau_single) the quadratic rule's ratio as c -> inf.
+    R is a product of ratios, so that it stays finite where a or b under-
+    or overflows; it is 0 where a_h = 0.
     """
-    return (model.tau_pool / model.tau_single) ** 1.5 * (model.alpha_h / model.alpha_g) ** 2
+    (tau_first, alpha_first), (tau_pool, alpha_pool) = _reports(model)
+    w_first, q_first = _divergence_scale(rule, tau_first)
+    w_pool, q_pool = _divergence_scale(rule, tau_pool)
+    tail = w_pool / w_first
+    shift = alpha_pool / alpha_first
+    ratio = tail * (q_pool / q_first) * (shift * shift)
+    return ratio, tail, q_first * alpha_first**2, q_pool * alpha_pool**2
 
 
 def classify_log(model: SignalModel) -> TruthfulnessVerdict:
@@ -134,8 +153,8 @@ def classify_quadratic(model: SignalModel) -> TruthfulnessVerdict:
     too, by convention. Local truthfulness holds iff the criterion's
     curvature at c = 0 is positive:
 
-        margin = 1 - (tau_pool/tau_single)^{3/2} a_h^2 / a_g^2
-               = 1 - f^2 sqrt(tau_single/tau_pool) > 0,
+        margin = 1 - R = 1 - (tau_pool/tau_single)^{3/2} a_h^2 / a_g^2
+                       = 1 - f^2 sqrt(tau_single/tau_pool) > 0,
         f = (1 - rho sqrt(tau_B/tau_A)) / (1 - rho^2).
 
     The margin involves tau_C through both posterior precisions. It is 1 on
@@ -146,7 +165,7 @@ def classify_quadratic(model: SignalModel) -> TruthfulnessVerdict:
         return TruthfulnessVerdict(
             globally_truthful=False, locally_truthful=False, margin=-math.inf
         )
-    margin = 1.0 - _quadratic_curvature_ratio(model)
+    margin = 1.0 - _curvatures(ScoringRule.QUADRATIC, model)[0]
     return TruthfulnessVerdict(
         globally_truthful=False, locally_truthful=margin > 0.0, margin=margin
     )

@@ -68,7 +68,6 @@ from scoremech import (
     rollout_batch,
     schedule_eval,
     settle,
-    signal_shift_coefficients,
     simulate_sessions,
     trade,
 )
@@ -423,7 +422,7 @@ def test_criterion_07_quadratic_discount_existence():
                 locus_misses.append((model, k, max(nums)))
             continue
 
-        alpha_g, alpha_h = signal_shift_coefficients(model)
+        alpha_g, alpha_h = model.alpha_g, model.alpha_h
         tau_single, tau_pool = single.precision, pair.precision
         want = math.sqrt(tau_pool / tau_single)
         big_c = saturating_shift(model)

@@ -11,7 +11,6 @@ from scoremech import (
     ValidationError,
     posterior_pair,
     posterior_single,
-    signal_shift_coefficients,
 )
 
 precisions = st.floats(min_value=0.05, max_value=100.0)
@@ -87,14 +86,14 @@ def test_degenerate_correlation_raises():
         with pytest.raises(DegenerateCorrelationError):
             posterior_pair(model, 1.0, 0.0)
         with pytest.raises(DegenerateCorrelationError):
-            signal_shift_coefficients(model)
+            model.alpha_h
 
 
 @given(precisions, precisions, precisions, rhos, signals, signals,
        st.floats(min_value=-5, max_value=5))
 def test_shift_coefficients_match_posterior_response(ta, tb, tc, rho, a0, b0, c):
     model = SignalModel(tau_a=ta, tau_b=tb, tau_c=tc, rho=rho)
-    alpha_single, alpha_pair = signal_shift_coefficients(model)
+    alpha_single, alpha_pair = model.alpha_g, model.alpha_h
     assert alpha_single == pytest.approx(ta / (ta + tc), rel=1e-15)
     base = posterior_pair(model, a0, b0)
     moved = posterior_pair(model, a0 + c, b0)

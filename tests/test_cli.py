@@ -150,6 +150,16 @@ def test_simulate_agreement(tmp_path, capsys):
     assert set(report["mechanisms"]) == {"group", "single", "discounted_msr"}
 
 
+def test_simulate_non_finite_curve_is_numeric_error(tmp_path, capsys):
+    # The log gain at c = 1e308 overflows; no agreement may be reported.
+    cfg = write_config(tmp_path, {
+        "model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0, "rho": -0.8},
+        "c_grid": [1e308]})
+    code, out, err = run(["simulate", "--config", cfg, "--samples", "100"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("numeric error:") and "1e+308" in err
+
+
 def test_simulate_rejects_zero_noise(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 0.0, "rho": -0.8}})
@@ -257,6 +267,10 @@ MALFORMED_LOGS = {
     "t0_boolean": (1, lambda o: o[0].update(t0=False)),
     "clipped_bins_boolean": (2, lambda o: o[1].update(clipped_bins=True)),
     "clipped_bins_negative": (2, lambda o: o[1].update(clipped_bins=-4)),
+    "header_reset_counter_fractional": (1, lambda o: o[0]["schedule"].update(
+        resets=[[1.5, 1.0]])),
+    "header_reset_entry_short": (1, lambda o: o[0]["schedule"].update(resets=[[1]])),
+    "header_k0_boolean": (1, lambda o: o[0]["schedule"].update(k0=True)),
 }
 
 
@@ -391,8 +405,9 @@ def test_discount_list_config_is_config_error(tmp_path, capsys):
 
 
 # Log-rule outputs written by the code before the quadratic rule's criterion,
-# margin and ratio were rederived from the game's divergence; the log path
-# must not move by a byte.
+# margin and ratio were rederived from the game's divergence, and outputs of
+# both rules written before every curvature was read from scoring's
+# divergence weight and rate; neither may move by a byte.
 LOG_DISCOUNT_MODELS = {
     "spot": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 0.0, "rho": -0.8},
     "truthful": {"tau_a": 2.0, "tau_b": 1.0, "tau_c": 0.5, "rho": 0.3},
@@ -409,13 +424,30 @@ def test_classify_log_csv_is_unchanged(tmp_path, capsys):
     assert out.read_bytes() == (FIXTURES / "classify_log_default.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(LOG_DISCOUNT_MODELS))
-def test_discount_log_report_is_unchanged(name, tmp_path, capsys):
+def test_classify_quadratic_csv_is_unchanged(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run(["classify", "--rule", "quadratic", "--out", str(out)], capsys)[0] == 0
+    assert out.read_bytes() == (FIXTURES / "classify_quadratic_default.csv").read_bytes()
+
+
+def _discount_report(rule, name, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": LOG_DISCOUNT_MODELS[name]})
     out = tmp_path / "report.json"
-    code, _, _ = run(["discount", "--rule", "log", "--config", cfg, "--out", str(out)], capsys)
+    code, _, _ = run(["discount", "--rule", rule, "--config", cfg, "--out", str(out)], capsys)
     assert code == 0
-    assert out.read_bytes() == (FIXTURES / f"discount_log_{name}.json").read_bytes()
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(LOG_DISCOUNT_MODELS))
+def test_discount_log_report_is_unchanged(name, tmp_path, capsys):
+    report = _discount_report("log", name, tmp_path, capsys)
+    assert report == (FIXTURES / f"discount_log_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(LOG_DISCOUNT_MODELS))
+def test_discount_quadratic_report_is_unchanged(name, tmp_path, capsys):
+    report = _discount_report("quadratic", name, tmp_path, capsys)
+    assert report == (FIXTURES / f"discount_quadratic_{name}.json").read_bytes()
 
 
 def test_classify_grid_dimension_holds_up_to_its_cap(capsys):
@@ -457,7 +489,45 @@ HOSTILE = {
     "market_samples": (
         ["market", "simulate", "--config", "{market}", "--samples", str(10**30)], "--samples"),
     "replay_out": (["market", "replay", "--log", "{log}", "--out", "{missing}"], "{missing}"),
+    "grid_repeated_values": (["classify", "--grid", "rho=0:1e-12:2e-13;ratio=1;tau_c=0"], "rho"),
 }
+
+# Config files that once raised a bare ValueError, were silently read as
+# something else, or reported agreement on a NaN curve: the commands that
+# read them, the config's own fields (over a sampleable model), and the
+# text the config error must name. Each becomes one HOSTILE case per
+# command, with the config's path at {name}.
+BOTH_SIMULATIONS = ("simulate", "market")
+HOSTILE_CONFIGS = {
+    "reset_counter_string": (
+        BOTH_SIMULATIONS, {"schedule": {"kind": "piecewise", "k0": 1.0, "resets": [["a", 1]]}},
+        "resets"),
+    "reset_entry_short": (
+        BOTH_SIMULATIONS, {"schedule": {"kind": "piecewise", "k0": 1.0, "resets": [[1]]}},
+        "resets"),
+    "reset_counter_fractional": (
+        BOTH_SIMULATIONS, {"schedule": {"kind": "piecewise", "k0": 1.0, "resets": [[1.5, 1]]}},
+        "resets"),
+    "reset_counter_boolean": (
+        BOTH_SIMULATIONS, {"schedule": {"kind": "piecewise", "k0": 1.0, "resets": [[True, 1]]}},
+        "resets"),
+    "reset_level_boolean": (
+        BOTH_SIMULATIONS, {"schedule": {"kind": "piecewise", "k0": 1.0, "resets": [[2, True]]}},
+        "resets"),
+    "k0_boolean": (BOTH_SIMULATIONS, {"schedule": {"kind": "constant", "k0": True}}, "k0"),
+    "c_grid_nan": (("simulate",), {"c_grid": [float("nan")]}, "c_grid"),
+    "c_grid_empty": (("simulate",), {"c_grid": []}, "c_grid"),
+    "c_grid_string": (("simulate",), {"c_grid": [1.0, "2"]}, "c_grid"),
+}
+_CONFIG_COMMANDS = {
+    "simulate": ["simulate", "--samples", "100"],
+    "market": ["market", "simulate", "--samples", "2"],
+}
+HOSTILE.update({
+    f"{command}_{name}": ([*_CONFIG_COMMANDS[command], "--config", f"{{{name}}}"], named)
+    for name, (commands, _, named) in HOSTILE_CONFIGS.items()
+    for command in commands
+})
 
 
 def _hostile_paths(tmp_path, capsys):
@@ -468,6 +538,9 @@ def _hostile_paths(tmp_path, capsys):
             "model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0, "rho": -0.8}}),
         "market": market_config(tmp_path),
     }
+    for name, (_, fields, _) in HOSTILE_CONFIGS.items():
+        model = {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0, "rho": -0.8}
+        paths[name] = write_config(tmp_path, {"model": model, **fields}, name=f"{name}.json")
     code = main(["market", "simulate", "--config", paths["market"], "--samples", "2",
                  "--log", paths["log"]])
     capsys.readouterr()

@@ -26,7 +26,6 @@ from scoremech import (
     required_ratio_numeric,
     schedule_eval,
     score,
-    signal_shift_coefficients,
 )
 from scoremech.scoring import _divergence
 
@@ -139,13 +138,19 @@ def test_required_ratio_log_edge_cases():
 
 
 def test_numeric_ratio_matches_analytic_for_log_rule():
+    # Two derivations of one number: the curvature ratio read from
+    # scoring's divergence weight and rate, and the closed form in
+    # (tau_A, tau_B, tau_C, rho).
     rng = np.random.default_rng(22)
+    models = list(canonical_models())
     for _ in range(25):
         ta, tb = np.exp(rng.uniform(np.log(0.1), np.log(20.0), size=2))
-        model = SignalModel(tau_a=float(ta), tau_b=float(tb),
-                            tau_c=float(np.exp(rng.uniform(-3, 2))),
-                            rho=float(rng.uniform(-0.9, 0.9)))
-        assert required_ratio_numeric(LOG, model) == required_ratio_log(model)
+        models.append(SignalModel(tau_a=float(ta), tau_b=float(tb),
+                                  tau_c=float(np.exp(rng.uniform(-3, 2))),
+                                  rho=float(rng.uniform(-0.9, 0.9))))
+    for model in models:
+        assert required_ratio_numeric(LOG, model) == pytest.approx(
+            required_ratio_log(model), rel=1e-12, abs=0.0), model
 
 
 def test_numeric_ratio_quadratic_equals_extreme_limit():
@@ -157,7 +162,7 @@ def test_numeric_ratio_quadratic_equals_extreme_limit():
         model = SignalModel(tau_a=float(ta), tau_b=float(tb),
                             tau_c=float(np.exp(rng.uniform(-3, 2))),
                             rho=float(rng.uniform(-0.9, 0.9)))
-        alpha_g, alpha_h = signal_shift_coefficients(model)
+        alpha_g, alpha_h = model.alpha_g, model.alpha_h
         tau_single = posterior_single(model, 0.0).precision
         tau_pool = posterior_pair(model, 0.0, 0.0).precision
         # The quadratic divergence is -tau^{3/2} s^2 / (4 sqrt(pi)) near
@@ -165,7 +170,9 @@ def test_numeric_ratio_quadratic_equals_extreme_limit():
         zero = (tau_pool / tau_single) ** 1.5 * (alpha_h / alpha_g) ** 2
         tail = math.sqrt(tau_pool / tau_single)
         got = required_ratio_numeric(QUAD, model)
-        assert got == max(zero, tail)
+        # The package reads both limits from scoring's weight and rate, so
+        # they agree with these forms to rounding (largest seen 4.0e-16).
+        assert got == pytest.approx(max(zero, tail), rel=1e-15, abs=0.0)
         assert math.isfinite(got)
 
 

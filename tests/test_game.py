@@ -34,7 +34,6 @@ from scoremech import (
     run_mechanism,
     run_mechanism_batch,
     score,
-    signal_shift_coefficients,
 )
 from scoremech.game import _normals_from_words
 
@@ -224,7 +223,7 @@ def test_analytic_gain_is_a_divergence_difference():
     sched = DiscountSchedule(kind="geometric_by_count", k0=2.0, decay=0.7)
     for rule in (LOG, QUAD):
         for c in (-1.5, 0.3, 4.0):
-            alpha_g, alpha_h = signal_shift_coefficients(MODEL)
+            alpha_g, alpha_h = MODEL.alpha_g, MODEL.alpha_h
             single = posterior_single(MODEL, 0.0)
             pair = posterior_pair(MODEL, 0.0, 0.0)
             d_single = divergence(

@@ -1,5 +1,6 @@
-"""Import hygiene: every name a package module imports is used there, and
-the analytic commands never load the sampling stack. No package module
+"""Import hygiene: every name a package module imports is used there, every
+private module-level name is used somewhere in the package, and the
+analytic commands never load the sampling stack. No package module
 validates with ``assert``, which ``python -O`` strips.
 
 No linter ships with the package, so this walks the syntax trees itself.
@@ -44,6 +45,43 @@ def test_no_unused_imports():
         for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """Module-level functions, classes and constants whose names start with
+    a single underscore."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        found.append((node.lineno, name.id))
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def test_no_orphaned_private_names():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert trees, f"no modules found under {SRC}"
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    orphans = [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for line, name in _private_definitions(tree)
+        if name not in read
+    ]
+    assert not orphans, "private names used nowhere in the package: " + ", ".join(orphans)
 
 
 def test_no_assert_statements():
