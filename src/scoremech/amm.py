@@ -30,6 +30,8 @@ outlay telescope to the discounted final-vs-prior score difference.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import functools
 import json
 import math
@@ -68,7 +70,7 @@ __all__ = [
 ]
 
 _LOG_FORMAT = "scoremech-market-log"
-_LOG_VERSION = 1
+_LOG_VERSION = 2
 
 # Belief densities are clipped here before taking logs; zero density would
 # demand an infinite short position in the bin.
@@ -562,12 +564,44 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
 # Trade log serialization and replay.
 #
 # Line-delimited JSON: one header object, one object per trade, optionally
-# one settlement object as the last line. Floats serialize via repr and
-# round-trip exactly, so replaying a file reproduces every cost check and
-# report byte for byte.
+# one settlement object as the last line. Format version 2 writes each
+# inventory (the header's ``s0``, each record's ``pre`` and ``post``) as
+# base64 text of its little-endian float64 bytes: the exact bit pattern, so
+# equal text is an equal inventory. Every other float is a JSON number,
+# which Python writes by repr and reads back exactly, so replaying a file
+# reproduces every cost check and report byte for byte. Version 1, which
+# wrote inventories as JSON lists of numbers, is still replayed.
 
 
-def _header_fields(state: MarketState) -> dict:
+def _encode_shares(shares: np.ndarray) -> str:
+    """Base64 text of an inventory's little-endian float64 bytes."""
+    return base64.b64encode(shares.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decode_shares(value, key: str, n: int, version: int) -> np.ndarray:
+    """Logged inventory ``value`` of field ``key`` as n finite floats: a JSON
+    list of numbers in version 1, base64 float64 text in version 2."""
+    if version == 1:
+        shares = np.asarray(value, dtype=float)
+        if shares.shape != (n,):
+            raise ValueError(f"field {key!r} must hold {n} values")
+    elif not isinstance(value, str):
+        raise TypeError(f"field {key!r} must be base64 text, not {type(value).__name__}")
+    else:
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except binascii.Error as exc:
+            raise ValueError(f"field {key!r} is not valid base64: {exc}") from None
+        if len(raw) != 8 * n:
+            raise ValueError(f"field {key!r} holds {len(raw)} bytes, not 8 * {n}")
+        shares = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(shares).all():
+        raise ValueError(f"field {key!r} holds a non-finite value")
+    return shares
+
+
+def log_header(state: MarketState) -> dict:
+    """Header describing the market configuration and opening inventory."""
     return {
         "format": _LOG_FORMAT,
         "version": _LOG_VERSION,
@@ -576,29 +610,19 @@ def _header_fields(state: MarketState) -> dict:
         "prior": {"mean": state.prior.mean, "precision": state.prior.precision},
         "affine_shift": state.affine_shift,
         "t0": state.t,
+        "s0": _encode_shares(state.shares),
     }
 
 
-def _record_fields(index: int, rec: TradeRecord) -> dict:
+def record_to_json(index: int, rec: TradeRecord) -> dict:
     return {
         "i": index,
         "t": rec.t,
         "trader": rec.trader,
         "cost": rec.cost,
         "clipped_bins": rec.clipped_bins,
-    }
-
-
-def log_header(state: MarketState) -> dict:
-    """Header describing the market configuration and opening inventory."""
-    return {**_header_fields(state), "s0": state.shares.tolist()}
-
-
-def record_to_json(index: int, rec: TradeRecord) -> dict:
-    return {
-        **_record_fields(index, rec),
-        "pre": rec.pre_shares.tolist(),
-        "post": rec.post_shares.tolist(),
+        "pre": _encode_shares(rec.pre_shares),
+        "post": _encode_shares(rec.post_shares),
     }
 
 
@@ -616,117 +640,21 @@ def settlement_to_json(report: SettlementReport) -> dict:
     }
 
 
-def _dumps_spliced(fields: dict, inventories: dict[str, str]) -> str:
-    """``json.dumps(fields | inventories, sort_keys=True)`` with each
-    inventory spliced in as its already-encoded JSON text.
-
-    Each inventory key is dumped with a null value first. The text
-    ``"<key>": null`` can only be that key: quotes inside string values
-    are escaped, and no other key of the log's objects ends in "pre",
-    "post" or "s0".
-    """
-    text = json.dumps({**fields, **dict.fromkeys(inventories)}, sort_keys=True)
-    for key, encoded in inventories.items():
-        text = text.replace(f'"{key}": null', f'"{key}": {encoded}', 1)
-    return text
-
-
 def write_log(
     path,
     opening: MarketState,
     records: Sequence[TradeRecord],
     report: SettlementReport | None = None,
 ) -> None:
-    """Write the header, one line per record and the settlement, if any;
-    each line is ``json.dumps`` of ``log_header``, ``record_to_json`` or
-    ``settlement_to_json`` with sorted keys.
-
-    Consecutive states share their inventory array (the opening's shares
-    are the first record's ``pre``, a record's ``post`` the next one's
-    ``pre``), so an inventory that is the same array as the one encoded
-    just before it is not encoded again.
-    """
-    last_shares, last_text = None, ""
-
-    def encode(shares: np.ndarray) -> str:
-        nonlocal last_shares, last_text
-        if shares is not last_shares:
-            last_shares, last_text = shares, json.dumps(shares.tolist())
-        return last_text
-
+    """Write a version-2 log: the header, one line per record and the
+    settlement, if any. Each line is ``json.dumps`` of ``log_header``,
+    ``record_to_json`` or ``settlement_to_json`` with sorted keys."""
     with open(path, "w", encoding="utf-8") as fh:
-        header = _dumps_spliced(_header_fields(opening), {"s0": encode(opening.shares)})
-        fh.write(header + "\n")
+        fh.write(json.dumps(log_header(opening), sort_keys=True) + "\n")
         for i, rec in enumerate(records):
-            inventories = {"pre": encode(rec.pre_shares), "post": encode(rec.post_shares)}
-            fh.write(_dumps_spliced(_record_fields(i, rec), inventories) + "\n")
+            fh.write(json.dumps(record_to_json(i, rec), sort_keys=True) + "\n")
         if report is not None:
             fh.write(json.dumps(settlement_to_json(report), sort_keys=True) + "\n")
-
-
-# Replay decodes an inventory's text once: the header's ``s0`` and each
-# record's ``post``. A record's ``pre`` usually repeats the running
-# inventory's text (``write_log`` writes it so), and identical text is an
-# identical value. The other fields are parsed from the line with the
-# inventories cut out, each replaced by a bare JSON constant that the
-# decoder below turns into a marker object.
-_RAW_DECODER = json.JSONDecoder()
-_MARKS = {"NaN": object(), "Infinity": object()}
-_MARKED_DECODER = json.JSONDecoder(parse_constant=lambda name: _MARKS.get(name) or float(name))
-
-
-def _decode_inventory(line: str, start: int):
-    """The JSON value that starts at ``line[start]``, and the index just
-    past its text."""
-    return _RAW_DECODER.raw_decode(line, start)
-
-
-def _splice_decode(
-    line: str, keys: tuple[str, ...], running: tuple[str, np.ndarray] | None
-) -> tuple[dict, str] | None:
-    """``json.loads(line)`` and the exact source text of the first key's
-    value, or None on any doubt, where the caller parses the line whole.
-
-    The value of each key is cut from after the first ``"<key>": `` in the
-    line and decoded once. ``running`` is the text and the shares array of
-    the running inventory: a ``pre`` whose text is that text is given that
-    array itself and is not decoded. Doubt is a missing key, a value that
-    fails to decode, a marker constant already in the line, or a cut value
-    that is not the key's value in the parsed object (a key such as
-    ``x"pre``, a nested or a duplicate key).
-    """
-    sites = []
-    try:
-        for key, constant in zip(keys, _MARKS):
-            start = line.find(f'"{key}": ')
-            if start < 0 or constant in line:
-                return None
-            start += len(key) + 4
-            if key == "pre" and running is not None and line.startswith(running[0], start):
-                value, end = running[1], start + len(running[0])
-            else:
-                value, end = _decode_inventory(line, start)
-            sites.append((start, end, key, constant, value))
-        pieces, pos = [], 0
-        for start, end, _, constant, _ in sorted(sites, key=lambda site: site[0]):
-            if start < pos:
-                return None
-            pieces += (line[pos:start], constant)
-            pos = end
-        pieces.append(line[pos:])
-        obj = _MARKED_DECODER.decode("".join(pieces))
-    except (ValueError, RecursionError):
-        return None
-    # Each constant occurs once, where it was spliced in, so a key holding
-    # its marker after json's last-key-wins rule holds the value cut there.
-    if not isinstance(obj, dict) or any(
-        obj.get(key) is not _MARKS[constant] for _, _, key, constant, _ in sites
-    ):
-        return None
-    for _, _, key, _, value in sites:
-        obj[key] = value
-    start, end = sites[0][:2]
-    return obj, line[start:end]
 
 
 def _log_int(obj: dict, key: str) -> int:
@@ -737,36 +665,45 @@ def _log_int(obj: dict, key: str) -> int:
     return operator.index(value)
 
 
-def _opening_state(header: dict) -> MarketState:
+def _opening_state(header: dict) -> tuple[MarketState, int]:
+    """The header's opening state and the log's format version."""
     if header.get("format") != _LOG_FORMAT:
         raise ValueError("missing market header")
-    if header.get("version") != _LOG_VERSION:
-        raise ValueError(f"unsupported log version {header.get('version')!r}")
-    return MarketState(
-        grid=OutcomeGrid(**header["grid"]),
-        shares=header["s0"],
+    version = header.get("version")
+    if type(version) is not int or version not in (1, _LOG_VERSION):
+        raise ValueError(f"unsupported log version {version!r}")
+    grid = OutcomeGrid(**header["grid"])
+    state = MarketState(
+        grid=grid,
+        shares=_decode_shares(header["s0"], "s0", grid.n, version),
         t=_log_int(header, "t0"),
         schedule=DiscountSchedule.from_config(header["schedule"]),
         prior=NormalBelief(header["prior"]["mean"], header["prior"]["precision"]),
         affine_shift=float(header["affine_shift"]),
     )
+    return state, version
 
 
 def _replay_trade(
-    state: MarketState, obj: dict, index: int
+    state: MarketState, obj: dict, index: int, running, version: int
 ) -> tuple[MarketState, TradeRecord]:
-    """Re-execute logged trade number ``index`` from ``state``. A ``pre``
-    that is the running shares array itself (see ``_splice_decode``) is the
-    running inventory; any other is compared with it by value."""
+    """Re-execute logged trade number ``index`` from ``state``, whose
+    inventory was logged as the JSON value ``running``. An inventory whose
+    value equals ``running`` is the running inventory and is not decoded;
+    any other ``pre`` is decoded and compared with it by value."""
     if _log_int(obj, "i") != index:
         raise ValueError(f"record number {obj['i']} is out of sequence")
     t_new = _log_int(obj, "t")
-    pre = obj["pre"]
-    if pre is not state.shares and not np.array_equal(np.asarray(pre, dtype=float), state.shares):
+    n = state.grid.n
+    pre, post = obj["pre"], obj["post"]
+    if pre != running and not np.array_equal(
+        _decode_shares(pre, "pre", n, version), state.shares
+    ):
         raise ValueError("pre-trade inventory does not match the running state")
     if t_new < state.t:
         raise ValueError("counter regressed")
-    new_state = replace(state, shares=obj["post"], t=t_new)
+    shares = state.shares if post == running else _decode_shares(post, "post", n, version)
+    new_state = replace(state, shares=shares, t=t_new)
     cost, logged_cost = new_state.potential - state.potential, float(obj["cost"])
     if not abs(cost - logged_cost) <= _COST_TOL:
         raise ValueError(f"logged cost {logged_cost!r} differs from recomputed {cost!r}")
@@ -809,46 +746,50 @@ def replay(
 ) -> tuple[MarketState, list[TradeRecord], SettlementReport | None]:
     """Re-execute a trade log, verifying it is self-consistent.
 
-    Checks that the header's ``version`` is the one this module writes;
-    per record, that its number ``i`` is its position, the pre-inventory
-    equals the running inventory exactly, the counter does not regress,
-    and the logged cost matches the recomputed C(post, t) - C(pre, t_pre)
-    within 1e-10; and that a settlement, if any, is the last non-blank line
-    and equals the settlement recomputed at its outcome in every field
-    exactly. Counters, record numbers and clipped-bin counts must be JSON
-    integers (not booleans; clipped bins at least 0) and traders strings.
-    Any inconsistent or malformed line (a fractional counter, text nested
-    too deeply to parse or a bytes line that is not UTF-8 included) raises
-    LogConsistencyError naming the line and the number of records verified
-    before it. Returns the final state, the verified records, and the
-    recomputed settlement when the log carries one.
+    Reads log format versions 1 and 2, as the header's ``version`` says;
+    each line is parsed by one ``json.loads``. Checks per record that its
+    number ``i`` is its position, the pre-inventory equals the running
+    inventory exactly, the counter does not regress, and the logged cost
+    matches the recomputed C(post, t) - C(pre, t_pre) within 1e-10; and
+    that a settlement, if any, is the last non-blank line and equals the
+    settlement recomputed at its outcome in every field exactly. Counters,
+    record numbers and clipped-bin counts must be JSON integers (not
+    booleans; clipped bins at least 0) and traders strings. Every inventory
+    must hold ``n`` finite values; in version 2 it must be valid, padded
+    base64 of 8 * ``n`` bytes. Any inconsistent or malformed line (a
+    fractional counter, text nested too deeply to parse or a bytes line that
+    is not UTF-8 included) raises LogConsistencyError naming the line and
+    the number of records verified before it. Returns the final state, the
+    verified records, and the recomputed settlement when the log carries
+    one.
 
-    Each inventory's text is decoded once (see ``_splice_decode``): a
-    ``pre`` that repeats the running inventory's text is that inventory,
-    and any other ``pre`` is compared with it by value.
+    An inventory is decoded only when its logged value differs from the
+    running inventory's: a ``pre`` that repeats it, as ``write_log`` writes
+    it, is that inventory, and any other ``pre`` is compared by value.
     """
     state, records, report = None, [], None
-    running = None  # the running inventory's source text and array, when known
+    # The header's format version, and the logged value of the running inventory.
+    version, running = None, None
     for lineno, line in enumerate(lines, 1):
         try:
             if isinstance(line, bytes):
                 line = line.decode("utf-8")
             if not line.strip():
                 continue
-            keys = ("s0",) if state is None else ("post", "pre")
-            obj, text = _splice_decode(line, keys, running) or (json.loads(line), None)
+            obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise TypeError("not a JSON object")
             if state is None:
-                state = _opening_state(obj)
+                state, version = _opening_state(obj)
+                running = obj["s0"]
             elif report is not None:
                 raise ValueError("the settlement must be the last line")
             elif "settlement" in obj:
                 report = _replay_settlement(state, records, obj["settlement"])
             else:
-                state, record = _replay_trade(state, obj, len(records))
+                state, record = _replay_trade(state, obj, len(records), running, version)
                 records.append(record)
-            running = None if text is None else (text, state.shares)
+                running = obj["post"]
         except KeyError as exc:
             raise LogConsistencyError(f"line {lineno}: missing field {exc}", len(records)) from exc
         except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:

@@ -164,7 +164,7 @@ def _finite_list(value) -> tuple[float, ...]:
 
 def _model_from(record: dict, where: str) -> SignalModel:
     try:
-        return SignalModel(
+        model = SignalModel(
             tau_a=record["tau_a"],
             tau_b=record["tau_b"],
             tau_c=record.get("tau_c", 0.0),
@@ -175,6 +175,10 @@ def _model_from(record: dict, where: str) -> SignalModel:
         raise ValidationError(f"{where}: missing model field {exc}") from exc
     except TypeError as exc:
         raise ValidationError(f"{where}: malformed model record: {exc}") from exc
+    # The pooled posterior takes sqrt(tau_a * tau_b).
+    if not math.isfinite(float(model.tau_a) * float(model.tau_b)):
+        raise ValidationError(f"{where}: tau_a * tau_b must be finite")
+    return model
 
 
 def _rule_from(name: str) -> ScoringRule:

@@ -1,5 +1,6 @@
 """Discounted log market maker: pricing, trades, settlement, replay."""
 
+import base64
 import json
 import math
 import warnings
@@ -472,8 +473,9 @@ def test_replay_detects_tampering(tmp_path):
     assert "record 1" in str(err.value)
 
     bad_pre = json.loads(lines[2])
-    bad_pre["pre"] = list(bad_pre["pre"])
-    bad_pre["pre"][5] += 1e-9
+    pre = shares_of(bad_pre["pre"])
+    pre[5] += 1e-9
+    bad_pre["pre"] = shares_text(pre)
     with pytest.raises(LogConsistencyError):
         replay([lines[0], lines[1], json.dumps(bad_pre, sort_keys=True)])
 
@@ -578,24 +580,6 @@ def reference_log_lines(opening, records, report):
         + ([amm.settlement_to_json(report)] if report is not None else []))]
 
 
-def test_write_log_encodes_each_session_inventory_once(tmp_path, monkeypatch):
-    model, _ = SESSION_MODELS[0]
-    opening = open_market(NormalBelief(model.c0, model.tau_c), FLAT, n_bins=64)
-    records, report = scalar_session(opening, model, *draw_world_floats(model))
-    encoded = []
-    dumps = json.dumps
-
-    def counting_dumps(obj, **kwargs):
-        if isinstance(obj, list):
-            encoded.append(len(obj))
-        return dumps(obj, **kwargs)
-
-    monkeypatch.setattr(json, "dumps", counting_dumps)
-    write_log(tmp_path / "session.jsonl", opening, records, report)
-    # s0 = pre of record 0, post of records 0 and 1 = pre of the next, post 2.
-    assert encoded == [64, 64, 64, 64]
-
-
 def test_write_log_lines_equal_json_dumps(tmp_path):
     decay = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.9)
     rng = np.random.default_rng(91)
@@ -633,11 +617,74 @@ def test_write_log_lines_equal_json_dumps(tmp_path):
     for name, (opening, records, report) in logs.items():
         path = tmp_path / f"{name}.jsonl"
         write_log(path, opening, records, report)
-        assert path.read_text().splitlines() == reference_log_lines(opening, records, report)
+        lines = path.read_text().splitlines()
+        assert lines == reference_log_lines(opening, records, report)
+        header = json.loads(lines[0])
+        assert header["version"] == 2
+        assert shares_of(header["s0"]).tobytes() == opening.shares.tobytes()
+        for line, rec in zip(lines[1:], records):
+            logged = json.loads(line)
+            assert shares_of(logged["pre"]).tobytes() == rec.pre_shares.tobytes()
+            assert shares_of(logged["post"]).tobytes() == rec.post_shares.tobytes()
 
 
 def draw_world_floats(model):
     return (x.item() for x in draw_worlds(model, 23, 1))
+
+
+def shares_text(values):
+    """Version-2 log text of an inventory."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def shares_of(text):
+    """The inventory that version-2 log text holds."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+def as_version_1(lines):
+    """A version-2 log's lines as version 1 wrote them: inventories as JSON
+    lists of numbers."""
+    objs = [json.loads(line) for line in lines]
+    objs[0]["version"] = 1
+    for obj in objs:
+        for key in ("s0", "pre", "post"):
+            if key in obj:
+                obj[key] = shares_of(obj[key]).tolist()
+    return [json.dumps(obj, sort_keys=True) for obj in objs]
+
+
+@pytest.mark.parametrize("n_bins", (128, 512, 4096))
+def test_replayed_inventories_equal_the_written_ones_bit_for_bit(n_bins, tmp_path):
+    model, shift = SESSION_MODELS[1]
+    opening = open_market(NormalBelief(model.c0, model.tau_c), SESSION_SCHEDULES[2],
+                          n_bins=n_bins, affine_shift=shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        batch = simulate_sessions(opening, model, draw_worlds(model, n_bins, 2))
+    path = tmp_path / "session.jsonl"
+    write_log(path, opening, batch.records, batch.settlement)
+    final, records, report = replay(path.read_text().splitlines())
+    assert report == batch.settlement
+    assert len(records) == len(batch.records) == 3
+    bits = [opening.shares] + [r.post_shares for r in batch.records]
+    got = [records[0].pre_shares] + [r.post_shares for r in records]
+    for want, replayed in zip(bits, got):
+        assert np.array_equal(replayed.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(final.shares.view(np.uint64), bits[-1].view(np.uint64))
+    assert [(r.t, r.trader, r.cost, r.clipped_bins) for r in records] == [
+        (r.t, r.trader, r.cost, r.clipped_bins) for r in batch.records]
+
+
+def test_shares_codec_keeps_every_bit_of_extreme_values():
+    values = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                       -1.7976931348623157e308, 1.0, np.nextafter(1.0, 2.0)])
+    text = amm._encode_shares(values)
+    assert text == shares_text(values)
+    decoded = amm._decode_shares(text, "s0", values.size, 2)
+    assert np.array_equal(decoded.view(np.uint64), values.view(np.uint64))
+    assert math.copysign(1.0, decoded[0]) == -1.0
+    assert amm._decode_shares(values.tolist(), "s0", values.size, 1).tolist() == values.tolist()
 
 
 def delta_log(tmp_path, deltas, traders="abc"):
@@ -677,86 +724,104 @@ def assert_same_outcome(got, want):
     assert report == want_report
 
 
-def assert_replays_as_full_decoding(lines, monkeypatch):
-    """Replay agrees with replay that parses every line whole by json.loads
-    and compares every pre by value. Returns the outcome."""
-    got = replay_outcome(lines)
-    with monkeypatch.context() as patched:
-        patched.setattr(amm, "_splice_decode", lambda *args: None)
-        want = replay_outcome(lines)
-    assert_same_outcome(got, want)
-    return got
-
-
 # Deltas whose inventories print as short decimals: [1.0, 0.0], [1.0, 2.5], ...
 TOY_DELTAS = ([1.0, 0.0], [0.0, 2.5], [-0.5, 0.25])
+# The version-2 text of record 1's pre, the inventory [1.0, 0.0].
+TOY_PRE = f'"pre": "{shares_text([1.0, 0.0])}"'
 
 
 @pytest.mark.parametrize("spelling", ("[1.00, 0.0]", "[1e0, 0.0]", "[ 1.0 ,  0.0 ]", "[1.0, -0.0]"))
-def test_replay_accepts_a_pre_spelled_differently(spelling, tmp_path, monkeypatch):
-    lines = delta_log(tmp_path, TOY_DELTAS)
+def test_replay_accepts_a_pre_spelled_differently(spelling, tmp_path):
+    # Version 1 compares a pre that is not the running text by value.
+    lines = as_version_1(delta_log(tmp_path, TOY_DELTAS))
+    want = replay_outcome(lines)
     assert '"pre": [1.0, 0.0]' in lines[2]
     lines[2] = lines[2].replace('"pre": [1.0, 0.0]', f'"pre": {spelling}')
-    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    got = replay_outcome(lines)
+    assert_same_outcome(got, want)
     assert got[0] == "accepted" and len(got[2]) == 3
 
 
-def test_replay_refuses_a_pre_one_ulp_off(tmp_path, monkeypatch):
+@pytest.mark.parametrize("spelling", (
+    shares_text([1.0, -0.0]),
+    # The unused low bits of the last base64 digit before the padding.
+    shares_text([1.0, 0.0])[:-3] + "B==",
+), ids=("negative_zero", "unused_padding_bits"))
+def test_replay_accepts_a_version_2_pre_spelled_differently(spelling, tmp_path):
     lines = delta_log(tmp_path, TOY_DELTAS)
-    ulp_off = json.dumps([float(np.nextafter(1.0, 2.0)), 0.0])
-    lines[2] = lines[2].replace('"pre": [1.0, 0.0]', f'"pre": {ulp_off}')
-    got = assert_replays_as_full_decoding(lines, monkeypatch)
-    assert got[0] == "refused" and got[2] == 1
-    assert "line 3: pre-trade inventory does not match" in got[1]
+    want = replay_outcome(lines)
+    assert TOY_PRE in lines[2]
+    lines[2] = lines[2].replace(TOY_PRE, f'"pre": "{spelling}"')
+    got = replay_outcome(lines)
+    assert_same_outcome(got, want)
+    assert got[0] == "accepted" and len(got[2]) == 3
 
 
-def test_replay_of_a_zero_delta_trade(tmp_path, monkeypatch):
+def test_replay_refuses_a_pre_one_ulp_off(tmp_path):
+    lines = delta_log(tmp_path, TOY_DELTAS)
+    ulp_off = [float(np.nextafter(1.0, 2.0)), 0.0]
+    v1_lines = as_version_1(lines)
+    lines[2] = lines[2].replace(TOY_PRE, f'"pre": "{shares_text(ulp_off)}"')
+    v1_lines[2] = v1_lines[2].replace('"pre": [1.0, 0.0]', f'"pre": {json.dumps(ulp_off)}')
+    for edited in (lines, v1_lines):
+        got = replay_outcome(edited)
+        assert got[0] == "refused" and got[2] == 1
+        assert "line 3: pre-trade inventory does not match" in got[1]
+
+
+def test_replay_of_a_zero_delta_trade(tmp_path):
     lines = delta_log(tmp_path, ([1.0, 0.0], [0.0, 0.0], [0.5, 0.5]))
     record = json.loads(lines[2])
-    assert record["pre"] == record["post"] == [1.0, 0.0]
-    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    assert record["pre"] == record["post"] == shares_text([1.0, 0.0])
+    got = replay_outcome(lines)
     assert got[0] == "accepted" and len(got[2]) == 3
+    assert_same_outcome(replay_outcome(as_version_1(lines)), got)
 
 
-def test_replay_refuses_an_escaped_pre_key_that_repeats_the_inventory(tmp_path, monkeypatch):
+def test_replay_refuses_an_escaped_pre_key_that_repeats_the_inventory(tmp_path):
     # The key x"pre holds the running inventory's text and comes first;
     # the real pre differs by one ulp.
     lines = delta_log(tmp_path, TOY_DELTAS)
-    ulp_off = json.dumps([1.0, float(np.nextafter(0.0, 1.0))])
-    line = lines[2].replace('"pre": [1.0, 0.0]', f'"pre": {ulp_off}')
-    lines[2] = '{"x\\"pre": [1.0, 0.0], ' + line[1:]
-    assert json.loads(lines[2])['x"pre'] == [1.0, 0.0]
-    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    ulp_off = shares_text([1.0, float(np.nextafter(0.0, 1.0))])
+    line = lines[2].replace(TOY_PRE, f'"pre": "{ulp_off}"')
+    lines[2] = '{"x\\"' + TOY_PRE[1:] + ", " + line[1:]
+    assert json.loads(lines[2])['x"pre'] == shares_text([1.0, 0.0])
+    got = replay_outcome(lines)
     assert got[0] == "refused" and got[2] == 1
 
 
 @pytest.mark.parametrize("trader", ('x", "pre": [1.0, 0.0], "y', "[1.0, 0.0]", '"pre": [1.0, 0.0]'))
-def test_replay_of_a_trader_string_holding_the_inventory_text(trader, tmp_path, monkeypatch):
-    lines = delta_log(tmp_path, TOY_DELTAS)
-    record = json.loads(lines[2])
-    # The trader comes first, so its text precedes the real pre.
-    lines[2] = json.dumps({"trader": trader, **{k: v for k, v in record.items() if k != "trader"}})
-    lines[-1] = lines[-1].replace('"b":', json.dumps(trader) + ":")
-    got = assert_replays_as_full_decoding(lines, monkeypatch)
-    assert got[0] == "accepted" and got[2][1][4] == trader
+def test_replay_of_a_trader_string_holding_the_inventory_text(trader, tmp_path):
+    # The same trader in both formats, holding each format's text of the
+    # running inventory; the trader comes first, so its text precedes the
+    # real pre.
+    v2_lines = delta_log(tmp_path, TOY_DELTAS)
+    v2_trader = trader.replace("[1.0, 0.0]", json.dumps(shares_text([1.0, 0.0])))
+    for lines, name in ((as_version_1(v2_lines), trader), (v2_lines, v2_trader)):
+        record = json.loads(lines[2])
+        rest = {k: v for k, v in record.items() if k != "trader"}
+        lines[2] = json.dumps({"trader": name, **rest})
+        lines[-1] = lines[-1].replace('"b":', json.dumps(name) + ":")
+        got = replay_outcome(lines)
+        assert got[0] == "accepted" and got[2][1][4] == name
 
 
 @pytest.mark.parametrize("last_is_running", (True, False))
-def test_replay_of_duplicate_pre_keys_takes_the_last(last_is_running, tmp_path, monkeypatch):
+def test_replay_of_duplicate_pre_keys_takes_the_last(last_is_running, tmp_path):
     lines = delta_log(tmp_path, TOY_DELTAS)
-    other = '"pre": [1.0, 0.5]'
-    running = '"pre": [1.0, 0.0]'
-    first, last = (other, running) if last_is_running else (running, other)
-    lines[2] = lines[2].replace(running, first)[:-1] + ", " + last + "}"
-    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    other = f'"pre": "{shares_text([1.0, 0.5])}"'
+    first, last = (other, TOY_PRE) if last_is_running else (TOY_PRE, other)
+    lines[2] = lines[2].replace(TOY_PRE, first)[:-1] + ", " + last + "}"
+    got = replay_outcome(lines)
     assert got[0] == ("accepted" if last_is_running else "refused")
 
 
 @pytest.mark.parametrize("trader", ("NaN", "Infinity"))
-def test_replay_of_a_line_holding_a_marker_constant(trader, tmp_path, monkeypatch):
+def test_replay_of_a_line_holding_a_marker_constant(trader, tmp_path):
+    # A trader named after one of JSON's non-finite constants.
     lines = delta_log(tmp_path, TOY_DELTAS, traders=("a", trader, "c"))
     assert trader in lines[2]
-    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    got = replay_outcome(lines)
     assert got[0] == "accepted" and got[2][1][4] == trader
 
 
@@ -767,25 +832,23 @@ def test_replay_decodes_each_inventory_once(tmp_path, monkeypatch):
     path = tmp_path / "session.jsonl"
     write_log(path, opening, records, report)
     lines = path.read_text().splitlines()
-    decoded, whole = [], []
-    decode_inventory, loads = amm._decode_inventory, json.loads
+    decoded, parsed = [], []
+    decode_shares, loads = amm._decode_shares, json.loads
 
-    def counting_decode(line, start):
-        value, end = decode_inventory(line, start)
-        decoded.append(len(value))
-        return value, end
+    def counting_decode(value, key, n, version):
+        decoded.append(key)
+        return decode_shares(value, key, n, version)
 
     def counting_loads(text, **kwargs):
-        obj = loads(text, **kwargs)
-        whole.extend(key for key in ("s0", "pre", "post") if key in obj)
-        return obj
+        parsed.append(text)
+        return loads(text, **kwargs)
 
-    monkeypatch.setattr(amm, "_decode_inventory", counting_decode)
+    monkeypatch.setattr(amm, "_decode_shares", counting_decode)
     monkeypatch.setattr(json, "loads", counting_loads)
     final, replayed, _ = replay(lines)
     # s0, then the post of each record; every pre repeats the text before it.
-    assert decoded == [64, 64, 64, 64]
-    assert whole == []
+    assert decoded == ["s0", "post", "post", "post"]
+    assert parsed == lines
     assert np.array_equal(final.shares, records[-1].post_shares)
     assert all(r.pre_shares is p.post_shares for p, r in zip(replayed, replayed[1:]))
 
@@ -805,14 +868,15 @@ def test_replay_refuses_undecodable_lines(tmp_path):
     ("pre", "[1.0, 0.0]", "Infinity"),
     ("post", "[1.0, 2.5]", "NaN"),
 ))
-def test_replay_refuses_a_marker_constant_in_place_of_an_inventory(
-    key, text, constant, tmp_path, monkeypatch
-):
+def test_replay_refuses_a_marker_constant_in_place_of_an_inventory(key, text, constant, tmp_path):
     # An escaped key ending in the inventory's name comes first and holds
-    # the inventory's text; the real key holds a bare constant.
+    # the inventory's text, here of ``text``; the real key holds a bare
+    # non-finite JSON constant.
     lines = delta_log(tmp_path, TOY_DELTAS)
-    assert f'"{key}": {text}' in lines[2]
-    line = lines[2].replace(f'"{key}": {text}', f'"{key}": {constant}')
-    lines[2] = f'{{"x\\"{key}": {text}, ' + line[1:]
-    got = assert_replays_as_full_decoding(lines, monkeypatch)
+    field = f'"{key}": "{shares_text(json.loads(text))}"'
+    assert field in lines[2]
+    line = lines[2].replace(field, f'"{key}": {constant}')
+    lines[2] = '{"x\\"' + field[1:] + ", " + line[1:]
+    got = replay_outcome(lines)
     assert got[0] == "refused" and got[2] == 1
+    assert f"line 3: field '{key}' must be base64 text, not float" in got[1]

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
+import base64
 import csv
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -230,6 +232,21 @@ def test_market_replay_detects_tampering(tmp_path, capsys):
     assert "consistency error" in err
 
 
+def inventory_values(text):
+    """The numbers that a version-2 inventory's text holds."""
+    raw = base64.b64decode(text)
+    return list(struct.unpack(f"<{len(raw) // 8}d", raw))
+
+
+def edit_inventory(obj, key, edit):
+    """Apply ``edit`` to the bytes of the version-2 inventory ``obj[key]``."""
+    raw = edit(base64.b64decode(obj[key]))
+    obj[key] = base64.b64encode(raw).decode("ascii")
+
+
+NAN_BITS = struct.pack("<d", float("nan"))
+INF_BITS = struct.pack("<d", float("-inf"))
+
 # Malformed logs: (line named in the error, edit of the parsed lines of a
 # three-trade log with a settlement on line 5). An edit may replace a line
 # by raw bytes, which are written as they are. The trade after the
@@ -243,8 +260,8 @@ MALFORMED_LOGS = {
     "affine_shift_not_number": (1, lambda o: o[0].update(affine_shift="x")),
     "outcome_malformed": (5, lambda o: o[4]["settlement"].update(outcome="x")),
     "outcome_missing": (5, lambda o: o[4]["settlement"].pop("outcome")),
-    "s0_one_short": (1, lambda o: o[0]["s0"].pop()),
-    "post_one_short": (2, lambda o: o[1]["post"].pop()),
+    "s0_one_short": (1, lambda o: edit_inventory(o[0], "s0", lambda b: b[:-8])),
+    "post_one_short": (2, lambda o: edit_inventory(o[1], "post", lambda b: b[:-8])),
     "counter_fractional": (2, lambda o: o[1].update(t=1.5)),
     "record_number_out_of_sequence": (3, lambda o: o[2].update(i=5)),
     "cost_nan": (2, lambda o: o[1].update(cost=float("nan"))),
@@ -252,7 +269,7 @@ MALFORMED_LOGS = {
     "settlement_tampered_loss_and_payee": (5, lambda o: o[4]["settlement"].update(
         maker_loss=123.0, payouts={"mallory": 1e6})),
     "settlement_duplicated": (6, lambda o: o.append(o[4])),
-    "header_version_2": (1, lambda o: o[0].update(version=2)),
+    "header_version_3": (1, lambda o: o[0].update(version=3)),
     "trade_after_settlement": (6, lambda o: o.append(dict(
         o[3], i=3, trader="mallory", pre=o[3]["post"], cost=0.0))),
     "outcome_bin_tampered": (5, lambda o: o[4]["settlement"].update(
@@ -274,9 +291,22 @@ MALFORMED_LOGS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_LOGS))
-def test_market_replay_malformed_log_exits_4(case, tmp_path, capsys):
-    line, edit = MALFORMED_LOGS[case]
+# Version-2 inventories that replay refuses: (line and field named in the
+# error, edit as above).
+MALFORMED_INVENTORIES = {
+    "s0_not_base64": (1, "s0", lambda o: o[0].update(s0="*" + o[0]["s0"][1:])),
+    "pre_padding_missing": (3, "pre", lambda o: o[2].update(pre=o[2]["pre"].rstrip("="))),
+    "post_one_long": (2, "post", lambda o: edit_inventory(o[1], "post", lambda b: b + b[:8])),
+    "pre_one_short": (4, "pre", lambda o: edit_inventory(o[3], "pre", lambda b: b[8:])),
+    "s0_nan_bits": (1, "s0", lambda o: edit_inventory(o[0], "s0", lambda b: NAN_BITS + b[8:])),
+    "post_inf_bits": (3, "post", lambda o: edit_inventory(o[2], "post",
+                                                          lambda b: b[:-8] + INF_BITS)),
+    "post_json_list": (2, "post", lambda o: o[1].update(post=inventory_values(o[1]["post"]))),
+}
+
+
+def replay_edited_log(edit, tmp_path, capsys):
+    """Exit code and stderr of replaying a three-trade log after ``edit``."""
     cfg = market_config(tmp_path)
     log = tmp_path / "session.jsonl"
     code, _, _ = run(
@@ -288,9 +318,73 @@ def test_market_replay_malformed_log_exits_4(case, tmp_path, capsys):
     log.write_bytes(b"".join(
         (obj if isinstance(obj, bytes) else json.dumps(obj).encode()) + b"\n" for obj in objs))
     code, _, err = run(["market", "replay", "--log", str(log)], capsys)
+    assert "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LOGS))
+def test_market_replay_malformed_log_exits_4(case, tmp_path, capsys):
+    line, edit = MALFORMED_LOGS[case]
+    code, err = replay_edited_log(edit, tmp_path, capsys)
     assert code == 4
     assert err.startswith("consistency error:") and f"line {line}:" in err
-    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INVENTORIES))
+def test_market_replay_malformed_inventory_exits_4(case, tmp_path, capsys):
+    line, field, edit = MALFORMED_INVENTORIES[case]
+    code, err = replay_edited_log(edit, tmp_path, capsys)
+    assert code == 4
+    assert err.startswith("consistency error:") and f"line {line}: field {field!r}" in err
+
+
+# Version-1 logs (inventories as JSON lists of numbers) and their replay
+# reports, written by the code before version 2: a market simulate session
+# under a piecewise schedule with a reset, settled; three belief trades,
+# unsettled; and the first log with record 1's pre respelled, each number
+# given one more trailing zero (1.0 as 1.00).
+V1_LOGS = ("market_v1_reset_settled", "market_v1_unsettled", "market_v1_respelled_pre")
+V1_RESET_MARKET = {
+    "model": {"tau_a": 2.0, "tau_b": 0.7, "tau_c": 0.5, "rho": -0.4, "c0": 0.3},
+    "schedule": {"kind": "piecewise", "k0": 1.0, "resets": [[2, 0.5]]},
+    "n_bins": 128, "affine_shift": 0.25,
+}
+
+
+@pytest.mark.parametrize("name", V1_LOGS)
+def test_market_replay_of_version_1_logs_is_unchanged(name, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    log = FIXTURES / f"{name}.jsonl"
+    assert run(["market", "replay", "--log", str(log), "--out", str(out)], capsys)[0] == 0
+    assert out.read_bytes() == (FIXTURES / f"{name}.replay.json").read_bytes()
+
+    lines = log.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["cost"] += 1e-6
+    lines[2] = json.dumps(record, sort_keys=True)
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("\n".join(lines) + "\n")
+    code, _, err = run(["market", "replay", "--log", str(tampered)], capsys)
+    assert code == 4
+    assert err.startswith("consistency error: record 1: line 3: logged cost")
+
+
+def test_version_2_log_carries_the_version_1_log(tmp_path, capsys):
+    # The same session written today, its inventories put back as JSON
+    # lists, is the version-1 fixture byte for byte.
+    cfg = write_config(tmp_path, V1_RESET_MARKET)
+    log = tmp_path / "session.jsonl"
+    assert run(["market", "simulate", "--config", cfg, "--samples", "1", "--seed", "3",
+                "--log", str(log)], capsys)[0] == 0
+    objs = [json.loads(line) for line in log.read_text().splitlines()]
+    assert objs[0]["version"] == 2
+    objs[0]["version"] = 1
+    for obj in objs:
+        for key in ("s0", "pre", "post"):
+            if key in obj:
+                obj[key] = inventory_values(obj[key])
+    v1_text = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+    assert v1_text == (FIXTURES / "market_v1_reset_settled.jsonl").read_text()
 
 
 # Config text that json.load cannot take: bytes that are not UTF-8, and
@@ -518,10 +612,17 @@ HOSTILE_CONFIGS = {
     "c_grid_nan": (("simulate",), {"c_grid": [float("nan")]}, "c_grid"),
     "c_grid_empty": (("simulate",), {"c_grid": []}, "c_grid"),
     "c_grid_string": (("simulate",), {"c_grid": [1.0, "2"]}, "c_grid"),
+    # sqrt(tau_a * tau_b) once overflowed: a traceback from the quadratic
+    # rule, "k_min_numeric": NaN from the log rule.
+    "precision_product_overflow": (
+        ("discount_log", "discount_quadratic", *BOTH_SIMULATIONS),
+        {"model": {"tau_a": 1e10, "tau_b": 1e300, "rho": 0.5, "tau_c": 1}}, "tau_a * tau_b"),
 }
 _CONFIG_COMMANDS = {
     "simulate": ["simulate", "--samples", "100"],
     "market": ["market", "simulate", "--samples", "2"],
+    "discount_log": ["discount", "--rule", "log"],
+    "discount_quadratic": ["discount", "--rule", "quadratic"],
 }
 HOSTILE.update({
     f"{command}_{name}": ([*_CONFIG_COMMANDS[command], "--config", f"{{{name}}}"], named)
