@@ -46,18 +46,13 @@ from .game import (
     ABASubgame,
     BestResponse,
     ForumSchedule,
-    GameRollout,
-    RewardBreakdown,
     Scenario,
     analytic_gain,
     best_response,
     deviation_curve,
-    deviation_gain,
     draw_world,
     draw_worlds,
     reduce_schedule,
-    rollout,
-    rollout_batch,
     run_mechanism,
     run_mechanism_batch,
 )
@@ -87,14 +82,12 @@ __all__ = [
     "DiscountIneffectiveError",
     "DiscountSchedule",
     "ForumSchedule",
-    "GameRollout",
     "LogConsistencyError",
     "MarketState",
     "MechanismError",
     "NormalBelief",
     "NumericError",
     "OutcomeGrid",
-    "RewardBreakdown",
     "Scenario",
     "ScoringRule",
     "SessionBatch",
@@ -113,7 +106,6 @@ __all__ = [
     "density",
     "deviation_criterion",
     "deviation_curve",
-    "deviation_gain",
     "divergence",
     "draw_world",
     "draw_worlds",
@@ -130,8 +122,6 @@ __all__ = [
     "replay",
     "required_ratio_log",
     "required_ratio_numeric",
-    "rollout",
-    "rollout_batch",
     "run_mechanism",
     "run_mechanism_batch",
     "schedule_eval",

@@ -45,6 +45,7 @@ import numpy as np
 from .beliefs import SignalModel
 from .discounting import DiscountSchedule, schedule_eval
 from .errors import LogConsistencyError, NumericError, ValidationError
+from .game import _as_worlds
 from .scoring import NormalBelief
 
 __all__ = [
@@ -485,9 +486,7 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
     Clipped belief bins are counted per trade, and one RuntimeWarning
     reports their total.
     """
-    outcomes, a0, b0 = (np.asarray(w, dtype=float) for w in worlds)
-    if not (outcomes.ndim == 1 and outcomes.size and outcomes.shape == a0.shape == b0.shape):
-        raise ValidationError("worlds must be three equal-length, non-empty 1-D arrays")
+    outcomes, a0, b0 = _as_worlds(worlds)
     single, pooled = model.single_mean(a0), model.pair_mean(a0, b0)
     for means, precision in ((single, model.tau_single), (pooled, model.tau_pool)):
         if not (np.isfinite(means).all() and 0.0 < precision < math.inf):

@@ -65,6 +65,9 @@ _AGREEMENT_SIGMAS = 4.0
 
 _DEFAULT_C_GRID = (-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0)
 
+# Worlds the simulate report's mechanism comparison averages over.
+_MECHANISM_WORLDS = 2000
+
 # Largest market grid a config may ask for: 8 MiB per inventory array.
 _MAX_BINS = 2**20
 
@@ -153,6 +156,14 @@ def _json_int(value) -> int:
     return value
 
 
+def _real(value):
+    """``value`` if it is a JSON number that a finite float holds (not a
+    boolean or a string)."""
+    if not _is_real(value):
+        raise TypeError(f"must be a finite number, not {value!r}")
+    return value
+
+
 def _finite_list(value) -> tuple[float, ...]:
     """``value`` as floats if it is a non-empty JSON array of finite numbers."""
     if not (isinstance(value, list) and value):
@@ -163,21 +174,25 @@ def _finite_list(value) -> tuple[float, ...]:
 
 
 def _model_from(record: dict, where: str) -> SignalModel:
-    try:
-        model = SignalModel(
-            tau_a=record["tau_a"],
-            tau_b=record["tau_b"],
-            tau_c=record.get("tau_c", 0.0),
-            rho=record.get("rho", 0.0),
-            c0=record.get("c0", 0.0),
+    record = _require_object(record, f"{where}: model")
+    fields = {
+        name: _field(record, name, where, _real, default)
+        for name, default in (
+            ("tau_a", None), ("tau_b", None), ("tau_c", 0.0), ("rho", 0.0), ("c0", 0.0)
         )
-    except KeyError as exc:
-        raise ValidationError(f"{where}: missing model field {exc}") from exc
-    except TypeError as exc:
-        raise ValidationError(f"{where}: malformed model record: {exc}") from exc
+    }
+    return _require_analysable(SignalModel(**fields), where)
+
+
+def _require_analysable(model: SignalModel, where: str) -> SignalModel:
+    """``model``, or a config error naming the fields whose values the
+    analytic quantities cannot be evaluated at."""
     # The pooled posterior takes sqrt(tau_a * tau_b).
     if not math.isfinite(float(model.tau_a) * float(model.tau_b)):
         raise ValidationError(f"{where}: tau_a * tau_b must be finite")
+    # Every curvature ratio divides by alpha_g = tau_a / (tau_a + tau_c).
+    if model.alpha_g == 0.0:
+        raise ValidationError(f"{where}: tau_a / (tau_a + tau_c) underflows to 0")
     return model
 
 
@@ -319,7 +334,10 @@ def cmd_classify(config: SweepConfig) -> str:
     for rho in sorted(config.rho_values):
         for ratio in sorted(config.ratio_values):
             for tau_c in sorted(config.tau_c_values):
-                model = SignalModel(tau_a=ratio, tau_b=1.0, tau_c=tau_c, rho=rho)
+                model = _require_analysable(
+                    SignalModel(tau_a=ratio, tau_b=1.0, tau_c=tau_c, rho=rho),
+                    f"grid point ratio={ratio!r}, tau_c={tau_c!r}",
+                )
                 verdict = _classify(config.rule, model)
                 try:
                     k_min = _fmt(required_ratio_numeric(config.rule, model))
@@ -380,10 +398,10 @@ def cmd_discount(rule: ScoringRule, model: SignalModel, out: str | None) -> dict
 # simulate
 
 
-def _mechanism_comparison(scenario: game.Scenario, n: int, seed: int) -> dict:
+def _mechanism_comparison(scenario: game.Scenario, worlds) -> dict:
     out: dict = {}
     for mech in ("group", "single", "discounted_msr"):
-        payoffs = game.run_mechanism_batch(mech, scenario, n, seed)
+        payoffs = game.run_mechanism_batch(mech, scenario, worlds)
         out[mech] = {e: float(v.mean()) for e, v in sorted(payoffs.items())}
     return out
 
@@ -406,7 +424,8 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
     agreement = True
     # Overflow at a huge shift is caught from the non-finite results below.
     with np.errstate(over="ignore", invalid="ignore"):
-        estimates = game.deviation_curve(model, rule, schedule, c_grid, samples, seed)
+        worlds = game.draw_worlds(model, seed, samples)
+        estimates = game.deviation_curve(model, rule, schedule, c_grid, worlds)
     for c, (mc_mean, mc_se) in zip(c_grid, estimates):
         analytic = game.analytic_gain(model, rule, schedule, c)
         gap_scale = max(mc_se, 1e-12)
@@ -427,7 +446,8 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
         )
     best = game.best_response(model, rule, schedule)
     scenario = game.Scenario(model=model, rule=rule, schedule=schedule)
-    mech_worlds = min(samples, 2000)
+    # The mechanisms compare on the curve's first min(samples, 2000) worlds.
+    mech_worlds = tuple(w[:_MECHANISM_WORLDS] for w in worlds)
     report = {
         "schema": "scoremech-simulate v1",
         "rule": rule.value,
@@ -452,7 +472,7 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
             "gain": best.gain,
             "bound_hit": best.bound_hit,
         },
-        "mechanisms": _mechanism_comparison(scenario, mech_worlds, seed),
+        "mechanisms": _mechanism_comparison(scenario, mech_worlds),
         "agreement": agreement,
     }
     _emit_report(report, out)
@@ -474,8 +494,8 @@ def cmd_market_simulate(
         where = "market config: prior"
         prior_rec = _require_object(prior_rec, where)
         prior = NormalBelief(
-            _field(prior_rec, "mean", where, float),
-            _field(prior_rec, "precision", where, float),
+            float(_field(prior_rec, "mean", where, _real)),
+            float(_field(prior_rec, "precision", where, _real)),
         )
     schedule = _schedule_from(config.get("schedule"))
     n_bins = _field(config, "n_bins", "market config", _json_int, 512)
@@ -483,7 +503,7 @@ def cmd_market_simulate(
         raise ValidationError(
             f"market config: 'n_bins' must lie in [2, {_MAX_BINS}], not {n_bins}"
         )
-    affine_shift = _field(config, "affine_shift", "market config", float, 0.0)
+    affine_shift = float(_field(config, "affine_shift", "market config", _real, 0.0))
     if model.tau_c <= 0:
         raise ValidationError("market model needs tau_c > 0 to sample outcomes")
     if sessions < 1:

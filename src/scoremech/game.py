@@ -10,10 +10,12 @@ always updates truthfully on her announcement, and by default Alice's
 correction pools her true signal with the one Bob's report reveals.
 
 Monte-Carlo worlds come from one counter-based Philox4x64-10 block per
-rollout index (Salmon et al., SC'11), keyed by the seed: a world depends
-only on (seed, index), every Monte-Carlo path works on arrays of worlds,
-and each scalar function is the n = 1 row of its batch counterpart, so the
-two agree bit for bit. Paired designs reuse the same worlds across arms.
+world index (Salmon et al., SC'11), keyed by the seed: a world depends
+only on (seed, index), so the first m worlds of a draw of n are the draw
+of m. ``draw_worlds`` is the only sampler; the batch paths take its
+(lam, a0, b0) arrays, and each seeded scalar function is the n = 1 row of
+its batch counterpart, so the two agree bit for bit. Paired designs reuse
+the same worlds across arms.
 """
 
 from __future__ import annotations
@@ -32,19 +34,13 @@ from .scoring import ScoringRule, _divergence, _score
 from .truthfulness import _curvatures, _reports
 
 __all__ = [
-    "RewardBreakdown",
-    "GameRollout",
     "ForumSchedule",
     "ABASubgame",
     "Scenario",
     "BestResponse",
-    "BatchRewards",
     "draw_world",
     "draw_worlds",
-    "rollout",
-    "rollout_batch",
     "analytic_gain",
-    "deviation_gain",
     "deviation_curve",
     "best_response",
     "reduce_schedule",
@@ -59,31 +55,6 @@ _U52 = 2.0**-52
 _T_PRIOR, _T_FIRST, _T_POOL, _T_CORRECT = 0, 1, 2, 3
 
 _MECHANISMS = ("discounted_msr", "group", "single")
-
-
-@dataclass(frozen=True)
-class RewardBreakdown:
-    """Realized totals for one rollout.
-
-    pi_a + pi_b always telescopes to k3 S(final, x) - k0 S(prior, x), which
-    is free of Alice's pretended signal; ``zero_sum_residual`` is the
-    float defect of that identity and stays below 1e-10.
-    """
-
-    pi_a: float
-    pi_b: float
-    zero_sum_residual: float
-
-
-@dataclass(frozen=True)
-class GameRollout:
-    """One sampled play. ``lam`` is the latent variable and the revealed outcome."""
-
-    lam: float
-    a0: float
-    b0: float
-    deviation_c: float
-    rewards: RewardBreakdown
 
 
 @dataclass(frozen=True)
@@ -231,6 +202,18 @@ def draw_world(model: SignalModel, seed: int, index: int = 0) -> tuple[float, fl
     return _world_from_noise(model, z0, z1, z2)
 
 
+def _as_worlds(worlds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``worlds`` as three float arrays, checked as every batch path needs them."""
+    message = "worlds must be three equal-length, non-empty 1-D arrays"
+    try:
+        lam, a0, b0 = (np.asarray(w, dtype=float) for w in worlds)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(message) from exc
+    if not (lam.ndim == 1 and lam.size and lam.shape == a0.shape == b0.shape):
+        raise ValidationError(message)
+    return lam, a0, b0
+
+
 def _scored_sequence(
     model, rule, c, lam, a0, b0, correct_at_end=True, freeloader=False
 ):
@@ -275,71 +258,6 @@ def _payoffs(mechanism: str, seq, schedule: DiscountSchedule) -> dict[str, np.nd
     return payoffs
 
 
-@dataclass(frozen=True)
-class BatchRewards:
-    """Per-rollout worlds and reward arrays, plus the prior/final score
-    arrays the zero-sum identity telescopes to."""
-
-    pi_a: np.ndarray
-    pi_b: np.ndarray
-    s_prior: np.ndarray
-    s_final: np.ndarray
-    lam: np.ndarray
-    a0: np.ndarray
-    b0: np.ndarray
-    zero_sum_residual: np.ndarray
-
-
-def rollout_batch(
-    model: SignalModel,
-    rule: ScoringRule,
-    schedule: DiscountSchedule,
-    c: float,
-    n: int,
-    seed: int,
-    start_index: int = 0,
-) -> BatchRewards:
-    """Rewards for rollout indices start_index .. start_index + n - 1 of
-    stream ``seed``, with Alice's first-slot signal shifted by c."""
-    lam, a0, b0 = draw_worlds(model, seed, n, start_index)
-    seq = _scored_sequence(model, rule, c, lam, a0, b0)
-    pay = _payoffs("discounted_msr", seq, schedule)
-    s_prior, s_final = seq[0][2], seq[-1][2]
-    telescoped = (
-        schedule_eval(schedule, _T_CORRECT) * s_final
-        - schedule_eval(schedule, _T_PRIOR) * s_prior
-    )
-    return BatchRewards(
-        pi_a=pay["alice"],
-        pi_b=pay["bob"],
-        s_prior=s_prior,
-        s_final=s_final,
-        lam=lam,
-        a0=a0,
-        b0=b0,
-        zero_sum_residual=np.abs((pay["alice"] + pay["bob"]) - telescoped),
-    )
-
-
-def rollout(
-    model: SignalModel,
-    rule: ScoringRule,
-    schedule: DiscountSchedule,
-    c: float,
-    seed: int,
-    index: int = 0,
-) -> GameRollout:
-    """Row 0 of ``rollout_batch(model, rule, schedule, c, 1, seed, index)``."""
-    b = rollout_batch(model, rule, schedule, c, 1, seed, start_index=index)
-    rewards = RewardBreakdown(
-        pi_a=float(b.pi_a[0]),
-        pi_b=float(b.pi_b[0]),
-        zero_sum_residual=float(b.zero_sum_residual[0]),
-    )
-    lam, a0, b0 = float(b.lam[0]), float(b.a0[0]), float(b.b0[0])
-    return GameRollout(lam=lam, a0=a0, b0=b0, deviation_c=c, rewards=rewards)
-
-
 def analytic_gain(
     model: SignalModel, rule: ScoringRule, schedule: DiscountSchedule, c: float
 ) -> float:
@@ -364,18 +282,19 @@ def deviation_curve(
     rule: ScoringRule,
     schedule: DiscountSchedule,
     c_grid: Iterable[float],
-    n: int,
-    seed: int,
+    worlds,
 ) -> list[tuple[float, float]]:
     """Paired Monte-Carlo estimates of E[pi_a(c) - pi_a(0)] for each c in c_grid.
 
-    The n worlds are drawn once and every arm, c = 0 included, replays
-    them, so at c = 0 the estimate is exactly (0, 0) and elsewhere the
-    common noise cancels. Returns one (mean, standard error) per c.
+    ``worlds`` is (lam, a0, b0), such as ``draw_worlds`` returns, with at
+    least two rows. Every arm, c = 0 included, replays them, so at c = 0
+    the estimate is exactly (0, 0) and elsewhere the common noise cancels.
+    Returns one (mean, standard error) per c.
     """
+    lam, a0, b0 = _as_worlds(worlds)
+    n = lam.size
     if n < 2:
-        raise ValidationError("n must be at least 2")
-    lam, a0, b0 = draw_worlds(model, seed, n)
+        raise ValidationError("a deviation curve needs at least 2 worlds")
 
     def pi_a(c):
         seq = _scored_sequence(model, rule, c, lam, a0, b0)
@@ -387,18 +306,6 @@ def deviation_curve(
         diff = pi_a(c) - base
         out.append((float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(n))))
     return out
-
-
-def deviation_gain(
-    model: SignalModel,
-    rule: ScoringRule,
-    schedule: DiscountSchedule,
-    c: float,
-    n: int,
-    seed: int,
-) -> tuple[float, float]:
-    """``deviation_curve`` at the single shift c: (mean, standard error)."""
-    return deviation_curve(model, rule, schedule, (c,), n, seed)[0]
 
 
 # Relative excess of w over 1 below which the log rule's gain counts as
@@ -476,14 +383,19 @@ def reduce_schedule(schedule: ForumSchedule) -> tuple[ABASubgame, ...]:
 
 
 def run_mechanism_batch(
-    mechanism: str, scenario: Scenario, n: int, seed: int, start_index: int = 0
+    mechanism: str, scenario: Scenario, worlds
 ) -> dict[str, np.ndarray]:
-    """Per-expert payoff arrays over rollout indices start_index ..
-    start_index + n - 1 of stream ``seed``; see ``run_mechanism``."""
+    """Per-expert payoff arrays, one row per world of ``worlds`` = (lam,
+    a0, b0), such as ``draw_worlds`` returns; see ``run_mechanism``.
+
+    Under ``discounted_msr`` the payoffs of Alice and Bob telescope to
+    k(3) S(p_3, x) - k(0) S(prior, x); with her correction, the counter-3
+    prediction p_3 is free of her pretended signal.
+    """
     if mechanism not in _MECHANISMS:
         raise ValidationError(f"unknown mechanism {mechanism!r}")
     model = scenario.model
-    lam, a0, b0 = draw_worlds(model, seed, n, start_index)
+    lam, a0, b0 = _as_worlds(worlds)
     seq = _scored_sequence(
         model,
         scenario.rule,
@@ -508,9 +420,10 @@ def run_mechanism(
     discounted_msr: each prediction pays its discounted increment
                     k(t) S(p_t, x) - k(t') S(p_t', x).
 
-    This is row 0 of ``run_mechanism_batch(mechanism, scenario, 1, seed,
-    index)``; ``index`` selects the rollout within the seed's stream, as in
-    ``draw_world``.
+    This is row 0 of ``run_mechanism_batch(mechanism, scenario,
+    draw_worlds(scenario.model, seed, 1, index))``; ``index`` selects the
+    world within the seed's stream, as in ``draw_world``.
     """
-    payoffs = run_mechanism_batch(mechanism, scenario, 1, seed, start_index=index)
+    worlds = draw_worlds(scenario.model, seed, 1, index)
+    payoffs = run_mechanism_batch(mechanism, scenario, worlds)
     return {e: float(v[0]) for e, v in payoffs.items()}

@@ -113,6 +113,28 @@ def gls_posterior(tau_a, tau_b, tau_c, rho, c0, a0, b0=None):
     return mean, precision
 
 
+def gls_pair_means(tau_a, tau_b, tau_c, rho, c0, a0, b0):
+    """Posterior means on arrays of both signals, and the precision, by the
+    generalized least squares of ``gls_posterior`` written out per row."""
+    weights = np.linalg.inv(noise_covariance(tau_a, tau_b, rho)).sum(axis=0)
+    precision = tau_c + float(weights.sum())
+    return (tau_c * c0 + weights[0] * a0 + weights[1] * b0) / precision, precision
+
+
+def score_array(rule: str, mean, precision: float, x):
+    """Realized score of N(mean, 1/precision) at x, elementwise over arrays:
+    the log density, or twice the density less its QUADPACK square integral
+    and 1."""
+    sd = 1.0 / math.sqrt(precision)
+    u = (np.asarray(x) - mean) / sd
+    log_density = -0.5 * u * u - math.log(sd * _SQRT_2PI)
+    if rule == "logarithmic":
+        return log_density
+    if rule == "quadratic":
+        return 2.0 * np.exp(log_density) - quad_selfdot(0.0, precision) - 1.0
+    raise ValueError(rule)
+
+
 def conditioned_posterior(tau_a, tau_b, tau_c, rho, c0, a0, b0=None):
     """(mean, precision) by dense covariance conditioning; needs tau_c > 0.
 

@@ -45,6 +45,7 @@ from scoremech import (
     DiscountSchedule,
     ForumSchedule,
     NormalBelief,
+    Scenario,
     ScoringRule,
     SignalModel,
     analytic_gain,
@@ -53,7 +54,7 @@ from scoremech import (
     classify_log,
     classify_quadratic,
     deviation_criterion,
-    deviation_gain,
+    deviation_curve,
     divergence,
     draw_world,
     draw_worlds,
@@ -65,7 +66,7 @@ from scoremech import (
     reduce_schedule,
     required_ratio_log,
     required_ratio_numeric,
-    rollout_batch,
+    run_mechanism_batch,
     schedule_eval,
     settle,
     simulate_sessions,
@@ -180,8 +181,8 @@ def test_criterion_04_monte_carlo_matches_classifier():
             from scoremech import analytic_gain
             c_eval = max((-5.0, 5.0),
                          key=lambda c: abs(analytic_gain(model, LOG, FLAT, c)))
-            mean, se = deviation_gain(model, LOG, FLAT, c_eval, 100_000,
-                                      seed=40 + i)
+            [(mean, se)] = deviation_curve(
+                model, LOG, FLAT, (c_eval,), draw_worlds(model, 40 + i, 100_000))
             z = mean / se
             if want_truthful:
                 assert z < -3.0, (model, c_eval, mean, se)
@@ -262,8 +263,8 @@ def test_criterion_05_quadratic_never_truthful():
     for i, model in enumerate(_SLOW_CROSSOVER):
         for c, want_profit in ((1e3, False), (saturating_shift(model), True)):
             d = deviation_criterion(QUAD, model, c)
-            mean, se = deviation_gain(model, QUAD, FLAT, c, 20_000,
-                                      seed=50 + i)
+            [(mean, se)] = deviation_curve(
+                model, QUAD, FLAT, (c,), draw_worlds(model, 50 + i, 20_000))
             z = mean / se
             crossover_z.append(z)
             mc_ok = z > 3.0 if want_profit else z < -3.0
@@ -374,15 +375,16 @@ def test_criterion_06_discount_restores_log_truthfulness():
         # At exact restoration the gain is identically zero in c, so probe a
         # real deviation; the 4-sigma gate keeps 169 simultaneous checks of
         # a zero-mean statistic from flaking family-wise.
-        mean, se = deviation_gain(sub, LOG, _restored(k_sub), 2.0, 10_000,
-                                  seed=60 + i)
+        [(mean, se)] = deviation_curve(
+            sub, LOG, _restored(k_sub), (2.0,), draw_worlds(sub, 60 + i, 10_000))
         z = mean / se if se > 0.0 else 0.0
         assert z <= 4.0, (model, mean, se)
         worst_rest_z = max(worst_rest_z, z)
 
         slack = _restored(0.9 * k_sub)
+        worlds = draw_worlds(sub, 90 + i, 10_000)
         for c in (5.0, 20.0, 80.0):
-            mean, se = deviation_gain(sub, LOG, slack, c, 10_000, seed=90 + i)
+            [(mean, se)] = deviation_curve(sub, LOG, slack, (c,), worlds)
             if mean > 3.0 * se:
                 weakest_det_z = min(weakest_det_z, mean / se)
                 break
@@ -492,9 +494,14 @@ def test_criterion_08_zero_sum_identity():
     n_each = 100_000
     worst = 0.0
     for i, (model, rule, c) in enumerate(configs):
-        batch = rollout_batch(model, rule, FLAT, c, n_each, seed=800 + i)
-        residual = np.abs(batch.pi_a + batch.pi_b
-                          - (batch.s_final - batch.s_prior))
+        lam, a0, b0 = worlds = draw_worlds(model, 800 + i, n_each)
+        scenario = Scenario(model=model, rule=rule, schedule=FLAT, deviation_c=c)
+        pay = run_mechanism_batch("discounted_msr", scenario, worlds)
+        args = (model.tau_a, model.tau_b, model.tau_c, model.rho, model.c0)
+        final_mean, final_precision = oracles.gls_pair_means(*args, a0, b0)
+        s_final = oracles.score_array(rule.value, final_mean, final_precision, lam)
+        s_prior = oracles.score_array(rule.value, model.c0, model.tau_c, lam)
+        residual = np.abs(pay["alice"] + pay["bob"] - (s_final - s_prior))
         worst = max(worst, float(residual.max()))
     assert worst <= 1e-10
     elapsed = time.perf_counter() - t0

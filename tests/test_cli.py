@@ -16,10 +16,13 @@ from scoremech import (
     NormalBelief,
     OutcomeGrid,
     ScoringRule,
+    SignalModel,
     binned_self_score,
+    game,
     nonpositivity_shift,
+    required_ratio_log,
 )
-from scoremech.cli import _MAX_SAMPLES, main
+from scoremech.cli import _MAX_SAMPLES, cmd_simulate, main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -544,6 +547,48 @@ def test_discount_quadratic_report_is_unchanged(name, tmp_path, capsys):
     assert report == (FIXTURES / f"discount_quadratic_{name}.json").read_bytes()
 
 
+# Simulate reports written before the batch paths took worlds, when the
+# gain curve and each mechanism drew their own. 3,000 samples cover the
+# mechanism comparison's 2,000-world slice of the curve's draw.
+SIMULATE_MODEL = {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0, "rho": -0.8}
+
+
+def _simulate_schedule(name):
+    if name == "constant":
+        return {"kind": "constant", "k0": 1.0}
+    # Reset from the log rule's required ratio to 1 at Bob's slot.
+    k0 = required_ratio_log(SignalModel(**SIMULATE_MODEL))
+    return {"kind": "piecewise", "k0": k0, "resets": [[2, 1.0]]}
+
+
+@pytest.mark.parametrize("samples", (500, 3000))
+@pytest.mark.parametrize("schedule", ("constant", "reset"))
+@pytest.mark.parametrize("rule", ("log", "quadratic"))
+def test_simulate_report_is_unchanged(rule, schedule, samples, tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": SIMULATE_MODEL, "rule": rule, "schedule": _simulate_schedule(schedule)})
+    out = tmp_path / "report.json"
+    argv = ["simulate", "--config", cfg, "--samples", str(samples), "--seed", "7",
+            "--out", str(out)]
+    assert run(argv, capsys)[0] == 0
+    want = FIXTURES / f"simulate_{rule}_{schedule}_{samples}.json"
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_simulate_draws_its_worlds_once(monkeypatch):
+    draws = []
+    draw_worlds = game.draw_worlds
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return draw_worlds(*args, **kwargs)
+
+    monkeypatch.setattr(game, "draw_worlds", counted)
+    config = {"model": SIMULATE_MODEL, "schedule": _simulate_schedule("reset")}
+    cmd_simulate(config, 3000, 7, os.devnull)
+    assert len(draws) == 1
+
+
 def test_classify_grid_dimension_holds_up_to_its_cap(capsys):
     code, out, _ = run(["classify", "--grid", "rho=0:0.9999:0.0001;ratio=1;tau_c=0"], capsys)
     assert code == 0 and len(parse_csv(out)) == 10_000
@@ -584,6 +629,9 @@ HOSTILE = {
         ["market", "simulate", "--config", "{market}", "--samples", str(10**30)], "--samples"),
     "replay_out": (["market", "replay", "--log", "{log}", "--out", "{missing}"], "{missing}"),
     "grid_repeated_values": (["classify", "--grid", "rho=0:1e-12:2e-13;ratio=1;tau_c=0"], "rho"),
+    # alpha_g = tau_a / (tau_a + tau_c) underflowed to 0 and divided.
+    "grid_alpha_g_underflow": (
+        ["classify", "--grid", "ratio=1e-300;tau_c=1e30;rho=0.5"], "tau_a / (tau_a + tau_c)"),
 }
 
 # Config files that once raised a bare ValueError, were silently read as
@@ -617,6 +665,23 @@ HOSTILE_CONFIGS = {
     "precision_product_overflow": (
         ("discount_log", "discount_quadratic", *BOTH_SIMULATIONS),
         {"model": {"tau_a": 1e10, "tau_b": 1e300, "rho": 0.5, "tau_c": 1}}, "tau_a * tau_b"),
+    # alpha_g = tau_a / (tau_a + tau_c) once underflowed to 0 and divided.
+    "alpha_g_underflow": (
+        ("discount_log", "discount_quadratic", *BOTH_SIMULATIONS),
+        {"model": {"tau_a": 1e-300, "tau_b": 1, "tau_c": 1e30, "rho": 0.5}},
+        "tau_a / (tau_a + tau_c)"),
+    # Booleans and strings were once read as numbers.
+    "tau_a_boolean": (
+        ("discount_log", *BOTH_SIMULATIONS),
+        {"model": {"tau_a": True, "tau_b": 1.0, "tau_c": 1.0, "rho": -0.8}}, "tau_a"),
+    "rho_string": (
+        ("discount_log", *BOTH_SIMULATIONS),
+        {"model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0, "rho": "-0.8"}}, "rho"),
+    "affine_shift_string": (("market",), {"affine_shift": "0.5"}, "affine_shift"),
+    "prior_mean_boolean": (
+        ("market",), {"prior": {"mean": True, "precision": "2"}}, "mean"),
+    "prior_precision_string": (
+        ("market",), {"prior": {"mean": 0.0, "precision": "2"}}, "precision"),
 }
 _CONFIG_COMMANDS = {
     "simulate": ["simulate", "--samples", "100"],

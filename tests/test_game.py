@@ -1,4 +1,5 @@
-"""Seeded worlds, reward rollouts, best responses, and forum reduction."""
+"""Seeded worlds, payoffs and gain curves on them, best responses, and
+forum reduction."""
 
 import math
 
@@ -21,19 +22,19 @@ from scoremech import (
     best_response,
     classify_log,
     deviation_curve,
-    deviation_gain,
     divergence,
     draw_world,
     draw_worlds,
+    open_market,
     posterior_pair,
     posterior_single,
     reduce_schedule,
     required_ratio_log,
-    rollout,
-    rollout_batch,
     run_mechanism,
     run_mechanism_batch,
+    schedule_eval,
     score,
+    simulate_sessions,
 )
 from scoremech.game import _normals_from_words
 
@@ -135,7 +136,8 @@ def test_uninformative_prior_cannot_be_sampled():
     with pytest.raises(ValidationError):
         draw_world(flat_prior, seed=1)
     with pytest.raises(ValidationError):
-        rollout(flat_prior, LOG, FLAT, 0.0, seed=1)
+        run_mechanism("discounted_msr",
+                      Scenario(model=flat_prior, rule=LOG, schedule=FLAT), seed=1)
 
 
 def test_seed_validation():
@@ -164,57 +166,87 @@ def test_substitution_ladder_keeps_verdicts():
 
 
 def test_rollout_zero_sum_residual():
+    # pi_a + pi_b telescopes to S(final, x) - S(prior, x) under a flat
+    # schedule, whatever Alice's shift.
     rng = np.random.default_rng(3)
+    prior = NormalBelief(MODEL.c0, MODEL.tau_c)
     for i in range(300):
         c = float(rng.uniform(-5, 5))
         rule = LOG if i % 2 else QUAD
-        out = rollout(MODEL, rule, FLAT, c, seed=17, index=i)
-        assert out.rewards.zero_sum_residual <= 1e-10
-        assert out.deviation_c == c
-
-
-def test_rollout_batch_matches_scalar():
-    n = 64
-    for rule in (LOG, QUAD):
-        batch = rollout_batch(MODEL, rule, FLAT, 0.7, n=n, seed=5)
-        for i in range(n):
-            one = rollout(MODEL, rule, FLAT, 0.7, seed=5, index=i)
-            assert (batch.lam[i], batch.a0[i], batch.b0[i]) == (
-                one.lam, one.a0, one.b0)
-            assert batch.pi_a[i] == one.rewards.pi_a
-            assert batch.pi_b[i] == one.rewards.pi_b
-            assert batch.zero_sum_residual[i] == one.rewards.zero_sum_residual
+        scenario = Scenario(model=MODEL, rule=rule, schedule=FLAT, deviation_c=c)
+        pay = run_mechanism("discounted_msr", scenario, seed=17, index=i)
+        lam, a0, b0 = draw_world(MODEL, seed=17, index=i)
+        final = posterior_pair(MODEL, a0, b0)
+        want = score(rule, final, lam) - score(rule, prior, lam)
+        assert abs(pay["alice"] + pay["bob"] - want) <= 1e-10
 
 
 def test_deviation_gain_exact_zero_at_truth():
-    assert deviation_gain(MODEL, LOG, FLAT, 0.0, n=100, seed=1) == (0.0, 0.0)
+    worlds = draw_worlds(MODEL, seed=1, n=100)
+    assert deviation_curve(MODEL, LOG, FLAT, (0.0,), worlds) == [(0.0, 0.0)]
 
 
 def test_deviation_curve_points_equal_deviation_gain():
+    # Each point of a curve is the one-point curve at its shift.
     sched = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.8)
     grid = (-4.0, -0.5, 0.0, 1.0, 3.0)
+    worlds = draw_worlds(MODEL, seed=9, n=5_000)
     for rule in (LOG, QUAD):
-        curve = deviation_curve(MODEL, rule, sched, grid, n=5_000, seed=9)
+        curve = deviation_curve(MODEL, rule, sched, grid, worlds)
         assert len(curve) == len(grid)
         for c, point in zip(grid, curve):
-            assert point == deviation_gain(MODEL, rule, sched, c, n=5_000,
-                                           seed=9)
+            assert [point] == deviation_curve(MODEL, rule, sched, (c,), worlds)
 
 
 def test_deviation_gain_sign_matches_classifier():
     for model, should_gain in ((UNTRUTHFUL, True), (TRUTHFUL, False)):
-        mean, se = deviation_gain(model, LOG, FLAT, 3.0, n=30_000, seed=2)
+        worlds = draw_worlds(model, seed=2, n=30_000)
+        [(mean, se)] = deviation_curve(model, LOG, FLAT, (3.0,), worlds)
         assert se > 0.0
         assert abs(mean) > 3.0 * se
         assert (mean > 0.0) == should_gain
 
 
 def test_deviation_gain_is_unbiased_for_analytic_gain():
+    worlds = draw_worlds(UNTRUTHFUL, seed=4, n=100_000)
     for rule in (LOG, QUAD):
         for c in (0.5, 2.0):
             want = analytic_gain(UNTRUTHFUL, rule, FLAT, c)
-            mean, se = deviation_gain(UNTRUTHFUL, rule, FLAT, c, n=100_000, seed=4)
+            [(mean, se)] = deviation_curve(UNTRUTHFUL, rule, FLAT, (c,), worlds)
             assert mean == pytest.approx(want, abs=4.0 * se)
+
+
+def _bad_worlds():
+    lam, a0, b0 = draw_worlds(MODEL, seed=6, n=3)
+    return {
+        "empty": (lam[:0], a0[:0], b0[:0]),
+        "unequal": (lam, a0, np.append(b0, 0.0)),
+        "two_dimensional": (lam[:, None], a0[:, None], b0[:, None]),
+        "two_arrays": (lam, a0),
+        "ragged": (lam, a0, [b0, b0[:1]]),
+        "not_iterable": 3.0,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_worlds()))
+def test_batch_paths_share_one_worlds_check(case):
+    worlds = _bad_worlds()[case]
+    scenario = Scenario(model=MODEL, rule=LOG, schedule=FLAT)
+    opening = open_market(NormalBelief(MODEL.c0, MODEL.tau_c), FLAT, n_bins=16)
+    calls = (
+        lambda: deviation_curve(MODEL, LOG, FLAT, (1.0,), worlds),
+        lambda: run_mechanism_batch("group", scenario, worlds),
+        lambda: simulate_sessions(opening, MODEL, worlds),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match="worlds must be three equal-length"):
+            call()
+
+
+def test_deviation_curve_needs_two_worlds():
+    worlds = draw_worlds(MODEL, seed=6, n=1)
+    with pytest.raises(ValidationError, match="at least 2 worlds"):
+        deviation_curve(MODEL, LOG, FLAT, (1.0,), worlds)
 
 
 def test_analytic_gain_is_a_divergence_difference():
@@ -349,14 +381,24 @@ def test_single_mechanism_pays_minimum_increment():
 
 
 def test_msr_mechanism_matches_rollout_rewards():
+    # Each prediction at counter t earns k(t) S(p_t, x) - k(t') S(p_t', x).
     sched = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.8)
+    k = [schedule_eval(sched, t) for t in range(4)]
+    lam, a0, b0 = draw_world(MODEL, seed=33, index=2)
     for rule in (LOG, QUAD):
         scenario = Scenario(model=MODEL, rule=rule, schedule=sched,
                             deviation_c=-1.2)
         payoffs = run_mechanism("discounted_msr", scenario, seed=33, index=2)
-        out = rollout(MODEL, rule, sched, -1.2, seed=33, index=2)
-        assert payoffs["alice"] == out.rewards.pi_a
-        assert payoffs["bob"] == out.rewards.pi_b
+        s = [score(rule, belief, lam) for belief in (
+            NormalBelief(MODEL.c0, MODEL.tau_c),
+            posterior_single(MODEL, a0 - 1.2),
+            posterior_pair(MODEL, a0 - 1.2, b0),
+            posterior_pair(MODEL, a0, b0),
+        )]
+        alice = k[1] * s[1] - k[0] * s[0] + k[3] * s[3] - k[2] * s[2]
+        bob = k[2] * s[2] - k[1] * s[1]
+        assert payoffs["alice"] == pytest.approx(alice, rel=1e-12, abs=1e-12)
+        assert payoffs["bob"] == pytest.approx(bob, rel=1e-12, abs=1e-12)
 
 
 def test_mechanism_batch_rows_equal_scalar_plays():
@@ -370,8 +412,8 @@ def test_mechanism_batch_rows_equal_scalar_plays():
                         model=MODEL, rule=rule, schedule=sched,
                         deviation_c=0.9, correct_at_end=correct,
                         freeloader=freeloader)
-                    batch = run_mechanism_batch(mech, scenario, n, seed=34,
-                                                start_index=start)
+                    batch = run_mechanism_batch(
+                        mech, scenario, draw_worlds(MODEL, 34, n, start))
                     for i in range(n):
                         one = run_mechanism(mech, scenario, seed=34,
                                             index=start + i)
@@ -401,15 +443,16 @@ def test_group_payoff_suffers_without_correction():
     # Without the correction the lie contaminates the scored prediction and
     # the average group payoff drops.
     n = 20_000
+    worlds = draw_worlds(MODEL, seed=45, n=n)
     truthful = run_mechanism_batch(
         "group",
         Scenario(model=MODEL, rule=LOG, schedule=FLAT, correct_at_end=False),
-        n, 45)["alice"]
+        worlds)["alice"]
     bent = run_mechanism_batch(
         "group",
         Scenario(model=MODEL, rule=LOG, schedule=FLAT, deviation_c=1.5,
                  correct_at_end=False),
-        n, 45)["alice"]
+        worlds)["alice"]
     diff = bent - truthful
     se = float(np.std(diff, ddof=1) / math.sqrt(n))
     assert float(np.mean(diff)) < -3.0 * se
