@@ -49,6 +49,7 @@ from .game import (
     Scenario,
     analytic_gain,
     best_response,
+    compare_mechanisms,
     deviation_curve,
     draw_world,
     draw_worlds,
@@ -102,6 +103,7 @@ __all__ = [
     "binned_self_score",
     "classify_log",
     "classify_quadratic",
+    "compare_mechanisms",
     "cost_function",
     "density",
     "deviation_criterion",

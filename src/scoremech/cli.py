@@ -72,7 +72,7 @@ _MECHANISM_WORLDS = 2000
 _MAX_BINS = 2**20
 
 # Most worlds or sessions one run may sample. Every per-sample array grows
-# with it: about 107 B per sample for simulate and 150 B per session for
+# with it: about 112 B per sample for simulate and 150 B per session for
 # market simulate, so the cap keeps a run near 200 MiB.
 _MAX_SAMPLES = 2**20
 
@@ -399,11 +399,10 @@ def cmd_discount(rule: ScoringRule, model: SignalModel, out: str | None) -> dict
 
 
 def _mechanism_comparison(scenario: game.Scenario, worlds) -> dict:
-    out: dict = {}
-    for mech in ("group", "single", "discounted_msr"):
-        payoffs = game.run_mechanism_batch(mech, scenario, worlds)
-        out[mech] = {e: float(v.mean()) for e, v in sorted(payoffs.items())}
-    return out
+    return {
+        mech: {e: float(v.mean()) for e, v in sorted(payoffs.items())}
+        for mech, payoffs in game.compare_mechanisms(scenario, worlds).items()
+    }
 
 
 def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tuple[dict, bool]:
@@ -432,6 +431,13 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
         z = (mc_mean - analytic) / gap_scale
         if not all(math.isfinite(v) for v in (mc_mean, mc_se, analytic, z)):
             raise NumericError(f"the gain curve is not finite at c = {c}")
+        # Every world gained alike where the analytic gain is not 0: the
+        # worlds' scale absorbed c in a0 + c, which is no disagreement.
+        if mc_se == 0.0 and analytic != 0.0:
+            raise NumericError(
+                f"the Monte-Carlo curve lost the shift at c = {c}: its standard "
+                f"error is 0 while the analytic gain is {_fmt(analytic)}"
+            )
         # Written so that a NaN fails the comparison.
         if not abs(z) <= _AGREEMENT_SIGMAS:
             agreement = False

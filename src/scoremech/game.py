@@ -41,6 +41,7 @@ __all__ = [
     "draw_world",
     "draw_worlds",
     "analytic_gain",
+    "compare_mechanisms",
     "deviation_curve",
     "best_response",
     "reduce_schedule",
@@ -214,22 +215,29 @@ def _as_worlds(worlds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lam, a0, b0
 
 
-def _scored_sequence(
-    model, rule, c, lam, a0, b0, correct_at_end=True, freeloader=False
-):
+def _fixed_scores(model, rule, lam, a0, b0, correct_at_end=True):
+    """Scores of the prior and of Alice's correction, which no shift c
+    moves; the correction is None when she stands by her pretended signal."""
+    s_prior = _score(rule, model.c0, model.tau_c, lam)
+    if not correct_at_end:
+        return s_prior, None
+    return s_prior, _score(rule, model.pair_mean(a0, b0), model.tau_pool, lam)
+
+
+def _scored_sequence(model, rule, c, lam, a0, b0, fixed, freeloader=False):
     """The realized predictions as [(counter, expert, score array), ...],
     starting from the prior at counter 0; the deviation enters only
-    through Alice's pretended signal a0 + c."""
-    tau_pool = model.tau_pool
+    through Alice's pretended signal a0 + c. ``fixed`` is
+    ``_fixed_scores`` of the same worlds. A column c of shape (arms, 1)
+    scores the first and pooled reports of every arm as (arms, n) rows,
+    which the c-free scores broadcast against."""
+    s_prior, s_correct = fixed
     a_hat = a0 + c
     s_first = _score(rule, model.single_mean(a_hat), model.tau_single, lam)
-    s_pool = _score(rule, model.pair_mean(a_hat, b0), tau_pool, lam)
-    if correct_at_end:
-        s_final = _score(rule, model.pair_mean(a0, b0), tau_pool, lam)
-    else:
-        s_final = s_pool
+    s_pool = _score(rule, model.pair_mean(a_hat, b0), model.tau_pool, lam)
+    s_final = s_pool if s_correct is None else s_correct
     seq = [
-        (_T_PRIOR, None, _score(rule, model.c0, model.tau_c, lam)),
+        (_T_PRIOR, None, s_prior),
         (_T_FIRST, "alice", s_first),
         (_T_POOL, "bob", s_pool),
         (_T_CORRECT, "alice", s_final),
@@ -277,6 +285,11 @@ def analytic_gain(
     return k1 * div_first - k2 * div_pool
 
 
+# deviation_curve scores its arms as (arms, n) blocks of at most this many
+# elements (128 KiB of float64 each), whatever the grid's length.
+_BLOCK_ELEMENTS = 2**14
+
+
 def deviation_curve(
     model: SignalModel,
     rule: ScoringRule,
@@ -290,22 +303,38 @@ def deviation_curve(
     least two rows. Every arm, c = 0 included, replays them, so at c = 0
     the estimate is exactly (0, 0) and elsewhere the common noise cancels.
     Returns one (mean, standard error) per c.
+
+    The prior and Alice's final report, which no shift moves, are scored
+    once. The arms [0, *c_grid] are evaluated together, as (arms, n)
+    blocks of at most ``_BLOCK_ELEMENTS`` elements (one arm per block
+    once n exceeds it), so memory does not grow with the grid. Each row
+    goes through the same floating-point operations in the same order as
+    a lone arm, so every point equals its one-point curve exactly.
     """
     lam, a0, b0 = _as_worlds(worlds)
     n = lam.size
     if n < 2:
         raise ValidationError("a deviation curve needs at least 2 worlds")
+    fixed = _fixed_scores(model, rule, lam, a0, b0)
 
     def pi_a(c):
-        seq = _scored_sequence(model, rule, c, lam, a0, b0)
+        seq = _scored_sequence(model, rule, c, lam, a0, b0, fixed)
         return _payoffs("discounted_msr", seq, schedule)["alice"]
 
-    base = pi_a(0.0)
-    out = []
-    for c in c_grid:
-        diff = pi_a(c) - base
-        out.append((float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(n))))
-    return out
+    arms = np.array([0.0, *c_grid], dtype=float)[:, None]
+    block = max(1, _BLOCK_ELEMENTS // n)
+    base = None
+    means, errors = [], []
+    for start in range(0, len(arms), block):
+        diff = pi_a(arms[start : start + block])
+        if base is None:
+            # Row 0 is the c = 0 arm that every other arm is paired with.
+            base, diff = diff[0], diff[1:]
+        diff -= base
+        means.extend(diff.mean(axis=1).tolist())
+        errors.extend((diff.std(axis=1, ddof=1) / math.sqrt(n)).tolist())
+        del diff  # so that the next block is scored without this one alive
+    return list(zip(means, errors))
 
 
 # Relative excess of w over 1 below which the log rule's gain counts as
@@ -382,6 +411,15 @@ def reduce_schedule(schedule: ForumSchedule) -> tuple[ABASubgame, ...]:
     return tuple(out)
 
 
+def _scenario_sequence(scenario: Scenario, worlds):
+    lam, a0, b0 = _as_worlds(worlds)
+    model, rule = scenario.model, scenario.rule
+    fixed = _fixed_scores(model, rule, lam, a0, b0, scenario.correct_at_end)
+    return _scored_sequence(
+        model, rule, scenario.deviation_c, lam, a0, b0, fixed, scenario.freeloader
+    )
+
+
 def run_mechanism_batch(
     mechanism: str, scenario: Scenario, worlds
 ) -> dict[str, np.ndarray]:
@@ -394,19 +432,14 @@ def run_mechanism_batch(
     """
     if mechanism not in _MECHANISMS:
         raise ValidationError(f"unknown mechanism {mechanism!r}")
-    model = scenario.model
-    lam, a0, b0 = _as_worlds(worlds)
-    seq = _scored_sequence(
-        model,
-        scenario.rule,
-        scenario.deviation_c,
-        lam,
-        a0,
-        b0,
-        correct_at_end=scenario.correct_at_end,
-        freeloader=scenario.freeloader,
-    )
-    return _payoffs(mechanism, seq, scenario.schedule)
+    return _payoffs(mechanism, _scenario_sequence(scenario, worlds), scenario.schedule)
+
+
+def compare_mechanisms(scenario: Scenario, worlds) -> dict[str, dict[str, np.ndarray]]:
+    """``run_mechanism_batch`` of every mechanism, keyed by its name, paid
+    from one scored sequence of ``worlds``."""
+    seq = _scenario_sequence(scenario, worlds)
+    return {mech: _payoffs(mech, seq, scenario.schedule) for mech in _MECHANISMS}
 
 
 def run_mechanism(

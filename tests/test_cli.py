@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from scoremech import (
+    DiscountSchedule,
     NormalBelief,
     OutcomeGrid,
     ScoringRule,
@@ -552,21 +553,34 @@ def test_discount_quadratic_report_is_unchanged(name, tmp_path, capsys):
 # mechanism comparison's 2,000-world slice of the curve's draw.
 SIMULATE_MODEL = {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0, "rho": -0.8}
 
+# 64 shifts, 0 among them: at 3,000 samples the curve spans 13 blocks of
+# arms. The long_grid reports were written before the arms were blocked.
+LONG_GRID = [-8.0 + 0.25 * i for i in range(64)]
+SIMULATE_CASES = [
+    *((rule, schedule, samples)
+      for rule in ("log", "quadratic")
+      for schedule in ("constant", "reset")
+      for samples in (500, 3000)),
+    ("log", "long_grid", 3000),
+    ("quadratic", "long_grid", 3000),
+]
 
-def _simulate_schedule(name):
-    if name == "constant":
-        return {"kind": "constant", "k0": 1.0}
+
+def _simulate_config(rule, case):
+    config = {"model": SIMULATE_MODEL, "rule": rule}
+    if case == "constant":
+        return {**config, "schedule": {"kind": "constant", "k0": 1.0}}
     # Reset from the log rule's required ratio to 1 at Bob's slot.
     k0 = required_ratio_log(SignalModel(**SIMULATE_MODEL))
-    return {"kind": "piecewise", "k0": k0, "resets": [[2, 1.0]]}
+    config["schedule"] = {"kind": "piecewise", "k0": k0, "resets": [[2, 1.0]]}
+    if case == "long_grid":
+        config["c_grid"] = LONG_GRID
+    return config
 
 
-@pytest.mark.parametrize("samples", (500, 3000))
-@pytest.mark.parametrize("schedule", ("constant", "reset"))
-@pytest.mark.parametrize("rule", ("log", "quadratic"))
+@pytest.mark.parametrize("rule,schedule,samples", SIMULATE_CASES)
 def test_simulate_report_is_unchanged(rule, schedule, samples, tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "model": SIMULATE_MODEL, "rule": rule, "schedule": _simulate_schedule(schedule)})
+    cfg = write_config(tmp_path, _simulate_config(rule, schedule))
     out = tmp_path / "report.json"
     argv = ["simulate", "--config", cfg, "--samples", str(samples), "--seed", "7",
             "--out", str(out)]
@@ -584,9 +598,36 @@ def test_simulate_draws_its_worlds_once(monkeypatch):
         return draw_worlds(*args, **kwargs)
 
     monkeypatch.setattr(game, "draw_worlds", counted)
-    config = {"model": SIMULATE_MODEL, "schedule": _simulate_schedule("reset")}
-    cmd_simulate(config, 3000, 7, os.devnull)
+    cmd_simulate(_simulate_config("log", "reset"), 3000, 7, os.devnull)
     assert len(draws) == 1
+
+
+@pytest.mark.parametrize("rule", ("log", "quadratic"))
+def test_simulate_scores_c_free_predictions_once(rule, monkeypatch):
+    # The curve scores the prior and the final report once and its nine
+    # arms as one block; the three mechanisms share one c = 0 sequence.
+    calls = []
+    score = game._score
+
+    def counted(*args):
+        calls.append(args[0])
+        return score(*args)
+
+    config = _simulate_config(rule, "reset")
+    monkeypatch.setattr(game, "_score", counted)
+    report, _ = cmd_simulate(config, 500, 7, os.devnull)
+    assert len(calls) <= 8
+    monkeypatch.undo()
+
+    model = SignalModel(**SIMULATE_MODEL)
+    scenario = game.Scenario(
+        model=model, rule=ScoringRule(report["rule"]),
+        schedule=DiscountSchedule.from_config(config["schedule"]))
+    worlds = tuple(w[:2000] for w in game.draw_worlds(model, 7, 500))
+    assert set(report["mechanisms"]) == {"group", "single", "discounted_msr"}
+    for mech, means in report["mechanisms"].items():
+        payoffs = game.run_mechanism_batch(mech, scenario, worlds)
+        assert means == {e: float(v.mean()) for e, v in sorted(payoffs.items())}
 
 
 def test_classify_grid_dimension_holds_up_to_its_cap(capsys):
@@ -635,10 +676,10 @@ HOSTILE = {
 }
 
 # Config files that once raised a bare ValueError, were silently read as
-# something else, or reported agreement on a NaN curve: the commands that
-# read them, the config's own fields (over a sampleable model), and the
-# text the config error must name. Each becomes one HOSTILE case per
-# command, with the config's path at {name}.
+# something else, or reported agreement on a NaN curve or disagreement on a
+# lost shift: the commands that read them, the config's own fields (over a
+# sampleable model), and the text the error must name. Each becomes one
+# HOSTILE case per command, with the config's path at {name}.
 BOTH_SIMULATIONS = ("simulate", "market")
 HOSTILE_CONFIGS = {
     "reset_counter_string": (
@@ -682,7 +723,14 @@ HOSTILE_CONFIGS = {
         ("market",), {"prior": {"mean": True, "precision": "2"}}, "mean"),
     "prior_precision_string": (
         ("market",), {"prior": {"mean": 0.0, "precision": "2"}}, "precision"),
+    # Worlds of scale 1e150 absorbed every shift in a0 + c: each point read
+    # a standard error of 0 against analytic -5.33 at c = -4 and exited 4.
+    "lost_shift": (
+        ("simulate",), {"model": {"tau_a": 1, "tau_b": 1, "tau_c": 1e-300, "rho": 0.5}},
+        "c = -4"),
 }
+# The cases that are numeric failures (exit 3) rather than config errors.
+NUMERIC_HOSTILE = {"simulate_lost_shift"}
 _CONFIG_COMMANDS = {
     "simulate": ["simulate", "--samples", "100"],
     "market": ["market", "simulate", "--samples", "2"],
@@ -723,8 +771,10 @@ def test_hostile_arguments_are_config_errors(case, tmp_path, capsys):
     paths = _hostile_paths(tmp_path, capsys)
     argv, named = HOSTILE[case]
     code, out, err = run(_fill(argv, paths), capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("config error:") and named.format(**paths) in err
+    numeric = case in NUMERIC_HOSTILE
+    assert code == (3 if numeric else 2) and out == ""
+    prefix = "numeric error:" if numeric else "config error:"
+    assert err.startswith(prefix) and named.format(**paths) in err
     assert not (tmp_path / "missing").exists()
 
 
@@ -746,4 +796,4 @@ def test_hostile_arguments_write_no_traceback(tmp_path, capsys):
     )
     assert "Traceback" not in done.stderr, done.stderr
     assert done.returncode == 0
-    assert json.loads(done.stdout) == [2] * len(HOSTILE)
+    assert json.loads(done.stdout) == [3 if case in NUMERIC_HOSTILE else 2 for case in HOSTILE]

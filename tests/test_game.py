@@ -2,6 +2,7 @@
 forum reduction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from scoremech import (
     score,
     simulate_sessions,
 )
-from scoremech.game import _normals_from_words
+from scoremech.game import _BLOCK_ELEMENTS, _normals_from_words
 
 LOG = ScoringRule.LOGARITHMIC
 QUAD = ScoringRule.QUADRATIC
@@ -196,6 +197,45 @@ def test_deviation_curve_points_equal_deviation_gain():
         assert len(curve) == len(grid)
         for c, point in zip(grid, curve):
             assert [point] == deviation_curve(MODEL, rule, sched, (c,), worlds)
+
+
+def test_curve_blocks_cannot_change_a_point():
+    # The arms [0, *grid] of 5,000 worlds span at least three blocks; each
+    # point equals its one-point curve, and the difference of two 1-D
+    # mechanism payoffs reduced as one array, whichever block it sat in.
+    grid = [-5.0 + 0.25 * i for i in range(40)]
+    n = 5_000
+    assert len(grid) + 1 > 2 * (_BLOCK_ELEMENTS // n)
+    worlds = draw_worlds(MODEL, seed=13, n=n)
+    geometric = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.8)
+    for rule in (LOG, QUAD):
+        for sched in (FLAT, geometric):
+            curve = deviation_curve(MODEL, rule, sched, grid, worlds)
+            assert curve[grid.index(0.0)] == (0.0, 0.0)
+            truthful = Scenario(model=MODEL, rule=rule, schedule=sched)
+            base = run_mechanism_batch("discounted_msr", truthful, worlds)["alice"]
+            for c, point in zip(grid, curve):
+                assert [point] == deviation_curve(MODEL, rule, sched, (c,), worlds)
+                shifted = Scenario(model=MODEL, rule=rule, schedule=sched, deviation_c=c)
+                diff = run_mechanism_batch("discounted_msr", shifted, worlds)["alice"] - base
+                assert point == (diff.mean(), diff.std(ddof=1) / math.sqrt(n))
+
+
+@pytest.mark.parametrize("rule", (LOG, QUAD))
+def test_curve_memory_stays_per_block(rule):
+    # Past _BLOCK_ELEMENTS worlds each block holds one arm, so the peak is
+    # a fixed number of n-float arrays whatever the grid's length; scoring
+    # the 64 arms at once would hold 64 of each.
+    n = 2**17
+    worlds = draw_worlds(MODEL, seed=3, n=n)
+    for grid in ([1.0], [-4.0 + 0.125 * i for i in range(64)]):
+        tracemalloc.start()
+        try:
+            deviation_curve(MODEL, rule, FLAT, grid, worlds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * 8, (len(grid), peak / (n * 8))
 
 
 def test_deviation_gain_sign_matches_classifier():
