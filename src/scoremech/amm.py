@@ -25,7 +25,11 @@ outlay telescope to the discounted final-vs-prior score difference.
 
 ``simulate_sessions`` runs many truthful sessions from one opening state on
 (sessions, bins) arrays. It shares the density and potential helpers with
-``trade`` and ``MarketState``, which call them on one row.
+``trade`` and ``MarketState``, which call them on one row. ``replay`` reads
+a trade log one line at a time but verifies its costs in blocks: it prices
+the post-trade inventories of many records in one potential call, with one
+level k(t) per row, and still names the first faulty line. Every number it
+reads must be a JSON number; it takes no boolean or string for one.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .beliefs import SignalModel
-from .discounting import DiscountSchedule, schedule_eval
+from .discounting import DiscountSchedule, _is_real, schedule_eval
 from .errors import LogConsistencyError, NumericError, ValidationError
 from .game import _as_worlds
 from .scoring import NormalBelief
@@ -83,8 +87,9 @@ _MASS_TOL = 1e-10
 # Grid coverage demanded of every market state, in prior standard deviations.
 _COVER_SIGMAS = 10.0
 
-# simulate_sessions works on (block, n) arrays of at most this many
-# elements (128 KiB of float64 each), whatever the session count.
+# simulate_sessions and replay work on (block, n) arrays of at most this
+# many elements (128 KiB of float64 each), whatever the session or record
+# count.
 _BLOCK_ELEMENTS = 2**14
 
 
@@ -282,11 +287,12 @@ def _prior_self_score(prior: NormalBelief, lo: float, hi: float, n: int) -> floa
     return binned_self_score(prior, OutcomeGrid(lo, hi, n))
 
 
-def _potentials(shares: np.ndarray, k: float, widths: np.ndarray):
-    """For each row s of ``shares`` (rows, n) at level k = k(t): the
-    potential C(s, t) = k log sum_j w_j exp(s_j / k), evaluated stably, the
-    price densities, and the width-weighted price mass (1 up to rounding)."""
-    z = shares / k
+def _potentials(shares: np.ndarray, k, widths: np.ndarray):
+    """For each row s of ``shares`` (rows, n) at level k = k(t), one scalar
+    for all rows or a (rows,) array of one level per row: the potential
+    C(s, t) = k log sum_j w_j exp(s_j / k), evaluated stably, the price
+    densities, and the width-weighted price mass (1 up to rounding)."""
+    z = shares / (k[:, None] if isinstance(k, np.ndarray) else k)
     top = z.max(axis=1)
     z -= top[:, None]
     e = np.exp(z, out=z)
@@ -578,10 +584,13 @@ def _encode_shares(shares: np.ndarray) -> str:
 
 
 def _decode_shares(value, key: str, n: int, version: int) -> np.ndarray:
-    """Logged inventory ``value`` of field ``key`` as n finite floats: a JSON
-    list of numbers in version 1, base64 float64 text in version 2."""
+    """Logged inventory ``value`` of field ``key`` as a read-only array of n
+    finite floats: a JSON list of numbers in version 1, base64 float64 text
+    in version 2."""
     if version == 1:
-        shares = np.asarray(value, dtype=float)
+        if not (isinstance(value, list) and all(map(_is_real, value))):
+            raise TypeError(f"field {key!r} must be a list of finite JSON numbers")
+        shares = _read_only(np.array(value, dtype=float))
         if shares.shape != (n,):
             raise ValueError(f"field {key!r} must hold {n} values")
     elif not isinstance(value, str):
@@ -664,6 +673,15 @@ def _log_int(obj: dict, key: str) -> int:
     return operator.index(value)
 
 
+def _log_real(obj: dict, key: str):
+    """``obj[key]``, which must be a JSON number that a finite float holds;
+    a boolean or a string is not one."""
+    value = obj[key]
+    if not _is_real(value):
+        raise TypeError(f"field {key!r} must be a finite number, not {value!r}")
+    return value
+
+
 def _opening_state(header: dict) -> tuple[MarketState, int]:
     """The header's opening state and the log's format version."""
     if header.get("format") != _LOG_FORMAT:
@@ -671,56 +689,83 @@ def _opening_state(header: dict) -> tuple[MarketState, int]:
     version = header.get("version")
     if type(version) is not int or version not in (1, _LOG_VERSION):
         raise ValueError(f"unsupported log version {version!r}")
-    grid = OutcomeGrid(**header["grid"])
+    grid_rec, prior_rec = header["grid"], header["prior"]
+    for key in ("lo", "hi"):
+        _log_real(grid_rec, key)
+    grid = OutcomeGrid(**grid_rec)
     state = MarketState(
         grid=grid,
         shares=_decode_shares(header["s0"], "s0", grid.n, version),
         t=_log_int(header, "t0"),
         schedule=DiscountSchedule.from_config(header["schedule"]),
-        prior=NormalBelief(header["prior"]["mean"], header["prior"]["precision"]),
-        affine_shift=float(header["affine_shift"]),
+        prior=NormalBelief(_log_real(prior_rec, "mean"), _log_real(prior_rec, "precision")),
+        affine_shift=float(_log_real(header, "affine_shift")),
     )
     return state, version
 
 
-def _replay_trade(
-    state: MarketState, obj: dict, index: int, running, version: int
-) -> tuple[MarketState, TradeRecord]:
-    """Re-execute logged trade number ``index`` from ``state``, whose
-    inventory was logged as the JSON value ``running``. An inventory whose
-    value equals ``running`` is the running inventory and is not decoded;
-    any other ``pre`` is decoded and compared with it by value."""
+def _logged_trade(
+    obj: dict, index: int, shares: np.ndarray, t_pre: int, running, version: int
+) -> TradeRecord:
+    """Logged trade number ``index`` from inventory ``shares`` at counter
+    ``t_pre``, which the log holds as the JSON value ``running``, with every
+    field checked but its cost, which ``_verify_costs`` recomputes. An
+    inventory whose value equals ``running`` is that inventory and is not
+    decoded; any other ``pre`` is decoded and compared with it by value."""
     if _log_int(obj, "i") != index:
         raise ValueError(f"record number {obj['i']} is out of sequence")
     t_new = _log_int(obj, "t")
-    n = state.grid.n
+    n = shares.size
     pre, post = obj["pre"], obj["post"]
-    if pre != running and not np.array_equal(
-        _decode_shares(pre, "pre", n, version), state.shares
-    ):
+    if pre != running and not np.array_equal(_decode_shares(pre, "pre", n, version), shares):
         raise ValueError("pre-trade inventory does not match the running state")
-    if t_new < state.t:
+    if t_new < t_pre:
         raise ValueError("counter regressed")
-    shares = state.shares if post == running else _decode_shares(post, "post", n, version)
-    new_state = replace(state, shares=shares, t=t_new)
-    cost, logged_cost = new_state.potential - state.potential, float(obj["cost"])
-    if not abs(cost - logged_cost) <= _COST_TOL:
-        raise ValueError(f"logged cost {logged_cost!r} differs from recomputed {cost!r}")
+    post_shares = shares if post == running else _decode_shares(post, "post", n, version)
+    cost = float(_log_real(obj, "cost"))
     trader = obj["trader"]
     if not isinstance(trader, str):
         raise TypeError(f"field 'trader' must be a string, not {trader!r}")
     clipped = _log_int(obj, "clipped_bins") if "clipped_bins" in obj else 0
     if clipped < 0:
         raise ValueError(f"field 'clipped_bins' must be non-negative, not {clipped}")
-    record = TradeRecord(
+    return TradeRecord(
         t=t_new,
-        pre_shares=state.shares,
-        post_shares=new_state.shares,
-        cost=logged_cost,
+        pre_shares=shares,
+        post_shares=post_shares,
+        cost=cost,
         trader=trader,
         clipped_bins=clipped,
     )
-    return new_state, record
+
+
+def _verify_costs(
+    opening: MarketState, records: Sequence[TradeRecord], linenos: Sequence[int], potential: float
+) -> float:
+    """Verify the last ``len(linenos)`` of ``records``, logged on ``linenos``,
+    with one ``_potentials`` call on their stacked post-trade inventories at
+    one level k(t) per row; ``potential`` is C of the inventory before the
+    first. Each row gets a MarketState's price-mass check (its shares are
+    already finite), and its cost C(post, t) - C(pre, t_pre) is compared
+    with the logged one within 1e-10. Raises LogConsistencyError naming the
+    first faulty record; returns C of the last post-trade inventory."""
+    start = len(records) - len(linenos)
+    block = records[start:]
+    levels = np.array([schedule_eval(opening.schedule, r.t) for r in block])
+    posts = np.array([r.post_shares for r in block])
+    potentials, _, mass = _potentials(posts, levels, opening.grid.widths)
+    costs = potentials - np.concatenate(([potential], potentials[:-1]))
+    bad_mass = np.abs(mass - 1.0) > _MASS_TOL
+    faulty = bad_mass | ~(np.abs(costs - [r.cost for r in block]) <= _COST_TOL)
+    if faulty.any():
+        row = int(faulty.argmax())
+        if bad_mass[row]:
+            message = "width-weighted prices failed to sum to 1"
+        else:
+            cost = float(costs[row])
+            message = f"logged cost {block[row].cost!r} differs from recomputed {cost!r}"
+        raise LogConsistencyError(f"line {linenos[row]}: {message}", start + row)
+    return float(potentials[-1])
 
 
 def _replay_settlement(
@@ -728,10 +773,7 @@ def _replay_settlement(
 ) -> SettlementReport:
     """Settle at the logged outcome; every logged field must equal the
     recomputed one exactly, as ``write_log`` serializes it."""
-    outcome = float(logged["outcome"])
-    if not math.isfinite(outcome):
-        raise ValueError("settlement outcome must be finite")
-    report = settle(state, outcome, records)
+    report = settle(state, float(_log_real(logged, "outcome")), records)
     want = settlement_to_json(report)["settlement"]
     for key in sorted(set(logged) | set(want)):
         got, expected = logged.get(key), want.get(key)
@@ -753,46 +795,77 @@ def replay(
     that a settlement, if any, is the last non-blank line and equals the
     settlement recomputed at its outcome in every field exactly. Counters,
     record numbers and clipped-bin counts must be JSON integers (not
-    booleans; clipped bins at least 0) and traders strings. Every inventory
-    must hold ``n`` finite values; in version 2 it must be valid, padded
-    base64 of 8 * ``n`` bytes. Any inconsistent or malformed line (a
+    booleans; clipped bins at least 0) and traders strings. Costs, the
+    grid's ``lo`` and ``hi``, the prior's fields, ``affine_shift``, the
+    settlement's outcome and the entries of version-1 inventories must be
+    JSON numbers that a finite float holds, not booleans or strings. Every
+    inventory must hold ``n`` finite values; in version 2 it must be valid,
+    padded base64 of 8 * ``n`` bytes. Any inconsistent or malformed line (a
     fractional counter, text nested too deeply to parse or a bytes line that
     is not UTF-8 included) raises LogConsistencyError naming the line and
     the number of records verified before it. Returns the final state, the
     verified records, and the recomputed settlement when the log carries
     one.
 
-    An inventory is decoded only when its logged value differs from the
-    running inventory's: a ``pre`` that repeats it, as ``write_log`` writes
-    it, is that inventory, and any other ``pre`` is compared by value.
+    Each line's fields are checked as it is read. Costs and price mass are
+    verified in blocks of at most ``_BLOCK_ELEMENTS`` inventory elements,
+    one potential call per block, with the floating-point operations of one
+    MarketState per record. Every record read before line L is verified
+    before an error from line L is raised, so the first faulty line is the
+    one named, with the same record index. An inventory is decoded only when
+    its logged value differs from the running inventory's: a ``pre`` that
+    repeats it, as ``write_log`` writes it, is that inventory, and any other
+    ``pre`` is compared by value.
     """
-    state, records, report = None, [], None
-    # The header's format version, and the logged value of the running inventory.
-    version, running = None, None
+    opening, state, records, report = None, None, [], None
+    # The header's format version, the logged value of the running inventory,
+    # C of the last verified inventory, and the lines of the records read
+    # but not verified yet.
+    version, running, potential, pending = None, None, None, []
+
+    def verify() -> None:
+        nonlocal potential
+        if pending:
+            linenos = pending.copy()
+            pending.clear()
+            potential = _verify_costs(opening, records, linenos, potential)
+
     for lineno, line in enumerate(lines, 1):
         try:
             if isinstance(line, bytes):
                 line = line.decode("utf-8")
-            if not line.strip():
+            if not line or line.isspace():
                 continue
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise TypeError("not a JSON object")
-            if state is None:
-                state, version = _opening_state(obj)
-                running = obj["s0"]
+            if opening is None:
+                opening, version = _opening_state(obj)
+                running, potential = obj["s0"], opening.potential
+                shares, t = opening.shares, opening.t
+                block = max(1, _BLOCK_ELEMENTS // opening.grid.n)
             elif report is not None:
                 raise ValueError("the settlement must be the last line")
             elif "settlement" in obj:
+                verify()
+                state = replace(opening, shares=shares, t=t)
                 report = _replay_settlement(state, records, obj["settlement"])
             else:
-                state, record = _replay_trade(state, obj, len(records), running, version)
+                record = _logged_trade(obj, len(records), shares, t, running, version)
                 records.append(record)
-                running = obj["post"]
+                pending.append(lineno)
+                running, shares, t = obj["post"], record.post_shares, record.t
+                if len(pending) == block:
+                    verify()
         except KeyError as exc:
+            verify()
             raise LogConsistencyError(f"line {lineno}: missing field {exc}", len(records)) from exc
         except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+            verify()
             raise LogConsistencyError(f"line {lineno}: {exc}", len(records)) from exc
-    if state is None:
+    if opening is None:
         raise LogConsistencyError("empty log has no header", index=0)
+    verify()
+    if state is None:
+        state = replace(opening, shares=shares, t=t)
     return state, records, report

@@ -120,6 +120,15 @@ def test_batched_potentials_equal_the_scalar_formula_bit_for_bit():
         assert got_mass == np.sum(e / total * grid.widths)
     assert cost_function(shares[0], 0, HALF, grid) == amm._potentials(
         shares[:1], 0.5, grid.widths)[0][0]
+    # One level per row, as replay prices a block of records: each row is
+    # the one-row call at its own level.
+    levels = rng.uniform(0.05, 4.0, size=len(shares))
+    potential, dens, mass = amm._potentials(shares, levels, grid.widths)
+    for i, (row, level) in enumerate(zip(shares, levels)):
+        want = amm._potentials(row[None, :], float(level), grid.widths)
+        assert potential[i] == want[0][0]
+        assert dens[i].tobytes() == want[1][0].tobytes()
+        assert mass[i] == want[2][0]
 
 
 def test_prices_worked_values():
@@ -880,3 +889,103 @@ def test_replay_refuses_a_marker_constant_in_place_of_an_inventory(key, text, co
     got = replay_outcome(lines)
     assert got[0] == "refused" and got[2] == 1
     assert f"line 3: field '{key}' must be base64 text, not float" in got[1]
+
+
+# A 64-bin market whose level changes at every counter and jumps at two
+# resets. Replay verifies 256 of its rows per block, so 600 delta trades
+# fill two blocks and part of a third.
+LONG_SCHEDULE = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.999,
+                                 resets=((150, 2.0), (400, 0.5)))
+LONG_TRADES = 600
+
+
+@pytest.fixture(scope="module")
+def long_log(tmp_path_factory):
+    """Lines of a settled 600-trade delta log on LONG_SCHEDULE, and its records."""
+    rng = np.random.default_rng(31)
+    opening = state = open_market(STD, LONG_SCHEDULE, n_bins=64)
+    records = []
+    for j in range(LONG_TRADES):
+        state, rec = trade(state, rng.normal(scale=0.05, size=64), trader=f"t{j % 5}")
+        records.append(rec)
+    path = tmp_path_factory.mktemp("long") / "long.jsonl"
+    write_log(path, opening, records, settle(state, 0.3, records))
+    return path.read_text().splitlines(), records
+
+
+def with_cost_moved(lines, index):
+    """``lines`` with record ``index``'s cost moved by 1e-6."""
+    lines = list(lines)
+    record = json.loads(lines[index + 1])
+    record["cost"] += 1e-6
+    lines[index + 1] = json.dumps(record, sort_keys=True)
+    return lines
+
+
+def with_pre_one_ulp_off(lines, index):
+    """``lines`` with one value of record ``index``'s pre one ulp off."""
+    lines = list(lines)
+    record = json.loads(lines[index + 1])
+    pre = shares_of(record["pre"])
+    pre[7] = np.nextafter(pre[7], math.inf)
+    record["pre"] = shares_text(pre)
+    lines[index + 1] = json.dumps(record, sort_keys=True)
+    return lines
+
+
+def test_replay_verifies_a_long_log_in_blocks(long_log, monkeypatch):
+    lines, records = long_log
+    assert amm._BLOCK_ELEMENTS // 64 == 256
+    levels = {schedule_eval(LONG_SCHEDULE, r.t) for r in records}
+    assert len(levels) == LONG_TRADES
+    priced, states = [], []
+    potentials, post_init = amm._potentials, MarketState.__post_init__
+
+    def counting_potentials(shares, k, widths):
+        priced.append((len(shares), np.ndim(k)))
+        return potentials(shares, k, widths)
+
+    def counting_post_init(state):
+        states.append(state.t)
+        post_init(state)
+
+    monkeypatch.setattr(amm, "_potentials", counting_potentials)
+    monkeypatch.setattr(MarketState, "__post_init__", counting_post_init)
+    final, replayed, report = replay(lines)
+    # The header's state, one call per block with a level per row, and the
+    # final state: no MarketState per record.
+    assert priced == [(1, 0), (256, 1), (256, 1), (88, 1), (1, 0)]
+    assert states == [0, LONG_TRADES]
+    assert [r.cost for r in replayed] == [r.cost for r in records]
+    assert final.t == records[-1].t and np.array_equal(final.shares, records[-1].post_shares)
+    assert report == settle(final, 0.3, records)
+
+
+def test_replay_names_a_cost_fault_in_the_third_block(long_log):
+    lines, _ = long_log
+    index = 2 * 256 + 17
+    got = replay_outcome(with_cost_moved(lines, index))
+    assert got[0] == "refused" and got[2] == index
+    assert f"record {index}: line {index + 2}: logged cost" in got[1]
+
+
+@pytest.mark.parametrize("pre_at", (310, 520), ids=("same_block", "next_block"))
+def test_a_later_pre_fault_does_not_hide_an_earlier_cost_fault(pre_at, long_log):
+    lines, _ = long_log
+    alone = replay_outcome(with_pre_one_ulp_off(lines, pre_at))
+    assert alone[0] == "refused" and alone[2] == pre_at
+    assert f"line {pre_at + 2}: pre-trade inventory does not match" in alone[1]
+    got = replay_outcome(with_pre_one_ulp_off(with_cost_moved(lines, 300), pre_at))
+    assert got[0] == "refused" and got[2] == 300
+    assert "record 300: line 302: logged cost" in got[1]
+
+
+@pytest.mark.parametrize("version", (1, 2))
+def test_replayed_arrays_are_read_only_float64(version, tmp_path):
+    lines = delta_log(tmp_path, TOY_DELTAS)
+    final, records, _ = replay(as_version_1(lines) if version == 1 else lines)
+    arrays = [final.shares] + [a for r in records for a in (r.pre_shares, r.post_shares)]
+    for array in arrays:
+        assert array.dtype == np.float64 and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0

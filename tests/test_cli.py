@@ -4,10 +4,13 @@ import base64
 import csv
 import io
 import json
+import math
 import os
+import random
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,11 @@ from scoremech import (
     binned_self_score,
     game,
     nonpositivity_shift,
+    open_market,
     required_ratio_log,
+    settle,
+    trade,
+    write_log,
 )
 from scoremech.cli import _MAX_SAMPLES, cmd_simulate, main
 
@@ -248,6 +255,23 @@ def edit_inventory(obj, key, edit):
     obj[key] = base64.b64encode(raw).decode("ascii")
 
 
+def as_version_1(objs):
+    """The parsed lines of a version-2 log as version 1 wrote them:
+    inventories as JSON lists of numbers."""
+    objs[0]["version"] = 1
+    for obj in objs:
+        for key in ("s0", "pre", "post"):
+            if key in obj:
+                obj[key] = inventory_values(obj[key])
+    return objs
+
+
+def spelled_as_strings(obj, key):
+    """Give the entries of the version-1 inventory ``obj[key]`` as JSON
+    strings, which numpy would parse."""
+    obj[key] = [repr(v) for v in obj[key]]
+
+
 NAN_BITS = struct.pack("<d", float("nan"))
 INF_BITS = struct.pack("<d", float("-inf"))
 
@@ -294,6 +318,25 @@ MALFORMED_LOGS = {
     "header_k0_boolean": (1, lambda o: o[0]["schedule"].update(k0=True)),
 }
 
+# Fields that must be JSON numbers, given as something else: (line and field
+# named in the error, edit as above). Unchecked, most of them read as
+# numbers (a boolean as 0 or 1, a string through float() or numpy), and an
+# unsettled log holding one replays without error.
+NOT_NUMBERS = {
+    "cost_string": (2, "cost", lambda o: o[1].update(cost="0")),
+    "cost_boolean": (3, "cost", lambda o: o[2].update(cost=False)),
+    "affine_shift_boolean": (1, "affine_shift", lambda o: o[0].update(affine_shift=True)),
+    "prior_mean_boolean": (1, "mean", lambda o: o[0]["prior"].update(mean=False)),
+    "prior_precision_boolean": (1, "precision", lambda o: o[0]["prior"].update(precision=True)),
+    "prior_precision_string": (1, "precision", lambda o: o[0]["prior"].update(precision="1.0")),
+    "grid_lo_string": (1, "lo", lambda o: o[0]["grid"].update(lo=str(o[0]["grid"]["lo"]))),
+    "grid_hi_boolean": (1, "hi", lambda o: o[0]["grid"].update(hi=True)),
+    "v1_post_strings": (2, "post", lambda o: spelled_as_strings(as_version_1(o)[1], "post")),
+    "v1_pre_strings": (3, "pre", lambda o: spelled_as_strings(as_version_1(o)[2], "pre")),
+    "v1_s0_boolean_entry": (1, "s0", lambda o: as_version_1(o)[0]["s0"].__setitem__(0, True)),
+}
+MALFORMED_LOGS.update({case: (line, edit) for case, (line, _, edit) in NOT_NUMBERS.items()})
+
 
 # Version-2 inventories that replay refuses: (line and field named in the
 # error, edit as above).
@@ -332,6 +375,33 @@ def test_market_replay_malformed_log_exits_4(case, tmp_path, capsys):
     code, err = replay_edited_log(edit, tmp_path, capsys)
     assert code == 4
     assert err.startswith("consistency error:") and f"line {line}:" in err
+
+
+@pytest.mark.parametrize("settled", (True, False), ids=("settled", "unsettled"))
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+def test_market_replay_names_a_field_that_is_not_a_number(case, settled, tmp_path, capsys):
+    line, field, edit = NOT_NUMBERS[case]
+
+    def edit_log(objs):
+        edit(objs)
+        if not settled:
+            objs.pop()
+
+    code, err = replay_edited_log(edit_log, tmp_path, capsys)
+    assert code == 4
+    assert err.startswith("consistency error:") and f"line {line}: field {field!r}" in err
+
+
+def test_market_replay_names_the_first_faulty_line(tmp_path, capsys):
+    # Costs are verified a block at a time, after the fields of later lines
+    # are read; record 1's trader must not hide record 0's cost.
+    def edit(objs):
+        objs[1]["cost"] += 1e-6
+        objs[2]["trader"] = 5
+
+    code, err = replay_edited_log(edit, tmp_path, capsys)
+    assert code == 4
+    assert err.startswith("consistency error: record 0: line 2: logged cost")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INVENTORIES))
@@ -382,13 +452,55 @@ def test_version_2_log_carries_the_version_1_log(tmp_path, capsys):
                 "--log", str(log)], capsys)[0] == 0
     objs = [json.loads(line) for line in log.read_text().splitlines()]
     assert objs[0]["version"] == 2
-    objs[0]["version"] = 1
-    for obj in objs:
-        for key in ("s0", "pre", "post"):
-            if key in obj:
-                obj[key] = inventory_values(obj[key])
+    as_version_1(objs)
     v1_text = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
     assert v1_text == (FIXTURES / "market_v1_reset_settled.jsonl").read_text()
+
+
+# A version-2 log and its replay report, written by the code before replay
+# verified costs in blocks: 40 belief trades by five traders on 64 bins,
+# counters advancing by 1 or 2, a reset at counter 21 and a settlement.
+V2_LOG = "market_v2_multi_trader_settled"
+
+
+def write_v2_session(path):
+    """Write the session of the version-2 fixture log to ``path``."""
+    prior = NormalBelief(mean=0.3, precision=0.8)
+    schedule = DiscountSchedule(kind="piecewise", k0=1.0, resets=((21, 0.6),))
+    rng = random.Random(41)
+    opening = state = open_market(prior, schedule, n_bins=64, affine_shift=0.25)
+    records = []
+    for _ in range(40):
+        belief = NormalBelief(prior.mean + rng.gauss(0.0, 1.0) * prior.sigma,
+                              prior.precision * math.exp(rng.uniform(0.0, math.log(30.0))))
+        with warnings.catch_warnings():
+            # Sharp beliefs clip far-tail bins, which the log records.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            state, rec = trade(state, belief, trader=f"trader{rng.randrange(5)}",
+                               t=state.t + rng.choice((1, 1, 2)))
+        records.append(rec)
+    outcome = prior.mean + rng.gauss(0.0, 1.0) * prior.sigma
+    write_log(path, opening, records, settle(state, outcome, records))
+
+
+def test_market_replay_of_the_version_2_log_is_unchanged(tmp_path, capsys):
+    log = FIXTURES / f"{V2_LOG}.jsonl"
+    written = tmp_path / "session.jsonl"
+    write_v2_session(written)
+    assert written.read_bytes() == log.read_bytes()
+    out = tmp_path / "report.json"
+    assert run(["market", "replay", "--log", str(log), "--out", str(out)], capsys)[0] == 0
+    assert out.read_bytes() == (FIXTURES / f"{V2_LOG}.replay.json").read_bytes()
+
+    lines = log.read_text().splitlines()
+    record = json.loads(lines[30])
+    record["cost"] += 1e-6
+    lines[30] = json.dumps(record, sort_keys=True)
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("\n".join(lines) + "\n")
+    code, _, err = run(["market", "replay", "--log", str(tampered)], capsys)
+    assert code == 4
+    assert err.startswith("consistency error: record 29: line 31: logged cost")
 
 
 # Config text that json.load cannot take: bytes that are not UTF-8, and
