@@ -25,24 +25,33 @@ outlay telescope to the discounted final-vs-prior score difference.
 
 ``simulate_sessions`` runs many truthful sessions from one opening state on
 (sessions, bins) arrays. It shares the density and potential helpers with
-``trade`` and ``MarketState``, which call them on one row. ``replay`` reads
-a trade log one line at a time but verifies its costs in blocks: it prices
-the post-trade inventories of many records in one potential call, with one
-level k(t) per row, and still names the first faulty line. Every number it
-reads must be a JSON number; it takes no boolean or string for one.
+``trade`` and ``MarketState``, which call them on one row.
+
+A trade to a belief moves the market to that belief, as in Hanson's market
+scoring rule: the post-trade inventory is k(t) log(binned density) plus the
+potential before the trade. So the trade log (format version 3) records a
+belief trade by its belief (mean, precision) and only any other trade by its
+post-trade inventory. ``replay`` reads a log one line at a time but verifies
+it in blocks: it bins the beliefs of many records in one density call,
+rebuilds their inventories with ``trade``'s arithmetic bit for bit, and
+prices a block's inventories in one potential call, with one level k(t) per
+row and the potential before each rebuilt inventory guessed from the logged
+costs. It still names the first faulty line. Every number it reads must be
+a JSON number; it takes no boolean or string for one.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import bisect
 import functools
 import json
 import math
 import operator
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,7 +84,7 @@ __all__ = [
 ]
 
 _LOG_FORMAT = "scoremech-market-log"
-_LOG_VERSION = 2
+_LOG_VERSION = 3
 
 # Belief densities are clipped here before taking logs; zero density would
 # demand an infinite short position in the bin.
@@ -201,12 +210,24 @@ def _check_mass(mass: np.ndarray) -> None:
         raise NumericError("width-weighted prices failed to sum to 1")
 
 
+def _priced(state: MarketState, shares: np.ndarray, t: int, potential: float) -> MarketState:
+    """``replace(state, shares=shares, t=t)`` for a read-only float64
+    inventory whose potential C(shares, t) the caller has computed with
+    ``_potentials`` and checked as a MarketState does (finite shares, unit
+    price mass), so it is not priced a second time."""
+    moved = object.__new__(MarketState)
+    moved.__dict__.update(vars(state), shares=shares, t=t, potential=potential)
+    return moved
+
+
 @dataclass(frozen=True, eq=False)
 class TradeRecord:
     """One executed trade. ``cost`` always equals
     cost_function(post, t) - cost_function(pre, t_pre) with t_pre the
     counter of the preceding record (the opening counter for the first).
-    The share vectors are the read-only arrays of the two states."""
+    The share vectors are the read-only arrays of the two states.
+    ``belief`` is the belief a belief trade moved the market to, and None
+    for a share-delta trade."""
 
     t: int
     pre_shares: np.ndarray
@@ -214,6 +235,7 @@ class TradeRecord:
     cost: float
     trader: str
     clipped_bins: int = 0
+    belief: NormalBelief | None = None
 
 
 @dataclass(frozen=True)
@@ -227,9 +249,10 @@ class SettlementReport:
     loss_bound: float = 0.0
 
 
-def _binned_densities(means: np.ndarray, precision: float, grid: OutcomeGrid) -> np.ndarray:
+def _binned_densities(means: np.ndarray, precision, grid: OutcomeGrid) -> np.ndarray:
     """Per-bin densities (bin mass / bin width), shape (rows, n), of the
-    normal beliefs N(means[r], 1/precision).
+    normal beliefs N(means[r], 1/precision), with ``precision`` one value
+    for all rows or a (rows,) array of one value per row.
 
     A bin in the upper half of a belief (z_j + z_{j+1} > 0, z the
     standardized edges) takes its mass ndtr(-z_j) - ndtr(-z_{j+1}) from the
@@ -242,7 +265,8 @@ def _binned_densities(means: np.ndarray, precision: float, grid: OutcomeGrid) ->
     # Imported here so that the analytic commands never load scipy.special.
     from scipy.special import ndtr
 
-    z = (grid.edges - means[:, None]) * math.sqrt(precision)
+    # A correctly rounded square root, per row or once: the same bits.
+    z = (grid.edges - means[:, None]) * np.sqrt(np.reshape(precision, (-1, 1)))
     split = np.count_nonzero(z[:, :-1] + z[:, 1:] <= 0.0, axis=1)
     rows = np.flatnonzero(split < grid.n)
     at = split[rows]
@@ -257,13 +281,15 @@ def _binned_densities(means: np.ndarray, precision: float, grid: OutcomeGrid) ->
 
 
 def _log_densities(
-    means: np.ndarray, precision: float, grid: OutcomeGrid
+    means: np.ndarray, precision, grid: OutcomeGrid
 ) -> tuple[np.ndarray, np.ndarray]:
     """log of the binned densities floored at ``_DENSITY_FLOOR``, and the
-    number of floored bins of each row."""
+    number of floored bins of each row; ``precision`` as for
+    ``_binned_densities``. ``trade``, ``open_market``,
+    ``simulate_sessions`` and ``replay`` all bin beliefs here."""
     dens = _binned_densities(means, precision, grid)
     clipped = np.count_nonzero(dens < _DENSITY_FLOOR, axis=1)
-    return np.log(np.maximum(dens, _DENSITY_FLOOR)), clipped
+    return np.log(np.maximum(dens, _DENSITY_FLOOR, out=dens), out=dens), clipped
 
 
 def binned_density(belief: NormalBelief, grid: OutcomeGrid) -> np.ndarray:
@@ -396,9 +422,10 @@ def trade(
     if t_new < state.t:
         raise ValidationError(f"counter may not regress ({t_new} < {state.t})")
 
-    clipped = 0
+    clipped, belief = 0, None
     if isinstance(target, NormalBelief):
         post, clipped = _belief_target_shares(state, target, t_new)
+        belief = target
     else:
         delta = np.asarray(target, dtype=float)
         if delta.shape != (state.grid.n,):
@@ -415,6 +442,7 @@ def trade(
         cost=float(new_state.potential - state.potential),
         trader=str(trader),
         clipped_bins=clipped,
+        belief=belief,
     )
     return new_state, record
 
@@ -524,7 +552,7 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
             costs[rows, j] = post_potential - potential
             post_held = post[np.arange(at.size), at]
             nets.append(post_held - held)
-            finals.append(post[-1].copy())
+            finals.append((_read_only(post[-1].copy()), float(post_potential[-1])))
             held, potential = post_held, post_potential
         # settle's accounting, in its order: payouts per trader in record
         # order, their sum, and the collected costs.
@@ -540,9 +568,14 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
             RuntimeWarning,
             stacklevel=2,
         )
+    # The last session's states, priced and checked in its block.
+    single_belief = NormalBelief(float(single[-1]), model.tau_single)
+    pooled_belief = NormalBelief(float(pooled[-1]), model.tau_pool)
     state, records = opening, []
-    for j, (t, trader, shares) in enumerate(zip(counters, ("alice", "bob", "alice"), finals)):
-        post = replace(state, shares=shares, t=t)
+    for j, (t, trader, belief, (shares, potential)) in enumerate(zip(
+        counters, ("alice", "bob", "alice"), (single_belief, pooled_belief, pooled_belief), finals
+    )):
+        post = _priced(state, shares, t, potential)
         records.append(
             TradeRecord(
                 t=t,
@@ -551,6 +584,7 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
                 cost=float(costs[-1, j]),
                 trader=trader,
                 clipped_bins=int(clipped[-1, j]),
+                belief=belief,
             )
         )
         state = post
@@ -569,13 +603,17 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
 # Trade log serialization and replay.
 #
 # Line-delimited JSON: one header object, one object per trade, optionally
-# one settlement object as the last line. Format version 2 writes each
-# inventory (the header's ``s0``, each record's ``pre`` and ``post``) as
-# base64 text of its little-endian float64 bytes: the exact bit pattern, so
-# equal text is an equal inventory. Every other float is a JSON number,
-# which Python writes by repr and reads back exactly, so replaying a file
-# reproduces every cost check and report byte for byte. Version 1, which
-# wrote inventories as JSON lists of numbers, is still replayed.
+# one settlement object as the last line. Format version 3 logs a belief
+# trade by its belief, from which replay rebuilds the post-trade inventory
+# exactly as ``trade`` built it, and any other trade by its post-trade
+# inventory. No record logs its pre-trade inventory: that is the inventory
+# the record before it left. Inventories (the header's ``s0`` and a record's
+# ``post``) are base64 text of their little-endian float64 bytes: the exact
+# bit pattern. Every other float is a JSON number, which Python writes by
+# repr and reads back exactly, so replaying a file reproduces every cost
+# check and report byte for byte. Versions 1 and 2, which logged each
+# record's ``pre`` and ``post`` inventories (version 1 as JSON lists of
+# numbers, version 2 as base64 text), are still replayed.
 
 
 def _encode_shares(shares: np.ndarray) -> str:
@@ -586,7 +624,7 @@ def _encode_shares(shares: np.ndarray) -> str:
 def _decode_shares(value, key: str, n: int, version: int) -> np.ndarray:
     """Logged inventory ``value`` of field ``key`` as a read-only array of n
     finite floats: a JSON list of numbers in version 1, base64 float64 text
-    in version 2."""
+    in versions 2 and 3."""
     if version == 1:
         if not (isinstance(value, list) and all(map(_is_real, value))):
             raise TypeError(f"field {key!r} must be a list of finite JSON numbers")
@@ -623,15 +661,20 @@ def log_header(state: MarketState) -> dict:
 
 
 def record_to_json(index: int, rec: TradeRecord) -> dict:
-    return {
+    """Record number ``index``: a belief trade with its ``belief``, any
+    other trade with its ``post`` inventory."""
+    obj = {
         "i": index,
         "t": rec.t,
         "trader": rec.trader,
         "cost": rec.cost,
         "clipped_bins": rec.clipped_bins,
-        "pre": _encode_shares(rec.pre_shares),
-        "post": _encode_shares(rec.post_shares),
     }
+    if rec.belief is None:
+        obj["post"] = _encode_shares(rec.post_shares)
+    else:
+        obj["belief"] = {"mean": float(rec.belief.mean), "precision": float(rec.belief.precision)}
+    return obj
 
 
 def settlement_to_json(report: SettlementReport) -> dict:
@@ -654,7 +697,7 @@ def write_log(
     records: Sequence[TradeRecord],
     report: SettlementReport | None = None,
 ) -> None:
-    """Write a version-2 log: the header, one line per record and the
+    """Write a version-3 log: the header, one line per record and the
     settlement, if any. Each line is ``json.dumps`` of ``log_header``,
     ``record_to_json`` or ``settlement_to_json`` with sorted keys."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -687,7 +730,7 @@ def _opening_state(header: dict) -> tuple[MarketState, int]:
     if header.get("format") != _LOG_FORMAT:
         raise ValueError("missing market header")
     version = header.get("version")
-    if type(version) is not int or version not in (1, _LOG_VERSION):
+    if type(version) is not int or not 1 <= version <= _LOG_VERSION:
         raise ValueError(f"unsupported log version {version!r}")
     grid_rec, prior_rec = header["grid"], header["prior"]
     for key in ("lo", "hi"):
@@ -704,24 +747,63 @@ def _opening_state(header: dict) -> tuple[MarketState, int]:
     return state, version
 
 
+class _Logged(NamedTuple):
+    """A trade as read from line ``lineno``, before it is verified. ``post``
+    is its logged post-trade inventory, or None for a version-3 belief
+    trade, whose inventory replay rebuilds from ``belief``."""
+
+    lineno: int
+    t: int
+    cost: float
+    trader: str
+    clipped_bins: int
+    belief: NormalBelief | None
+    post: np.ndarray | None
+
+
+def _logged_belief(value) -> NormalBelief:
+    """The logged belief object ``value``: a finite mean and a positive,
+    finite precision, as JSON numbers."""
+    if not isinstance(value, dict):
+        raise TypeError(f"field 'belief' must be an object, not {type(value).__name__}")
+    mean = float(_log_real(value, "mean"))
+    precision = float(_log_real(value, "precision"))
+    if precision <= 0.0:
+        raise ValueError(f"field 'precision' must be positive, not {precision!r}")
+    return NormalBelief(mean, precision)
+
+
 def _logged_trade(
-    obj: dict, index: int, shares: np.ndarray, t_pre: int, running, version: int
-) -> TradeRecord:
-    """Logged trade number ``index`` from inventory ``shares`` at counter
-    ``t_pre``, which the log holds as the JSON value ``running``, with every
-    field checked but its cost, which ``_verify_costs`` recomputes. An
-    inventory whose value equals ``running`` is that inventory and is not
-    decoded; any other ``pre`` is decoded and compared with it by value."""
+    obj: dict, lineno: int, index: int, n: int, shares, t_pre: int, running, version: int
+) -> _Logged:
+    """Logged trade number ``index`` on an n-bin grid, read from line
+    ``lineno`` and checked field by field, after the trade that left
+    inventory ``shares`` at counter ``t_pre``. Its cost, and a belief
+    trade's clipped bins, are left to ``_verify_block``.
+
+    In versions 1 and 2 the running inventory is logged as the JSON value
+    ``running``: an inventory whose value equals ``running`` is that
+    inventory and is not decoded, and any other ``pre`` is decoded and
+    compared with it by value."""
     if _log_int(obj, "i") != index:
         raise ValueError(f"record number {obj['i']} is out of sequence")
     t_new = _log_int(obj, "t")
-    n = shares.size
-    pre, post = obj["pre"], obj["post"]
-    if pre != running and not np.array_equal(_decode_shares(pre, "pre", n, version), shares):
-        raise ValueError("pre-trade inventory does not match the running state")
-    if t_new < t_pre:
+    belief = None
+    if version < 3:
+        pre, post = obj["pre"], obj["post"]
+        if pre != running and not np.array_equal(_decode_shares(pre, "pre", n, version), shares):
+            raise ValueError("pre-trade inventory does not match the running state")
+        if t_new < t_pre:
+            raise ValueError("counter regressed")
+        post = shares if post == running else _decode_shares(post, "post", n, version)
+    elif t_new < t_pre:
         raise ValueError("counter regressed")
-    post_shares = shares if post == running else _decode_shares(post, "post", n, version)
+    elif "belief" not in obj:
+        post = _decode_shares(obj["post"], "post", n, version)
+    elif "post" in obj:
+        raise ValueError("field 'post' must be absent from a belief trade")
+    else:
+        belief, post = _logged_belief(obj["belief"]), None
     cost = float(_log_real(obj, "cost"))
     trader = obj["trader"]
     if not isinstance(trader, str):
@@ -729,43 +811,98 @@ def _logged_trade(
     clipped = _log_int(obj, "clipped_bins") if "clipped_bins" in obj else 0
     if clipped < 0:
         raise ValueError(f"field 'clipped_bins' must be non-negative, not {clipped}")
-    return TradeRecord(
-        t=t_new,
-        pre_shares=shares,
-        post_shares=post_shares,
-        cost=cost,
-        trader=trader,
-        clipped_bins=clipped,
-    )
+    return _Logged(lineno, t_new, cost, trader, clipped, belief, post)
 
 
-def _verify_costs(
-    opening: MarketState, records: Sequence[TradeRecord], linenos: Sequence[int], potential: float
-) -> float:
-    """Verify the last ``len(linenos)`` of ``records``, logged on ``linenos``,
-    with one ``_potentials`` call on their stacked post-trade inventories at
-    one level k(t) per row; ``potential`` is C of the inventory before the
-    first. Each row gets a MarketState's price-mass check (its shares are
-    already finite), and its cost C(post, t) - C(pre, t_pre) is compared
-    with the logged one within 1e-10. Raises LogConsistencyError naming the
-    first faulty record; returns C of the last post-trade inventory."""
-    start = len(records) - len(linenos)
-    block = records[start:]
-    levels = np.array([schedule_eval(opening.schedule, r.t) for r in block])
-    posts = np.array([r.post_shares for r in block])
-    potentials, _, mass = _potentials(posts, levels, opening.grid.widths)
-    costs = potentials - np.concatenate(([potential], potentials[:-1]))
-    bad_mass = np.abs(mass - 1.0) > _MASS_TOL
-    faulty = bad_mass | ~(np.abs(costs - [r.cost for r in block]) <= _COST_TOL)
+def _verify_block(
+    opening: MarketState, block: Sequence[_Logged], start: int, shares: np.ndarray,
+    potential: float,
+) -> tuple[list[TradeRecord], float]:
+    """Verify the logged trades ``block``, record numbers ``start`` on, which
+    trade from inventory ``shares`` of potential C = ``potential``. Returns
+    their TradeRecords and C of the last post-trade inventory.
+
+    The beliefs are binned in one ``_log_densities`` call. A belief
+    trade's inventory is rebuilt as ``trade`` builds it, k(t) log(density)
+    plus C of the inventory before it, so it needs the potential of the row
+    before. Those Cs are guessed as the C before the block plus the logged
+    costs since, and the rows are priced in one ``_potentials`` call at one
+    level k(t) per row. The rows before the first rebuilt row whose guess
+    differs from the computed C in any bit are exact; from that row on they
+    are rebuilt and priced again. ``trade``'s costs nearly always add up
+    bit for bit, so a block takes one call; costs that never do take one
+    call per row.
+
+    Each row gets a MarketState's checks (finite shares, price mass 1
+    within 1e-10), its cost C(post, t) - C(pre, t_pre) is compared with the
+    logged one within 1e-10, and a belief trade's clipped bins must equal
+    the logged count. Raises LogConsistencyError naming the first faulty
+    record. A non-finite intermediate value fails a check instead of
+    warning."""
+    grid, rows = opening.grid, len(block)
+    levels = np.array([schedule_eval(opening.schedule, entry.t) for entry in block])
+    logged_costs = [entry.cost for entry in block]
+    logged_clips = [entry.clipped_bins for entry in block]
+    posts = [entry.post for entry in block]
+    rebuilt = [row for row, post in enumerate(posts) if post is None]
+    potentials, mass = np.empty(rows), np.empty(rows)
+    clips, broken = np.array(logged_clips), rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rebuilt:
+            log_dens, clips[rebuilt] = _log_densities(
+                np.array([block[row].belief.mean for row in rebuilt]),
+                np.array([block[row].belief.precision for row in rebuilt]),
+                grid,
+            )
+        first, before, end = 0, potential, 0
+        while end < rows and broken == rows:
+            # C before each row from ``first`` on, guessed from the logged costs.
+            guess = np.cumsum([before, *logged_costs[first:-1]])
+            j = bisect.bisect_left(rebuilt, first)
+            todo, finite = rebuilt[j:], []
+            if todo:
+                built = np.multiply(levels[todo, None], log_dens[j:])
+                built += guess[np.subtract(todo, first), None]
+                for row, post in zip(todo, _read_only(built)):
+                    posts[row] = post
+                finite = np.isfinite(built).all(axis=1).tolist()
+            stacked = built if len(todo) == rows - first else np.array(posts[first:])
+            potentials[first:], _, mass[first:] = _potentials(stacked, levels[first:], grid.widths)
+            end = next((row for row in todo if row > first
+                        and guess[row - first].tobytes() != potentials[row - 1].tobytes()), rows)
+            broken = next((row for row, ok in zip(todo, finite) if row < end and not ok), rows)
+            first, before = end, potentials[end - 1]
+        costs = potentials - np.concatenate(([potential], potentials[:-1]))
+        bad_mass = np.abs(mass - 1.0) > _MASS_TOL
+        bad_cost = ~(np.abs(costs - logged_costs) <= _COST_TOL)
+    misclipped = clips != logged_clips
+    faulty = misclipped | bad_mass | bad_cost | (np.arange(rows) == broken)
     if faulty.any():
         row = int(faulty.argmax())
-        if bad_mass[row]:
+        if misclipped[row]:
+            message = (f"field 'clipped_bins' is {logged_clips[row]}, but the belief clips "
+                       f"{clips[row]} bins")
+        elif row == broken:
+            message = "field 'belief' rebuilds an inventory that is not finite"
+        elif bad_mass[row]:
             message = "width-weighted prices failed to sum to 1"
         else:
             cost = float(costs[row])
             message = f"logged cost {block[row].cost!r} differs from recomputed {cost!r}"
-        raise LogConsistencyError(f"line {linenos[row]}: {message}", start + row)
-    return float(potentials[-1])
+        raise LogConsistencyError(f"line {block[row].lineno}: {message}", start + row)
+    records = []
+    for entry, post in zip(block, posts):
+        records.append(TradeRecord(
+            t=entry.t,
+            pre_shares=shares,
+            post_shares=post,
+            cost=entry.cost,
+            trader=entry.trader,
+            clipped_bins=entry.clipped_bins,
+            belief=entry.belief,
+        ))
+        shares = post
+    return records, float(potentials[-1])
 
 
 def _replay_settlement(
@@ -787,48 +924,63 @@ def replay(
 ) -> tuple[MarketState, list[TradeRecord], SettlementReport | None]:
     """Re-execute a trade log, verifying it is self-consistent.
 
-    Reads log format versions 1 and 2, as the header's ``version`` says;
+    Reads log format versions 1, 2 and 3, as the header's ``version`` says;
     each line is parsed by one ``json.loads``. Checks per record that its
-    number ``i`` is its position, the pre-inventory equals the running
-    inventory exactly, the counter does not regress, and the logged cost
-    matches the recomputed C(post, t) - C(pre, t_pre) within 1e-10; and
-    that a settlement, if any, is the last non-blank line and equals the
-    settlement recomputed at its outcome in every field exactly. Counters,
-    record numbers and clipped-bin counts must be JSON integers (not
-    booleans; clipped bins at least 0) and traders strings. Costs, the
-    grid's ``lo`` and ``hi``, the prior's fields, ``affine_shift``, the
+    number ``i`` is its position, the counter does not regress, in versions
+    1 and 2 the pre-inventory equals the running inventory exactly, in
+    version 3 a belief trade's clipped-bin count equals the one its belief
+    gives, and the logged cost matches the recomputed C(post, t) -
+    C(pre, t_pre) within 1e-10; and that a settlement, if any, is the last
+    non-blank line and equals the settlement recomputed at its outcome in
+    every field exactly. A version-3 belief trade's post-trade inventory is
+    rebuilt from its belief with ``trade``'s arithmetic, bit for bit.
+    Counters, record numbers and clipped-bin counts must be JSON integers
+    (not booleans; clipped bins at least 0) and traders strings. Costs, the
+    grid's ``lo`` and ``hi``, the prior's fields, ``affine_shift``, a
+    belief's ``mean`` and ``precision`` (which must be positive), the
     settlement's outcome and the entries of version-1 inventories must be
-    JSON numbers that a finite float holds, not booleans or strings. Every
-    inventory must hold ``n`` finite values; in version 2 it must be valid,
-    padded base64 of 8 * ``n`` bytes. Any inconsistent or malformed line (a
-    fractional counter, text nested too deeply to parse or a bytes line that
-    is not UTF-8 included) raises LogConsistencyError naming the line and
-    the number of records verified before it. Returns the final state, the
-    verified records, and the recomputed settlement when the log carries
-    one.
+    JSON numbers that a finite float holds, not booleans or strings. A
+    version-3 record holds a ``belief`` object or a ``post`` inventory, not
+    both. Every inventory must hold ``n`` finite values; in versions 2 and 3
+    it must be valid, padded base64 of 8 * ``n`` bytes. Any inconsistent or
+    malformed line (a fractional counter, text nested too deeply to parse or
+    a bytes line that is not UTF-8 included) raises LogConsistencyError
+    naming the line and the number of records verified before it. Returns
+    the final state, the verified records, and the recomputed settlement
+    when the log carries one.
 
-    Each line's fields are checked as it is read. Costs and price mass are
-    verified in blocks of at most ``_BLOCK_ELEMENTS`` inventory elements,
-    one potential call per block, with the floating-point operations of one
+    Each line's fields are checked as it is read. Records are verified in
+    blocks of at most ``_BLOCK_ELEMENTS`` inventory elements (see
+    ``_verify_block``), with the floating-point operations of one
     MarketState per record. Every record read before line L is verified
     before an error from line L is raised, so the first faulty line is the
-    one named, with the same record index. An inventory is decoded only when
-    its logged value differs from the running inventory's: a ``pre`` that
-    repeats it, as ``write_log`` writes it, is that inventory, and any other
-    ``pre`` is compared by value.
+    one named, with the same record index. In versions 1 and 2 an inventory
+    is decoded only when its logged value differs from the running
+    inventory's: a ``pre`` that repeats it is that inventory, and any other
+    ``pre`` is compared by value. The final state reuses the potential
+    verified in the last block.
     """
-    opening, state, records, report = None, None, [], None
-    # The header's format version, the logged value of the running inventory,
-    # C of the last verified inventory, and the lines of the records read
-    # but not verified yet.
-    version, running, potential, pending = None, None, None, []
+    opening, report, records = None, None, []
+    # The header's format version; the logged value of the running inventory
+    # (versions 1 and 2 repeat it as the next ``pre``); the inventory and
+    # counter the last record read left, the inventory None when a version-3
+    # belief trade left it; C of the last verified inventory; and the
+    # records read but not verified yet.
+    version, running, shares, t, potential, pending = None, None, None, None, None, []
 
     def verify() -> None:
         nonlocal potential
         if pending:
-            linenos = pending.copy()
+            entries = pending.copy()
             pending.clear()
-            potential = _verify_costs(opening, records, linenos, potential)
+            before = records[-1].post_shares if records else opening.shares
+            verified, potential = _verify_block(opening, entries, len(records), before, potential)
+            records.extend(verified)
+
+    def final_state() -> MarketState:
+        if not records:
+            return opening
+        return _priced(opening, records[-1].post_shares, records[-1].t, potential)
 
     for lineno, line in enumerate(lines, 1):
         try:
@@ -848,13 +1000,14 @@ def replay(
                 raise ValueError("the settlement must be the last line")
             elif "settlement" in obj:
                 verify()
-                state = replace(opening, shares=shares, t=t)
-                report = _replay_settlement(state, records, obj["settlement"])
+                report = _replay_settlement(final_state(), records, obj["settlement"])
             else:
-                record = _logged_trade(obj, len(records), shares, t, running, version)
-                records.append(record)
-                pending.append(lineno)
-                running, shares, t = obj["post"], record.post_shares, record.t
+                index = len(records) + len(pending)
+                entry = _logged_trade(
+                    obj, lineno, index, opening.grid.n, shares, t, running, version
+                )
+                pending.append(entry)
+                running, shares, t = obj.get("post"), entry.post, entry.t
                 if len(pending) == block:
                     verify()
         except KeyError as exc:
@@ -866,6 +1019,4 @@ def replay(
     if opening is None:
         raise LogConsistencyError("empty log has no header", index=0)
     verify()
-    if state is None:
-        state = replace(opening, shares=shares, t=t)
-    return state, records, report
+    return final_state(), records, report

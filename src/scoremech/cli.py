@@ -386,10 +386,22 @@ def cmd_discount(rule: ScoringRule, model: SignalModel, out: str | None) -> dict
         report["discount_effective"] = True
         report["k_min_numeric"] = k_numeric
         if rule is ScoringRule.LOGARITHMIC:
-            report["k_min_analytic"] = required_ratio_log(model)
+            try:
+                report["k_min_analytic"] = required_ratio_log(model)
+            except ZeroDivisionError as exc:
+                raise NumericError(f"k_min_analytic: {exc} in float64") from exc
     except DiscountIneffectiveError as exc:
         report["discount_effective"] = False
         report["reason"] = str(exc)
+    # At |rho| = 1 no shift is safe under the quadratic rule: margin -inf.
+    bad = [
+        f"{key} = {report[key]!r}"
+        for key in ("margin", "k_min_numeric", "k_min_analytic")
+        if key in report and not math.isfinite(report[key])
+        and not (key == "margin" and model.degenerate)
+    ]
+    if bad:
+        raise NumericError(f"float64 cannot evaluate this model: {', '.join(bad)}")
     _emit_report(report, out)
     return report
 

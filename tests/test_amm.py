@@ -1,15 +1,16 @@
 """Discounted log market maker: pricing, trades, settlement, replay."""
 
-import base64
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
 import oracles
+from log_versions import as_version_1, shares_of, shares_text, v2_lines, write_v2_log
 from scoremech import (
     DiscountSchedule,
     LogConsistencyError,
@@ -481,12 +482,13 @@ def test_replay_detects_tampering(tmp_path):
     assert err.value.index == 1
     assert "record 1" in str(err.value)
 
-    bad_pre = json.loads(lines[2])
+    v2 = v2_lines(state, [r1, r2])
+    bad_pre = json.loads(v2[2])
     pre = shares_of(bad_pre["pre"])
     pre[5] += 1e-9
     bad_pre["pre"] = shares_text(pre)
     with pytest.raises(LogConsistencyError):
-        replay([lines[0], lines[1], json.dumps(bad_pre, sort_keys=True)])
+        replay([v2[0], v2[1], json.dumps(bad_pre, sort_keys=True)])
 
     with pytest.raises(LogConsistencyError):
         replay(["not json"])
@@ -547,8 +549,8 @@ def test_simulate_sessions_rows_equal_the_trade_chain(which, schedule, n_bins):
     for got, want in zip(batch.records, records):
         assert got.pre_shares.tobytes() == want.pre_shares.tobytes()
         assert got.post_shares.tobytes() == want.post_shares.tobytes()
-        assert (got.t, got.trader, got.cost, got.clipped_bins) == (
-            want.t, want.trader, want.cost, want.clipped_bins)
+        assert (got.t, got.trader, got.cost, got.clipped_bins, got.belief) == (
+            want.t, want.trader, want.cost, want.clipped_bins, want.belief)
         assert not got.post_shares.flags.writeable
     assert batch.records[0].post_shares is batch.records[1].pre_shares
     assert batch.settlement == report
@@ -629,38 +631,22 @@ def test_write_log_lines_equal_json_dumps(tmp_path):
         lines = path.read_text().splitlines()
         assert lines == reference_log_lines(opening, records, report)
         header = json.loads(lines[0])
-        assert header["version"] == 2
+        assert header["version"] == 3
         assert shares_of(header["s0"]).tobytes() == opening.shares.tobytes()
         for line, rec in zip(lines[1:], records):
             logged = json.loads(line)
-            assert shares_of(logged["pre"]).tobytes() == rec.pre_shares.tobytes()
-            assert shares_of(logged["post"]).tobytes() == rec.post_shares.tobytes()
+            assert "pre" not in logged
+            if rec.belief is None:
+                assert "belief" not in logged
+                assert shares_of(logged["post"]).tobytes() == rec.post_shares.tobytes()
+            else:
+                assert "post" not in logged
+                assert logged["belief"] == {"mean": rec.belief.mean,
+                                            "precision": rec.belief.precision}
 
 
 def draw_world_floats(model):
     return (x.item() for x in draw_worlds(model, 23, 1))
-
-
-def shares_text(values):
-    """Version-2 log text of an inventory."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
-def shares_of(text):
-    """The inventory that version-2 log text holds."""
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
-
-
-def as_version_1(lines):
-    """A version-2 log's lines as version 1 wrote them: inventories as JSON
-    lists of numbers."""
-    objs = [json.loads(line) for line in lines]
-    objs[0]["version"] = 1
-    for obj in objs:
-        for key in ("s0", "pre", "post"):
-            if key in obj:
-                obj[key] = shares_of(obj[key]).tolist()
-    return [json.dumps(obj, sort_keys=True) for obj in objs]
 
 
 @pytest.mark.parametrize("n_bins", (128, 512, 4096))
@@ -697,14 +683,15 @@ def test_shares_codec_keeps_every_bit_of_extreme_values():
 
 
 def delta_log(tmp_path, deltas, traders="abc"):
-    """Lines of a chained delta-trade log on the toy grid, with a settlement."""
+    """Lines of a chained delta-trade log on the toy grid, with a settlement,
+    as version 2 wrote it: these tests check how replay reads each ``pre``."""
     state = opening = toy_state()
     records = []
     for delta, trader in zip(deltas, traders):
         state, rec = trade(state, delta, trader=trader)
         records.append(rec)
     path = tmp_path / "toy.jsonl"
-    write_log(path, opening, records, settle(state, 0.5, records))
+    write_v2_log(path, opening, records, settle(state, 0.5, records))
     return path.read_text().splitlines()
 
 
@@ -834,13 +821,11 @@ def test_replay_of_a_line_holding_a_marker_constant(trader, tmp_path):
     assert got[0] == "accepted" and got[2][1][4] == trader
 
 
-def test_replay_decodes_each_inventory_once(tmp_path, monkeypatch):
+def test_replay_decodes_each_inventory_once(monkeypatch):
     model, _ = SESSION_MODELS[0]
     opening = open_market(NormalBelief(model.c0, model.tau_c), FLAT, n_bins=64)
     records, report = scalar_session(opening, model, *draw_world_floats(model))
-    path = tmp_path / "session.jsonl"
-    write_log(path, opening, records, report)
-    lines = path.read_text().splitlines()
+    lines = v2_lines(opening, records, report)
     decoded, parsed = [], []
     decode_shares, loads = amm._decode_shares, json.loads
 
@@ -900,24 +885,23 @@ LONG_TRADES = 600
 
 
 @pytest.fixture(scope="module")
-def long_log(tmp_path_factory):
-    """Lines of a settled 600-trade delta log on LONG_SCHEDULE, and its records."""
+def long_log():
+    """Lines of a settled 600-trade version-2 delta log on LONG_SCHEDULE,
+    and its records."""
     rng = np.random.default_rng(31)
     opening = state = open_market(STD, LONG_SCHEDULE, n_bins=64)
     records = []
     for j in range(LONG_TRADES):
         state, rec = trade(state, rng.normal(scale=0.05, size=64), trader=f"t{j % 5}")
         records.append(rec)
-    path = tmp_path_factory.mktemp("long") / "long.jsonl"
-    write_log(path, opening, records, settle(state, 0.3, records))
-    return path.read_text().splitlines(), records
+    return v2_lines(opening, records, settle(state, 0.3, records)), records
 
 
-def with_cost_moved(lines, index):
-    """``lines`` with record ``index``'s cost moved by 1e-6."""
+def with_cost_moved(lines, index, by=1e-6):
+    """``lines`` with record ``index``'s cost moved by ``by``."""
     lines = list(lines)
     record = json.loads(lines[index + 1])
-    record["cost"] += 1e-6
+    record["cost"] += by
     lines[index + 1] = json.dumps(record, sort_keys=True)
     return lines
 
@@ -952,10 +936,10 @@ def test_replay_verifies_a_long_log_in_blocks(long_log, monkeypatch):
     monkeypatch.setattr(amm, "_potentials", counting_potentials)
     monkeypatch.setattr(MarketState, "__post_init__", counting_post_init)
     final, replayed, report = replay(lines)
-    # The header's state, one call per block with a level per row, and the
-    # final state: no MarketState per record.
-    assert priced == [(1, 0), (256, 1), (256, 1), (88, 1), (1, 0)]
-    assert states == [0, LONG_TRADES]
+    # The header's state and one call per block with a level per row: no
+    # MarketState per record, and the final state is not priced again.
+    assert priced == [(1, 0), (256, 1), (256, 1), (88, 1)]
+    assert states == [0]
     assert [r.cost for r in replayed] == [r.cost for r in records]
     assert final.t == records[-1].t and np.array_equal(final.shares, records[-1].post_shares)
     assert report == settle(final, 0.3, records)
@@ -989,3 +973,164 @@ def test_replayed_arrays_are_read_only_float64(version, tmp_path):
         assert array.dtype == np.float64 and not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1.0
+
+
+@st.composite
+def version_3_sessions(draw):
+    """A session as ``write_log`` logs it: belief trades, the sharpest of
+    which clip bins, and share-delta trades, at counters that repeat or
+    skip, on 2 to 4,096 bins under a piecewise schedule with a reset,
+    settled or not. Returns the opening state, the state before each trade,
+    the final state, the records and the settlement."""
+    n_bins = draw(st.integers(2, 4096))
+    prior = NormalBelief(draw(st.floats(-5.0, 5.0)), 10.0 ** draw(st.floats(-1.0, 2.0)))
+    reset = (draw(st.integers(1, 12)), draw(st.floats(0.2, 3.0)))
+    schedule = DiscountSchedule(kind="piecewise", k0=draw(st.floats(0.5, 2.0)), resets=(reset,))
+    opening = state = open_market(prior, schedule, n_bins=n_bins)
+    states, records = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.booleans()):
+            target = NormalBelief(prior.mean + draw(st.floats(-4.0, 4.0)) * prior.sigma,
+                                  prior.precision * 10.0 ** draw(st.floats(0.0, 4.0)))
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            target = rng.normal(scale=draw(st.floats(0.0, 2.0)), size=n_bins)
+        states.append(state)
+        with warnings.catch_warnings():
+            # Sharp beliefs clip far-tail bins, which the records count.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            state, rec = trade(state, target, trader=draw(st.sampled_from("abc")),
+                               t=state.t + draw(st.integers(0, 3)))
+        records.append(rec)
+    report = None
+    if draw(st.booleans()):
+        report = settle(state, prior.mean + draw(st.floats(-12.0, 12.0)) * prior.sigma, records)
+    return opening, states, state, records, report
+
+
+@pytest.fixture(scope="module")
+def log_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("logs")
+
+
+@given(session=version_3_sessions(), data=st.data())
+def test_version_3_replay_rebuilds_the_written_records_bit_for_bit(session, data, log_dir):
+    opening, states, state, records, report = session
+    path = log_dir / "session.jsonl"
+    write_log(path, opening, records, report)
+    lines = path.read_text().splitlines()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        final, replayed, replayed_report = replay(lines)
+    assert replayed_report == report
+    assert (final.t, final.potential) == (state.t, state.potential)
+    assert final.shares.tobytes() == state.shares.tobytes()
+    assert len(replayed) == len(records)
+    for got, want in zip(replayed, records):
+        assert (got.t, got.trader, got.cost, got.clipped_bins, got.belief) == (
+            want.t, want.trader, want.cost, want.clipped_bins, want.belief)
+        assert got.pre_shares.tobytes() == want.pre_shares.tobytes()
+        assert got.post_shares.tobytes() == want.post_shares.tobytes()
+        assert not got.post_shares.flags.writeable
+    # The same session as version 2 logged it replays to the same outcome.
+    assert_same_outcome(replay_outcome(v2_lines(opening, records, report)),
+                        replay_outcome(lines))
+
+    index = data.draw(st.integers(0, len(records) - 1), label="index")
+    got = replay_outcome(with_cost_moved(lines, index, 1e-9))
+    assert got[0] == "refused" and got[2] == index
+    assert f"record {index}: line {index + 2}: logged cost" in got[1]
+
+    belief = records[index].belief
+    if belief is not None:
+        # A mean moved across a grid edge moves the belief's tail mass, and
+        # with it the cost, which replay recomputes from the logged mean.
+        edge = data.draw(st.sampled_from((opening.grid.lo, opening.grid.hi)), label="edge")
+        moved = edge + data.draw(st.floats(-2.0, 2.0), label="sigmas") * belief.sigma
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, moved_rec = trade(states[index], NormalBelief(moved, belief.precision),
+                                 t=records[index].t)
+        edited = list(lines)
+        obj = json.loads(edited[index + 1])
+        obj["belief"]["mean"] = moved
+        edited[index + 1] = json.dumps(obj, sort_keys=True)
+        if abs(moved_rec.cost - records[index].cost) > amm._COST_TOL:
+            got = replay_outcome(edited)
+            assert got[0] == "refused" and got[2] == index
+            assert f"record {index}: line {index + 2}: " in got[1]
+
+
+def counting_potentials(monkeypatch):
+    """Record (rows, ndim of the level) of every ``amm._potentials`` call."""
+    priced, potentials = [], amm._potentials
+
+    def counting(shares, k, widths):
+        priced.append((len(shares), np.ndim(k)))
+        return potentials(shares, k, widths)
+
+    monkeypatch.setattr(amm, "_potentials", counting)
+    return priced
+
+
+def test_verified_states_are_not_priced_again(monkeypatch, tmp_path):
+    model, shift = SESSION_MODELS[1]
+    opening = open_market(NormalBelief(model.c0, model.tau_c), SESSION_SCHEDULES[2],
+                          n_bins=4096, affine_shift=shift)
+    priced = counting_potentials(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        batch = simulate_sessions(opening, model, draw_worlds(model, 3, 6))
+    # Three trades per block of four 4,096-bin sessions, and nothing after:
+    # the last session's states reuse the potentials of their block.
+    assert priced == [(4, 0)] * 3 + [(2, 0)] * 3
+
+    path = tmp_path / "session.jsonl"
+    write_log(path, opening, batch.records, batch.settlement)
+    verify_block = amm._verify_block
+
+    def marking(*args):
+        verified = verify_block(*args)
+        priced.append("verified")
+        return verified
+
+    monkeypatch.setattr(amm, "_verify_block", marking)
+    del priced[:]
+    final, records, report = replay(path.read_text().splitlines())
+    # The header's state, then the block's three rebuilt inventories in one
+    # call, its guessed potentials all right; the final state reuses the
+    # last one's potential.
+    assert priced == [(1, 0), (3, 1), "verified"]
+    assert report == batch.settlement
+    assert final.potential == MarketState(
+        grid=final.grid, shares=final.shares, t=final.t, schedule=final.schedule,
+        prior=final.prior, affine_shift=final.affine_shift).potential
+
+
+def test_replay_rebuilds_beliefs_exactly_when_the_costs_do_not_add_up(monkeypatch, tmp_path):
+    # Belief and delta trades in one 64-bin block, each logged cost moved by
+    # 1e-13: within the cost tolerance, but every potential guessed from the
+    # costs is wrong, so each call confirms one more row.
+    state = opening = open_market(STD, SESSION_SCHEDULES[1], n_bins=64)
+    records = []
+    for target in (NormalBelief(0.3, 2.0), np.ones(64), NormalBelief(-0.2, 5.0),
+                   NormalBelief(0.1, 40.0), -np.ones(64), NormalBelief(0.0, 1.5)):
+        with warnings.catch_warnings():
+            # The sharpest belief clips far-tail bins.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            state, rec = trade(state, target, trader="m")
+        records.append(rec)
+    path = tmp_path / "session.jsonl"
+    write_log(path, opening, records)
+    lines = path.read_text().splitlines()
+    for index in range(len(records)):
+        lines = with_cost_moved(lines, index, 1e-13)
+    priced = counting_potentials(monkeypatch)
+    final, replayed, _ = replay(lines)
+    # Rebuilt rows 2, 3 and 5 follow a wrong guess, so the calls start at
+    # rows 0, 2, 3 and 5.
+    assert priced == [(1, 0), (6, 1), (4, 1), (3, 1), (1, 1)]
+    assert final.shares.tobytes() == state.shares.tobytes()
+    assert [r.post_shares.tobytes() for r in replayed] == [
+        r.post_shares.tobytes() for r in records]
+    assert [r.cost for r in replayed] == [r.cost + 1e-13 for r in records]

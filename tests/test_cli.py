@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from log_versions import as_version_2, write_v2_log
 from scoremech import (
     DiscountSchedule,
     NormalBelief,
@@ -297,7 +298,7 @@ MALFORMED_LOGS = {
     "settlement_tampered_loss_and_payee": (5, lambda o: o[4]["settlement"].update(
         maker_loss=123.0, payouts={"mallory": 1e6})),
     "settlement_duplicated": (6, lambda o: o.append(o[4])),
-    "header_version_3": (1, lambda o: o[0].update(version=3)),
+    "header_version_4": (1, lambda o: o[0].update(version=4)),
     "trade_after_settlement": (6, lambda o: o.append(dict(
         o[3], i=3, trader="mallory", pre=o[3]["post"], cost=0.0))),
     "outcome_bin_tampered": (5, lambda o: o[4]["settlement"].update(
@@ -352,15 +353,20 @@ MALFORMED_INVENTORIES = {
 }
 
 
-def replay_edited_log(edit, tmp_path, capsys):
-    """Exit code and stderr of replaying a three-trade log after ``edit``."""
+def replay_edited_log(edit, tmp_path, capsys, version=2):
+    """Exit code and stderr of replaying a three-trade log after ``edit``:
+    the log ``market simulate`` writes, or for ``version`` 2 the same
+    session as version 2 wrote it."""
     cfg = market_config(tmp_path)
     log = tmp_path / "session.jsonl"
     code, _, _ = run(
         ["market", "simulate", "--config", cfg, "--samples", "2",
          "--log", str(log)], capsys)
     assert code == 0
-    objs = [json.loads(text) for text in log.read_text().splitlines()]
+    lines = log.read_text().splitlines()
+    if version == 2:
+        lines = as_version_2(lines)
+    objs = [json.loads(text) for text in lines]
     edit(objs)
     log.write_bytes(b"".join(
         (obj if isinstance(obj, bytes) else json.dumps(obj).encode()) + b"\n" for obj in objs))
@@ -412,6 +418,49 @@ def test_market_replay_malformed_inventory_exits_4(case, tmp_path, capsys):
     assert err.startswith("consistency error:") and f"line {line}: field {field!r}" in err
 
 
+# Version-3 belief trades that replay refuses: (line and field named in the
+# error, edit of the parsed lines of the three-trade log as market simulate
+# writes it).
+MALFORMED_BELIEFS = {
+    "mean_nan": (2, "mean", lambda o: o[1]["belief"].update(mean=float("nan"))),
+    "mean_infinite": (3, "mean", lambda o: o[2]["belief"].update(mean=float("-inf"))),
+    "mean_string": (2, "mean", lambda o: o[1]["belief"].update(mean="0.5")),
+    "mean_missing": (4, "mean", lambda o: o[3]["belief"].pop("mean")),
+    "precision_zero": (3, "precision", lambda o: o[2]["belief"].update(precision=0.0)),
+    "precision_negative": (4, "precision", lambda o: o[3]["belief"].update(precision=-3.0)),
+    "precision_boolean": (2, "precision", lambda o: o[1]["belief"].update(precision=True)),
+    "belief_not_object": (3, "belief", lambda o: o[2].update(belief=[0.0, 1.0])),
+    "belief_and_post": (2, "post", lambda o: o[1].update(post=o[0]["s0"])),
+    "neither_belief_nor_post": (3, "post", lambda o: o[2].pop("belief")),
+    "clipped_bins_wrong": (3, "clipped_bins", lambda o: o[2].update(clipped_bins=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BELIEFS))
+def test_market_replay_malformed_belief_exits_4(case, tmp_path, capsys):
+    line, field, edit = MALFORMED_BELIEFS[case]
+    code, err = replay_edited_log(edit, tmp_path, capsys, version=3)
+    assert code == 4
+    assert err.startswith(f"consistency error: record {line - 2}: line {line}: ")
+    assert f"field {field!r}" in err
+
+
+def test_versions_2_and_3_of_a_session_replay_alike(tmp_path, capsys):
+    cfg = market_config(tmp_path)
+    log, v2_log = tmp_path / "session.jsonl", tmp_path / "session_v2.jsonl"
+    assert run(["market", "simulate", "--config", cfg, "--samples", "2",
+                "--log", str(log)], capsys)[0] == 0
+    lines = log.read_text().splitlines()
+    assert all("belief" in json.loads(line) for line in lines[1:4])
+    v2_log.write_text("".join(line + "\n" for line in as_version_2(lines)))
+    reports = []
+    for path in (log, v2_log):
+        out = tmp_path / f"{path.stem}.replay.json"
+        assert run(["market", "replay", "--log", str(path), "--out", str(out)], capsys)[0] == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 # Version-1 logs (inventories as JSON lists of numbers) and their replay
 # reports, written by the code before version 2: a market simulate session
 # under a piecewise schedule with a reset, settled; three belief trades,
@@ -444,13 +493,14 @@ def test_market_replay_of_version_1_logs_is_unchanged(name, tmp_path, capsys):
 
 
 def test_version_2_log_carries_the_version_1_log(tmp_path, capsys):
-    # The same session written today, its inventories put back as JSON
-    # lists, is the version-1 fixture byte for byte.
+    # The same session written today as version 2 wrote it, from the records
+    # that the replay of today's log rebuilds, with its inventories put back
+    # as JSON lists, is the version-1 fixture byte for byte.
     cfg = write_config(tmp_path, V1_RESET_MARKET)
     log = tmp_path / "session.jsonl"
     assert run(["market", "simulate", "--config", cfg, "--samples", "1", "--seed", "3",
                 "--log", str(log)], capsys)[0] == 0
-    objs = [json.loads(line) for line in log.read_text().splitlines()]
+    objs = [json.loads(line) for line in as_version_2(log.read_text().splitlines())]
     assert objs[0]["version"] == 2
     as_version_1(objs)
     v1_text = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
@@ -459,12 +509,15 @@ def test_version_2_log_carries_the_version_1_log(tmp_path, capsys):
 
 # A version-2 log and its replay report, written by the code before replay
 # verified costs in blocks: 40 belief trades by five traders on 64 bins,
-# counters advancing by 1 or 2, a reset at counter 21 and a settlement.
+# counters advancing by 1 or 2, a reset at counter 21 and a settlement. The
+# version-3 log of the same session, and its replay report, which is the
+# version-2 log's byte for byte.
 V2_LOG = "market_v2_multi_trader_settled"
+V3_LOG = "market_v3_multi_trader_settled"
 
 
-def write_v2_session(path):
-    """Write the session of the version-2 fixture log to ``path``."""
+def multi_trader_session():
+    """The opening state, records and settlement of the fixture session."""
     prior = NormalBelief(mean=0.3, precision=0.8)
     schedule = DiscountSchedule(kind="piecewise", k0=1.0, resets=((21, 0.6),))
     rng = random.Random(41)
@@ -480,13 +533,13 @@ def write_v2_session(path):
                                t=state.t + rng.choice((1, 1, 2)))
         records.append(rec)
     outcome = prior.mean + rng.gauss(0.0, 1.0) * prior.sigma
-    write_log(path, opening, records, settle(state, outcome, records))
+    return opening, records, settle(state, outcome, records)
 
 
 def test_market_replay_of_the_version_2_log_is_unchanged(tmp_path, capsys):
     log = FIXTURES / f"{V2_LOG}.jsonl"
     written = tmp_path / "session.jsonl"
-    write_v2_session(written)
+    write_v2_log(written, *multi_trader_session())
     assert written.read_bytes() == log.read_bytes()
     out = tmp_path / "report.json"
     assert run(["market", "replay", "--log", str(log), "--out", str(out)], capsys)[0] == 0
@@ -501,6 +554,33 @@ def test_market_replay_of_the_version_2_log_is_unchanged(tmp_path, capsys):
     code, _, err = run(["market", "replay", "--log", str(tampered)], capsys)
     assert code == 4
     assert err.startswith("consistency error: record 29: line 31: logged cost")
+
+
+def test_market_replay_of_the_version_3_log_is_unchanged(tmp_path, capsys):
+    log = FIXTURES / f"{V3_LOG}.jsonl"
+    written = tmp_path / "session.jsonl"
+    write_log(written, *multi_trader_session())
+    assert written.read_bytes() == log.read_bytes()
+    out = tmp_path / "report.json"
+    assert run(["market", "replay", "--log", str(log), "--out", str(out)], capsys)[0] == 0
+    assert out.read_bytes() == (FIXTURES / f"{V3_LOG}.replay.json").read_bytes()
+    assert out.read_bytes() == (FIXTURES / f"{V2_LOG}.replay.json").read_bytes()
+
+    # A belief trade is cashless wherever its belief lies inside the grid,
+    # so a mean moved there changes no cost and only the settlement shows
+    # it; a mean moved onto the grid's edge loses half the belief's mass and
+    # changes its own cost.
+    lines = log.read_text().splitlines()
+    hi = json.loads(lines[0])["grid"]["hi"]
+    for mean, refused in ((0.5, "record 40: line 42: settlement maker_loss"),
+                          (hi, "record 29: line 31: logged cost")):
+        record = json.loads(lines[30])
+        record["belief"]["mean"] = mean
+        tampered = tmp_path / "tampered.jsonl"
+        tampered.write_text("\n".join(lines[:30] + [json.dumps(record)] + lines[31:]) + "\n")
+        code, _, err = run(["market", "replay", "--log", str(tampered)], capsys)
+        assert code == 4
+        assert err.startswith(f"consistency error: {refused}")
 
 
 # Config text that json.load cannot take: bytes that are not UTF-8, and
@@ -840,9 +920,24 @@ HOSTILE_CONFIGS = {
     "lost_shift": (
         ("simulate",), {"model": {"tau_a": 1, "tau_b": 1, "tau_c": 1e-300, "rho": 0.5}},
         "c = -4"),
+    # The log rule's closed-form ratio in float64 once divided by zero (a
+    # traceback), and once printed "k_min_analytic": NaN and "margin":
+    # -Infinity with exit 0.
+    "k_min_analytic_divides_by_zero": (
+        ("discount_log",),
+        {"model": {"tau_a": 1.0907e-227, "tau_b": 1.1536e-227, "tau_c": 2.0250e-252,
+                   "rho": 0.69944}},
+        "k_min_analytic"),
+    "margin_not_finite": (
+        ("discount_log",), {"model": {"tau_a": 1e300, "tau_b": 1e-300, "tau_c": 1, "rho": 0.5}},
+        "margin"),
 }
 # The cases that are numeric failures (exit 3) rather than config errors.
-NUMERIC_HOSTILE = {"simulate_lost_shift"}
+NUMERIC_HOSTILE = {
+    "simulate_lost_shift",
+    "discount_log_k_min_analytic_divides_by_zero",
+    "discount_log_margin_not_finite",
+}
 _CONFIG_COMMANDS = {
     "simulate": ["simulate", "--samples", "100"],
     "market": ["market", "simulate", "--samples", "2"],
