@@ -18,10 +18,12 @@ Posteriors are reported as NormalBelief values:
 Because all updates are linear-Gaussian, a shift c in Alice's reported signal
 moves each posterior mean by a model constant times c and never changes
 posterior precisions. `SignalModel` derives both precisions and both
-constants once, as the cached properties ``tau_single``, ``tau_pool``,
-``alpha_g`` and ``alpha_h``, and writes both posterior means once, as
-``single_mean`` and ``pair_mean`` (which also take arrays of signals);
-every other module reads them from there.
+constants once, when it is built, as ``tau_single``, ``tau_pool``,
+``alpha_g`` and ``alpha_h``. They are cached properties, so that at
+|rho| = 1 the pooled two raise when read rather than when the model is
+built. It writes both posterior means once, as ``single_mean`` and
+``pair_mean`` (which also take arrays of signals); every other module
+reads them from there.
 """
 
 from __future__ import annotations
@@ -75,6 +77,12 @@ class SignalModel:
             raise ValidationError("prior precision tau_c must be >= 0")
         if not -1.0 <= self.rho <= 1.0:
             raise ValidationError(f"rho must lie in [-1, 1], got {self.rho}")
+        # Storing the derived values in the instance dict shadows their
+        # cached properties, whose first read takes a lock. At |rho| = 1 the
+        # pooled ones stay lazy, so that reading them still raises.
+        derived = _SINGLE_DERIVED if self.degenerate else _DERIVED
+        for name, value_of in derived:
+            self.__dict__[name] = value_of(self)
 
     @property
     def degenerate(self) -> bool:
@@ -130,6 +138,15 @@ class SignalModel:
         Raises DegenerateCorrelationError at |rho| = 1."""
         wa, wb, wc, denom = self._pair_weights
         return (wa * a0 + wb * b0 + wc * self.c0) / denom
+
+
+# SignalModel's cached properties and their functions, each after the ones
+# it reads; the pooled three follow the single-signal two.
+_DERIVED = tuple(
+    (name, SignalModel.__dict__[name].func)
+    for name in ("tau_single", "alpha_g", "_pair_weights", "tau_pool", "alpha_h")
+)
+_SINGLE_DERIVED = _DERIVED[:2]
 
 
 def posterior_single(model: SignalModel, a0: float) -> NormalBelief:

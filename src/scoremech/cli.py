@@ -410,15 +410,14 @@ def cmd_discount(rule: ScoringRule, model: SignalModel, out: str | None) -> dict
 # simulate
 
 
-def _mechanism_comparison(scenario: game.Scenario, worlds) -> dict:
-    return {
-        mech: {e: float(v.mean()) for e, v in sorted(payoffs.items())}
-        for mech, payoffs in game.compare_mechanisms(scenario, worlds).items()
-    }
-
-
 def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tuple[dict, bool]:
-    """Run the scenario's Monte-Carlo checks; returns (report, agreement)."""
+    """Run the scenario's Monte-Carlo checks; returns (report, agreement).
+
+    The worlds are drawn once and scored once. The gain curve uses all
+    ``samples`` of them; the mechanism comparison is the curve's c = 0
+    arm, which is what ``game.compare_mechanisms`` of the truthful
+    scenario pays, averaged over the first min(samples, 2000) worlds.
+    """
     _require_samples(samples)
     model = _model_from(config.get("model", {}), "scenario")
     rule = _rule_from(config.get("rule", "log"))
@@ -436,7 +435,9 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
     # Overflow at a huge shift is caught from the non-finite results below.
     with np.errstate(over="ignore", invalid="ignore"):
         worlds = game.draw_worlds(model, seed, samples)
-        estimates = game.deviation_curve(model, rule, schedule, c_grid, worlds)
+        estimates, truthful = game._curve_and_truthful_sequence(
+            model, rule, schedule, c_grid, worlds
+        )
     for c, (mc_mean, mc_se) in zip(c_grid, estimates):
         analytic = game.analytic_gain(model, rule, schedule, c)
         gap_scale = max(mc_se, 1e-12)
@@ -463,9 +464,17 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
             }
         )
     best = game.best_response(model, rule, schedule)
-    scenario = game.Scenario(model=model, rule=rule, schedule=schedule)
-    # The mechanisms compare on the curve's first min(samples, 2000) worlds.
-    mech_worlds = tuple(w[:_MECHANISM_WORLDS] for w in worlds)
+    truthful = [(t, e, s[:_MECHANISM_WORLDS]) for t, e, s in truthful]
+    rows = [
+        (mech, expert, payoff)
+        for mech in game._MECHANISMS
+        for expert, payoff in game._payoffs(mech, truthful, schedule).items()
+    ]
+    # One reduction over the stacked rows gives each row's own mean exactly.
+    means = np.stack([payoff for _, _, payoff in rows]).mean(axis=1).tolist()
+    mechanisms: dict[str, dict[str, float]] = {}
+    for (mech, expert, _), mean in zip(rows, means):
+        mechanisms.setdefault(mech, {})[expert] = mean
     report = {
         "schema": "scoremech-simulate v1",
         "rule": rule.value,
@@ -490,7 +499,7 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
             "gain": best.gain,
             "bound_hit": best.bound_hit,
         },
-        "mechanisms": _mechanism_comparison(scenario, mech_worlds),
+        "mechanisms": mechanisms,
         "agreement": agreement,
     }
     _emit_report(report, out)

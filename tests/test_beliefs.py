@@ -1,5 +1,7 @@
 """Belief aggregation against dense linear-algebra conditioning oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,8 @@ from scoremech import (
     DegenerateCorrelationError,
     SignalModel,
     ValidationError,
+    classify_log,
+    classify_quadratic,
     posterior_pair,
     posterior_single,
 )
@@ -80,13 +84,42 @@ def test_independent_signals_reduce_to_precision_weighting_exactly():
     assert post.mean == (3.0 * a0 + 0.5 * b0 + 2.0 * (-1.0)) / denom
 
 
+SINGLE_DERIVED = ("tau_single", "alpha_g")
+POOLED_DERIVED = ("_pair_weights", "tau_pool", "alpha_h")
+
+
+def lazy_copy(model):
+    """The model's fields on an instance that skipped ``__post_init__``, so
+    each derived value is computed by its cached property when read."""
+    lazy = object.__new__(SignalModel)
+    lazy.__dict__.update(
+        (f.name, getattr(model, f.name)) for f in dataclasses.fields(SignalModel))
+    return lazy
+
+
+@given(precisions, precisions, st.floats(min_value=0.0, max_value=100.0), rhos)
+def test_derived_values_are_built_with_the_model_bit_for_bit(ta, tb, tc, rho):
+    model = SignalModel(tau_a=ta, tau_b=tb, tau_c=tc, rho=rho)
+    names = SINGLE_DERIVED + POOLED_DERIVED
+    built = [model.__dict__[name] for name in names]
+    lazy = lazy_copy(model)
+    # repr tells every float apart, -0.0 from 0.0 included.
+    assert repr(built) == repr([getattr(lazy, name) for name in names])
+
+
 def test_degenerate_correlation_raises():
     for rho in (1.0, -1.0):
         model = SignalModel(tau_a=2.0, tau_b=1.0, rho=rho)
+        for name in SINGLE_DERIVED:
+            assert repr(model.__dict__[name]) == repr(getattr(lazy_copy(model), name))
+        assert not classify_log(model).globally_truthful
+        assert classify_quadratic(model).margin == -np.inf
         with pytest.raises(DegenerateCorrelationError):
             posterior_pair(model, 1.0, 0.0)
-        with pytest.raises(DegenerateCorrelationError):
-            model.alpha_h
+        for name in POOLED_DERIVED:
+            assert name not in model.__dict__
+            with pytest.raises(DegenerateCorrelationError):
+                getattr(model, name)
 
 
 @given(precisions, precisions, precisions, rhos, signals, signals,

@@ -13,6 +13,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from log_versions import as_version_2, write_v2_log
@@ -31,7 +32,7 @@ from scoremech import (
     trade,
     write_log,
 )
-from scoremech.cli import _MAX_SAMPLES, cmd_simulate, main
+from scoremech.cli import _DEFAULT_C_GRID, _MAX_SAMPLES, cmd_simulate, main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -796,30 +797,39 @@ def test_simulate_draws_its_worlds_once(monkeypatch):
 
 @pytest.mark.parametrize("rule", ("log", "quadratic"))
 def test_simulate_scores_c_free_predictions_once(rule, monkeypatch):
-    # The curve scores the prior and the final report once and its nine
-    # arms as one block; the three mechanisms share one c = 0 sequence.
-    calls = []
+    # The prior and the correction once, and the first and pooled reports
+    # of the nine arms as one block; the mechanisms reuse the c = 0 arm.
+    shapes = []
     score = game._score
 
     def counted(*args):
-        calls.append(args[0])
+        shapes.append(np.shape(args[1]))
         return score(*args)
 
-    config = _simulate_config(rule, "reset")
     monkeypatch.setattr(game, "_score", counted)
-    report, _ = cmd_simulate(config, 500, 7, os.devnull)
-    assert len(calls) <= 8
-    monkeypatch.undo()
+    cmd_simulate(_simulate_config(rule, "reset"), 500, 7, os.devnull)
+    assert shapes == [(), (500,), (9, 500), (9, 500)]
+
+
+# 1,821 worlds split the nine arms over two blocks, 2,001 leave the
+# mechanisms fewer worlds than the curve, and 16,385 give each arm a block.
+@pytest.mark.parametrize("samples", (2, 500, 1821, 2001, 16385))
+@pytest.mark.parametrize("rule", ("log", "quadratic"))
+def test_simulate_report_equals_the_public_batch_paths(rule, samples):
+    config = _simulate_config(rule, "reset")
+    report, _ = cmd_simulate(config, samples, 7, os.devnull)
 
     model = SignalModel(**SIMULATE_MODEL)
-    scenario = game.Scenario(
-        model=model, rule=ScoringRule(report["rule"]),
-        schedule=DiscountSchedule.from_config(config["schedule"]))
-    worlds = tuple(w[:2000] for w in game.draw_worlds(model, 7, 500))
-    assert set(report["mechanisms"]) == {"group", "single", "discounted_msr"}
-    for mech, means in report["mechanisms"].items():
-        payoffs = game.run_mechanism_batch(mech, scenario, worlds)
-        assert means == {e: float(v.mean()) for e, v in sorted(payoffs.items())}
+    schedule = DiscountSchedule.from_config(config["schedule"])
+    scenario = game.Scenario(model=model, rule=ScoringRule(report["rule"]), schedule=schedule)
+    worlds = game.draw_worlds(model, 7, samples)
+    curve = game.deviation_curve(model, scenario.rule, schedule, _DEFAULT_C_GRID, worlds)
+    assert [(p["mc_mean"], p["mc_std_error"]) for p in report["gain_curve"]] == curve
+    compared = game.compare_mechanisms(scenario, tuple(w[:2000] for w in worlds))
+    assert report["mechanisms"] == {
+        mech: {e: float(v.mean()) for e, v in payoffs.items()}
+        for mech, payoffs in compared.items()
+    }
 
 
 def test_classify_grid_dimension_holds_up_to_its_cap(capsys):
