@@ -23,9 +23,11 @@ Markets open at the prior: the initial inventory is k(0) log(binned prior
 density), which makes the opening potential zero and the maker's total
 outlay telescope to the discounted final-vs-prior score difference.
 
-``simulate_sessions`` runs many truthful sessions from one opening state on
-(sessions, bins) arrays. It shares the density and potential helpers with
-``trade`` and ``MarketState``, which call them on one row.
+One market step prices and checks every inventory on (rows, bins) arrays:
+finite shares, and a width-weighted price mass of 1 within 1e-10, which a
+NaN mass fails. ``simulate_sessions`` runs it on blocks of sessions and
+``replay`` on blocks of records; ``trade``, ``cost_function`` and
+``MarketState`` are its one-row case.
 
 A trade to a belief moves the market to that belief, as in Hanson's market
 scoring rule: the post-trade inventory is k(t) log(binned density) plus the
@@ -34,7 +36,7 @@ belief trade by its belief (mean, precision) and only any other trade by its
 post-trade inventory. ``replay`` reads a log one line at a time but verifies
 it in blocks: it bins the beliefs of many records in one density call,
 rebuilds their inventories with ``trade``'s arithmetic bit for bit, and
-prices a block's inventories in one potential call, with one level k(t) per
+prices a block's inventories in one step, with one level k(t) per
 row and the potential before each rebuilt inventory guessed from the logged
 costs. It still names the first faulty line. Every number it reads must be
 a JSON number; it takes no boolean or string for one.
@@ -50,7 +52,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -187,8 +189,6 @@ class MarketState:
         object.__setattr__(self, "shares", shares)
         if shares.shape != (self.grid.n,):
             raise ValidationError("share vector length must match the grid")
-        if not np.isfinite(shares).all():
-            raise ValidationError("shares must be finite")
         if self.t < 0:
             raise ValidationError("counter must be non-negative")
         if not math.isfinite(self.affine_shift):
@@ -200,21 +200,14 @@ class MarketState:
                 f"grid must span the prior mean +/- {_COVER_SIGMAS:g} standard deviations"
             )
         k = schedule_eval(self.schedule, self.t)
-        potential, _, mass = _potentials(shares[None, :], k, self.grid.widths)
-        _check_mass(mass)
+        potential = _checked_step(shares[None, :], k, self.grid.widths)
         object.__setattr__(self, "potential", float(potential[0]))
 
 
-def _check_mass(mass: np.ndarray) -> None:
-    if np.any(np.abs(mass - 1.0) > _MASS_TOL):
-        raise NumericError("width-weighted prices failed to sum to 1")
-
-
 def _priced(state: MarketState, shares: np.ndarray, t: int, potential: float) -> MarketState:
-    """``replace(state, shares=shares, t=t)`` for a read-only float64
-    inventory whose potential C(shares, t) the caller has computed with
-    ``_potentials`` and checked as a MarketState does (finite shares, unit
-    price mass), so it is not priced a second time."""
+    """``state`` moved to the read-only float64 inventory ``shares`` at
+    counter t, whose potential C(shares, t) the caller has computed and
+    checked with ``_step``, so it is not priced a second time."""
     moved = object.__new__(MarketState)
     moved.__dict__.update(vars(state), shares=shares, t=t, potential=potential)
     return moved
@@ -329,6 +322,38 @@ def _potentials(shares: np.ndarray, k, widths: np.ndarray):
     return k * (top + log_total), dens, np.sum(dens * widths, axis=1)
 
 
+def _step(post: np.ndarray, k, widths: np.ndarray):
+    """The market step: C(post, t) of each row of ``post`` (rows, n) at
+    level k = k(t), one scalar or one per row, and a MarketState's checks as
+    two flags per row: finite shares, and price mass within 1e-10 of 1 (a
+    NaN mass, as from an s / k that overflows, fails), without warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        potential, _, mass = _potentials(post, k, widths)
+        return potential, np.isfinite(post).all(axis=1), np.abs(mass - 1.0) <= _MASS_TOL
+
+
+def _checked_step(post: np.ndarray, k, widths: np.ndarray) -> np.ndarray:
+    """``_step``'s potentials, raising ValidationError when a row's shares
+    are not finite and NumericError when its price mass is not 1 or its
+    potential overflows."""
+    potential, finite, unit_mass = _step(post, k, widths)
+    if not finite.all():
+        raise ValidationError("shares must be finite")
+    if not unit_mass.all():
+        raise NumericError("width-weighted prices failed to sum to 1")
+    if not np.isfinite(potential).all():
+        raise NumericError("the potential C(post, t) overflows")
+    return potential
+
+
+def _belief_inventories(k, log_dens: np.ndarray, before) -> np.ndarray:
+    """Hanson's rule: k(t) log(binned density) + C before the trade moves
+    the prices to the belief of each row of ``log_dens`` at the pure
+    re-pricing cost. An overflow is left for ``_step`` to flag."""
+    with np.errstate(over="ignore"):
+        return k * log_dens + before
+
+
 def cost_function(
     shares: Sequence[float], t: int, schedule: DiscountSchedule, grid: OutcomeGrid
 ) -> float:
@@ -336,10 +361,7 @@ def cost_function(
     s = np.asarray(shares, dtype=float)
     if s.shape != (grid.n,):
         raise ValidationError("share vector length must match the grid")
-    if not np.all(np.isfinite(s)):
-        raise ValidationError("shares must be finite")
-    potential, _, _ = _potentials(s[None, :], schedule_eval(schedule, t), grid.widths)
-    return float(potential[0])
+    return float(_checked_step(s[None, :], schedule_eval(schedule, t), grid.widths)[0])
 
 
 def prices(state: MarketState) -> np.ndarray:
@@ -370,37 +392,15 @@ def open_market(
     it, and ``potential`` is computed once for all of them.
     """
     grid = OutcomeGrid.from_prior(prior, n=n_bins)
-    k0 = schedule_eval(schedule, 0)
     log_dens, _ = _log_densities(np.array([prior.mean]), prior.precision, grid)
     return MarketState(
         grid=grid,
-        shares=k0 * log_dens[0],
+        shares=_belief_inventories(schedule_eval(schedule, 0), log_dens[0], 0.0),
         t=0,
         schedule=schedule,
         prior=prior,
         affine_shift=affine_shift,
     )
-
-
-def _belief_target_shares(
-    state: MarketState, belief: NormalBelief, t_new: int
-) -> tuple[np.ndarray, int]:
-    """Share vector moving the price curve to the belief's binned density.
-
-    shares = k(t_new) log density + gamma with gamma the pre-trade
-    potential, which keeps the trade's cash cost at the pure re-pricing
-    level (zero for an exactly unit-mass target).
-    """
-    log_dens, clipped = _log_densities(np.array([belief.mean]), belief.precision, state.grid)
-    clipped = int(clipped[0])
-    if clipped:
-        warnings.warn(
-            f"belief density clipped to {_DENSITY_FLOOR:g} on {clipped} bins",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    k_new = schedule_eval(state.schedule, t_new)
-    return k_new * log_dens[0] + state.potential, clipped
 
 
 def trade(
@@ -422,9 +422,15 @@ def trade(
     if t_new < state.t:
         raise ValidationError(f"counter may not regress ({t_new} < {state.t})")
 
+    k_new = schedule_eval(state.schedule, t_new)
     clipped, belief = 0, None
     if isinstance(target, NormalBelief):
-        post, clipped = _belief_target_shares(state, target, t_new)
+        log_dens, clips = _log_densities(np.array([target.mean]), target.precision, state.grid)
+        clipped = int(clips[0])
+        if clipped:
+            warnings.warn(f"belief density clipped to {_DENSITY_FLOOR:g} on {clipped} bins",
+                          RuntimeWarning, stacklevel=2)
+        post = _belief_inventories(k_new, log_dens[0], state.potential)
         belief = target
     else:
         delta = np.asarray(target, dtype=float)
@@ -434,12 +440,13 @@ def trade(
             raise ValidationError("share delta must be finite")
         post = state.shares + delta
 
-    new_state = replace(state, shares=post, t=t_new)
+    potential = float(_checked_step(post[None, :], k_new, state.grid.widths)[0])
+    new_state = _priced(state, _read_only(post), t_new, potential)
     record = TradeRecord(
         t=t_new,
         pre_shares=state.shares,
         post_shares=new_state.shares,
-        cost=float(new_state.potential - state.potential),
+        cost=float(potential - state.potential),
         trader=str(trader),
         clipped_bins=clipped,
         belief=belief,
@@ -515,8 +522,8 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
     evaluated on (block, n) arrays of at most ``_BLOCK_ELEMENTS`` elements,
     whatever the number of sessions, with the same floating-point
     operations in the same order, so each row equals its chain exactly.
-    Every row passes the checks a MarketState makes (finite shares, unit
-    price mass). The pooled belief is binned once for both of its trades.
+    Every row passes the market step's checks (finite shares, unit price
+    mass). The pooled belief is binned once for both of its trades.
     Clipped belief bins are counted per trade, and one RuntimeWarning
     reports their total.
     """
@@ -544,11 +551,8 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
         potential = np.full(at.size, opening.potential)
         nets, finals = [], []
         for j, (k, log_dens) in enumerate(zip(levels, (log_single, log_pooled, log_pooled))):
-            post = k * log_dens + potential[:, None]
-            if not np.isfinite(post).all():
-                raise ValidationError("shares must be finite")
-            post_potential, _, mass = _potentials(post, k, grid.widths)
-            _check_mass(mass)
+            post = _belief_inventories(k, log_dens, potential[:, None])
+            post_potential = _checked_step(post, k, grid.widths)
             costs[rows, j] = post_potential - potential
             post_held = post[np.arange(at.size), at]
             nets.append(post_held - held)
@@ -826,15 +830,15 @@ def _verify_block(
     trade's inventory is rebuilt as ``trade`` builds it, k(t) log(density)
     plus C of the inventory before it, so it needs the potential of the row
     before. Those Cs are guessed as the C before the block plus the logged
-    costs since, and the rows are priced in one ``_potentials`` call at one
+    costs since, and the rows are priced in one ``_step`` call at one
     level k(t) per row. The rows before the first rebuilt row whose guess
     differs from the computed C in any bit are exact; from that row on they
     are rebuilt and priced again. ``trade``'s costs nearly always add up
     bit for bit, so a block takes one call; costs that never do take one
     call per row.
 
-    Each row gets a MarketState's checks (finite shares, price mass 1
-    within 1e-10), its cost C(post, t) - C(pre, t_pre) is compared with the
+    Each row gets the step's checks (finite shares, price mass 1 within
+    1e-10), its cost C(post, t) - C(pre, t_pre) is compared with the
     logged one within 1e-10, and a belief trade's clipped bins must equal
     the logged count. Raises LogConsistencyError naming the first faulty
     record. A non-finite intermediate value fails a check instead of
@@ -845,8 +849,9 @@ def _verify_block(
     logged_clips = [entry.clipped_bins for entry in block]
     posts = [entry.post for entry in block]
     rebuilt = [row for row, post in enumerate(posts) if post is None]
-    potentials, mass = np.empty(rows), np.empty(rows)
-    clips, broken = np.array(logged_clips), rows
+    potentials = np.empty(rows)
+    finite, unit_mass = np.ones(rows, dtype=bool), np.ones(rows, dtype=bool)
+    clips = np.array(logged_clips)
     with np.errstate(over="ignore", invalid="ignore"):
         if rebuilt:
             log_dens, clips[rebuilt] = _log_densities(
@@ -855,53 +860,45 @@ def _verify_block(
                 grid,
             )
         first, before, end = 0, potential, 0
-        while end < rows and broken == rows:
+        # Rows before ``end`` are final; a non-finite one ends the block.
+        while end < rows and finite[:end].all():
             # C before each row from ``first`` on, guessed from the logged costs.
             guess = np.cumsum([before, *logged_costs[first:-1]])
             j = bisect.bisect_left(rebuilt, first)
-            todo, finite = rebuilt[j:], []
+            todo = rebuilt[j:]
             if todo:
-                built = np.multiply(levels[todo, None], log_dens[j:])
-                built += guess[np.subtract(todo, first), None]
-                for row, post in zip(todo, _read_only(built)):
+                built = _read_only(_belief_inventories(
+                    levels[todo, None], log_dens[j:], guess[np.subtract(todo, first), None]))
+                for row, post in zip(todo, built):
                     posts[row] = post
-                finite = np.isfinite(built).all(axis=1).tolist()
             stacked = built if len(todo) == rows - first else np.array(posts[first:])
-            potentials[first:], _, mass[first:] = _potentials(stacked, levels[first:], grid.widths)
+            potentials[first:], finite[first:], unit_mass[first:] = _step(
+                stacked, levels[first:], grid.widths)
             end = next((row for row in todo if row > first
                         and guess[row - first].tobytes() != potentials[row - 1].tobytes()), rows)
-            broken = next((row for row, ok in zip(todo, finite) if row < end and not ok), rows)
             first, before = end, potentials[end - 1]
         costs = potentials - np.concatenate(([potential], potentials[:-1]))
-        bad_mass = np.abs(mass - 1.0) > _MASS_TOL
         bad_cost = ~(np.abs(costs - logged_costs) <= _COST_TOL)
     misclipped = clips != logged_clips
-    faulty = misclipped | bad_mass | bad_cost | (np.arange(rows) == broken)
+    faulty = misclipped | ~finite | ~unit_mass | bad_cost
     if faulty.any():
         row = int(faulty.argmax())
         if misclipped[row]:
             message = (f"field 'clipped_bins' is {logged_clips[row]}, but the belief clips "
                        f"{clips[row]} bins")
-        elif row == broken:
+        elif not finite[row]:
             message = "field 'belief' rebuilds an inventory that is not finite"
-        elif bad_mass[row]:
+        elif not unit_mass[row]:
             message = "width-weighted prices failed to sum to 1"
         else:
             cost = float(costs[row])
             message = f"logged cost {block[row].cost!r} differs from recomputed {cost!r}"
         raise LogConsistencyError(f"line {block[row].lineno}: {message}", start + row)
-    records = []
-    for entry, post in zip(block, posts):
-        records.append(TradeRecord(
-            t=entry.t,
-            pre_shares=shares,
-            post_shares=post,
-            cost=entry.cost,
-            trader=entry.trader,
-            clipped_bins=entry.clipped_bins,
-            belief=entry.belief,
-        ))
-        shares = post
+    records = [
+        TradeRecord(t=entry.t, pre_shares=pre, post_shares=post, cost=entry.cost,
+                    trader=entry.trader, clipped_bins=entry.clipped_bins, belief=entry.belief)
+        for entry, pre, post in zip(block, [shares, *posts[:-1]], posts)
+    ]
     return records, float(potentials[-1])
 
 

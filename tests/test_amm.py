@@ -15,6 +15,7 @@ from scoremech import (
     DiscountSchedule,
     LogConsistencyError,
     MarketState,
+    NumericError,
     NormalBelief,
     OutcomeGrid,
     ScoringRule,
@@ -50,6 +51,20 @@ TOY_PRIOR = NormalBelief(mean=1.0, precision=100.0)
 def toy_state(shares=(0.0, 0.0), t=0, schedule=FLAT):
     return MarketState(grid=TOY_GRID, shares=shares, t=t, schedule=schedule,
                        prior=TOY_PRIOR)
+
+
+# A finite share whose s / k overflows at k = 0.5: the price mass is NaN.
+OVERFLOWING = 1.7e308
+
+
+def raises_without_warning(error, match, call, *args):
+    """Assert that ``call(*args)`` raises ``error`` matching ``match`` and
+    warns nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error, match=match):
+            call(*args)
+    assert caught == []
 
 
 def test_state_arrays_are_read_only():
@@ -88,6 +103,11 @@ def test_cost_function_worked_values():
     # The same inventory under a halved weight.
     assert cost_function((1.0, 0.0), 0, HALF, TOY_GRID) == pytest.approx(
         0.5 * math.log(math.e ** 2 + 1.0), rel=1e-14)
+    overflowing = (OVERFLOWING, 0.0)
+    raises_without_warning(NumericError, "sum to 1", cost_function, overflowing, 0, HALF, TOY_GRID)
+    # At k = 3 the price mass is 1, but k times the largest s / k overflows.
+    largest, thirds = (np.finfo(float).max, 0.0), DiscountSchedule(kind="constant", k0=3.0)
+    raises_without_warning(NumericError, "overflows", cost_function, largest, 0, thirds, TOY_GRID)
 
 
 def test_trade_costs_worked_values():
@@ -192,6 +212,7 @@ def test_market_state_validation():
         # Prior too wide for the grid: mean +/- 10 sigma escapes [0, 2].
         MarketState(grid=TOY_GRID, shares=(0.0, 0.0), t=0, schedule=FLAT,
                     prior=NormalBelief(mean=1.0, precision=25.0))
+    raises_without_warning(NumericError, "sum to 1", toy_state, (OVERFLOWING, 0.0), 0, HALF)
 
 
 def test_binned_density_against_erf_oracle():
@@ -338,9 +359,11 @@ def test_belief_trades_are_cashless_and_exact():
 def test_extreme_belief_clips_with_warning():
     state = open_market(STD, FLAT)
     needle = NormalBelief(mean=0.0, precision=625.0 ** 2)
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning) as caught:
         _, rec = trade(state, needle)
     assert rec.clipped_bins > 0
+    # The warning points at the caller of trade.
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_trade_validation():
@@ -352,6 +375,32 @@ def test_trade_validation():
     moved, _ = trade(state, np.zeros(state.grid.n), t=3)
     with pytest.raises(ValidationError):
         trade(moved, np.zeros(state.grid.n), t=2)
+    delta = np.zeros(state.grid.n)
+    delta[0] = OVERFLOWING
+    raises_without_warning(NumericError, "sum to 1", trade, open_market(STD, HALF), delta)
+
+
+@pytest.mark.parametrize("target", ("belief", "delta"))
+def test_a_trade_prices_its_inventory_once(target, monkeypatch):
+    state = open_market(STD, HALF)
+    priced = counting_potentials(monkeypatch)
+    post_init = MarketState.__post_init__
+    states = []
+
+    def counting_post_init(built):
+        states.append(built.t)
+        post_init(built)
+
+    monkeypatch.setattr(MarketState, "__post_init__", counting_post_init)
+    moved, rec = trade(state, NormalBelief(0.4, 2.5) if target == "belief"
+                       else np.full(state.grid.n, 0.1))
+    # One call of the market step on one row, and no MarketState built.
+    assert priced == [(1, 0)]
+    assert states == []
+    assert moved.potential == MarketState(
+        grid=moved.grid, shares=moved.shares, t=moved.t, schedule=moved.schedule,
+        prior=moved.prior).potential
+    assert rec.cost == moved.potential - state.potential
 
 
 def test_settlement_accounting():
@@ -682,10 +731,10 @@ def test_shares_codec_keeps_every_bit_of_extreme_values():
     assert amm._decode_shares(values.tolist(), "s0", values.size, 1).tolist() == values.tolist()
 
 
-def delta_log(tmp_path, deltas, traders="abc"):
+def delta_log(tmp_path, deltas, traders="abc", schedule=FLAT):
     """Lines of a chained delta-trade log on the toy grid, with a settlement,
     as version 2 wrote it: these tests check how replay reads each ``pre``."""
-    state = opening = toy_state()
+    state = opening = toy_state(schedule=schedule)
     records = []
     for delta, trader in zip(deltas, traders):
         state, rec = trade(state, delta, trader=trader)
@@ -763,6 +812,51 @@ def test_replay_refuses_a_pre_one_ulp_off(tmp_path):
         got = replay_outcome(edited)
         assert got[0] == "refused" and got[2] == 1
         assert "line 3: pre-trade inventory does not match" in got[1]
+
+
+def test_replay_refuses_an_inventory_whose_prices_overflow(tmp_path):
+    # Record 1's post, and so record 2's pre, holds a finite share whose
+    # s / k overflows at k = 0.5. Its price mass is NaN, which the mass
+    # check refuses at its own line, without a warning.
+    lines = delta_log(tmp_path, TOY_DELTAS, schedule=HALF)
+    logged, huge = shares_text([1.0, 2.5]), shares_text([OVERFLOWING, 0.0])
+    for line, key in ((2, "post"), (3, "pre")):
+        assert f'"{key}": "{logged}"' in lines[line]
+        lines[line] = lines[line].replace(f'"{key}": "{logged}"', f'"{key}": "{huge}"')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = replay_outcome(lines)
+    assert caught == []
+    assert got[0] == "refused" and got[2] == 1
+    assert got[1] == "record 1: line 3: width-weighted prices failed to sum to 1"
+
+
+@pytest.mark.parametrize("index", (1, 3))
+def test_replay_refuses_a_belief_that_rebuilds_a_non_finite_inventory(index, tmp_path):
+    # At k = 1e306 a belief sharp enough to clip bins rebuilds an inventory
+    # k log(1e-300) + C that overflows to -inf: refused at its own line,
+    # with the logged clipped-bin count right, and without a warning.
+    state = opening = open_market(STD, DiscountSchedule(kind="constant", k0=1e306), n_bins=64)
+    records = []
+    for j in range(6):
+        state, rec = trade(state, NormalBelief(0.1 * j, 2.0))
+        records.append(rec)
+    path = tmp_path / "session.jsonl"
+    write_log(path, opening, records)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[index + 1])
+    sharp = NormalBelief(obj["belief"]["mean"], 1e6)
+    obj["belief"]["precision"] = sharp.precision
+    obj["clipped_bins"] = int(np.count_nonzero(binned_density(sharp, opening.grid) < 1e-300))
+    assert obj["clipped_bins"] > 0
+    lines[index + 1] = json.dumps(obj, sort_keys=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = replay_outcome(lines)
+    assert caught == []
+    assert got[0] == "refused" and got[2] == index
+    assert got[1] == (f"record {index}: line {index + 2}: "
+                      "field 'belief' rebuilds an inventory that is not finite")
 
 
 def test_replay_of_a_zero_delta_trade(tmp_path):

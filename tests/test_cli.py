@@ -627,6 +627,49 @@ def test_market_loss_bound_holds_across_a_reset(tmp_path, capsys):
     assert report["bound_satisfied"] is True
 
 
+# market simulate reports and logs written before trade, simulate_sessions
+# and replay priced their inventories in one step: (config, sessions, the
+# clipped-bin warning). Each session count spans three blocks of sessions;
+# the 4,096-bin case is the loss-bound counterexample, whose sharp beliefs
+# clip bins in every session.
+MARKET_SIMULATE_CASES = {
+    "constant_128": ({
+        "model": {"tau_a": 2.0, "tau_b": 0.7, "tau_c": 0.5, "rho": -0.4, "c0": 0.3},
+        "schedule": {"kind": "constant", "k0": 1.0},
+        "n_bins": 128,
+    }, 300, "belief density clipped to 1e-300 on 40 bins in 6 of 300 sessions"),
+    "reset_512": ({
+        "model": {"tau_a": 3.0, "tau_b": 1.5, "tau_c": 0.8, "rho": 0.35, "c0": -0.2},
+        "schedule": {"kind": "piecewise", "k0": 1.0, "resets": [[2, 0.5]]},
+        "n_bins": 512,
+        "affine_shift": 0.25,
+    }, 70, None),
+    "clipped_4096": ({
+        "model": {"tau_a": 100.0, "tau_b": 100.0, "tau_c": 1.0, "rho": 0.0},
+        "schedule": {"kind": "constant", "k0": 1.0},
+        "n_bins": 4096,
+        "affine_shift": nonpositivity_shift(ScoringRule.LOGARITHMIC, 201.0),
+    }, 10, "belief density clipped to 1e-300 on 86207 bins in 10 of 10 sessions"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARKET_SIMULATE_CASES))
+def test_market_simulate_report_and_log_are_unchanged(name, tmp_path, capsys):
+    config, sessions, warning = MARKET_SIMULATE_CASES[name]
+    cfg = write_config(tmp_path, config)
+    out, log = tmp_path / "report.json", tmp_path / "session.jsonl"
+    argv = ["market", "simulate", "--config", cfg, "--samples", str(sessions),
+            "--seed", "13", "--out", str(out), "--log", str(log)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv, capsys)[0] == 0
+    assert [(w.category, str(w.message)) for w in caught] == (
+        [(RuntimeWarning, warning)] if warning else [])
+    want = FIXTURES / f"market_simulate_{name}"
+    assert out.read_bytes() == want.with_suffix(".json").read_bytes()
+    assert log.read_bytes() == want.with_suffix(".jsonl").read_bytes()
+
+
 def test_market_simulate_determinism(tmp_path, capsys):
     cfg = market_config(tmp_path)
     args = ["market", "simulate", "--config", cfg, "--samples", "20",
