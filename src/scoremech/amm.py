@@ -837,10 +837,10 @@ def _verify_block(
     bit for bit, so a block takes one call; costs that never do take one
     call per row.
 
-    Each row gets the step's checks (finite shares, price mass 1 within
-    1e-10), its cost C(post, t) - C(pre, t_pre) is compared with the
-    logged one within 1e-10, and a belief trade's clipped bins must equal
-    the logged count. Raises LogConsistencyError naming the first faulty
+    Each row gets ``_checked_step``'s checks (finite shares, price mass 1
+    within 1e-10, a finite potential) with its messages, its cost
+    C(post, t) - C(pre, t_pre) is compared with the logged one within
+    1e-10, and a belief trade's clipped bins must equal the logged count. Raises LogConsistencyError naming the first faulty
     record. A non-finite intermediate value fails a check instead of
     warning."""
     grid, rows = opening.grid, len(block)
@@ -880,7 +880,8 @@ def _verify_block(
         costs = potentials - np.concatenate(([potential], potentials[:-1]))
         bad_cost = ~(np.abs(costs - logged_costs) <= _COST_TOL)
     misclipped = clips != logged_clips
-    faulty = misclipped | ~finite | ~unit_mass | bad_cost
+    overflows = ~np.isfinite(potentials)
+    faulty = misclipped | ~finite | ~unit_mass | overflows | bad_cost
     if faulty.any():
         row = int(faulty.argmax())
         if misclipped[row]:
@@ -890,6 +891,8 @@ def _verify_block(
             message = "field 'belief' rebuilds an inventory that is not finite"
         elif not unit_mass[row]:
             message = "width-weighted prices failed to sum to 1"
+        elif overflows[row]:
+            message = "the potential C(post, t) overflows"
         else:
             cost = float(costs[row])
             message = f"logged cost {block[row].cost!r} differs from recomputed {cost!r}"

@@ -14,8 +14,9 @@ Every command is deterministic given (config, seed); reports print floats
 with 12 significant digits. Trade logs keep full-precision floats because
 replay re-verifies costs to 1e-10, which rounding would break.
 
-Exit codes: 0 success, 2 config error (including a grid or ``--samples``
-beyond its cap and an output path that cannot be written), 3 numeric
+Exit codes: 0 success, 2 config error (including a precision outside
+[1e-100, 1e100], a grid or ``--samples`` beyond its cap and an output path
+that cannot be written), 3 numeric
 failure, 4 consistency failure (tampered logs, Monte-Carlo disagreement
 with the analytic curve).
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -34,12 +36,7 @@ import numpy as np
 
 from . import amm, game
 from .beliefs import SignalModel
-from .discounting import (
-    DiscountSchedule,
-    _is_real,
-    required_ratio_log,
-    required_ratio_numeric,
-)
+from .discounting import DiscountSchedule, _is_real, required_ratio_numeric
 from .errors import (
     DiscountIneffectiveError,
     LogConsistencyError,
@@ -72,7 +69,7 @@ _MECHANISM_WORLDS = 2000
 _MAX_BINS = 2**20
 
 # Most worlds or sessions one run may sample. Every per-sample array grows
-# with it: about 112 B per sample for simulate and 150 B per session for
+# with it: about 120 B per sample for simulate and 150 B per session for
 # market simulate, so the cap keeps a run near 200 MiB.
 _MAX_SAMPLES = 2**20
 
@@ -80,6 +77,13 @@ _MAX_SAMPLES = 2**20
 # may sweep; both are checked before any value is built.
 _MAX_GRID_VALUES = 10_000
 _MAX_GRID_MODELS = 2**18
+
+# The precisions a model, a market prior or a classify grid may hold; a
+# model's prior precision tau_c may also be 0. Within this range every
+# analytic quantity agrees with a 60-digit evaluation to 1e-9 relative (the
+# test suite checks it). Beyond it float64 loses them: at precisions near
+# 1e-227 the log rule's k_min read 0.951 against an exact 0.249.
+_MIN_PRECISION, _MAX_PRECISION = 1e-100, 1e100
 
 
 def _fmt(x: float) -> str:
@@ -164,6 +168,16 @@ def _real(value):
     return value
 
 
+def _precision(value, zero_ok: bool = False):
+    """``value`` if it is a JSON number in [``_MIN_PRECISION``,
+    ``_MAX_PRECISION``], or 0 when ``zero_ok``."""
+    if not (_is_real(value) and (
+            _MIN_PRECISION <= value <= _MAX_PRECISION or (zero_ok and value == 0))):
+        raise ValueError(f"must be {'0 or ' if zero_ok else ''}a number in "
+                         f"[{_MIN_PRECISION!r}, {_MAX_PRECISION!r}], not {value!r}")
+    return value
+
+
 def _finite_list(value) -> tuple[float, ...]:
     """``value`` as floats if it is a non-empty JSON array of finite numbers."""
     if not (isinstance(value, list) and value):
@@ -176,24 +190,14 @@ def _finite_list(value) -> tuple[float, ...]:
 def _model_from(record: dict, where: str) -> SignalModel:
     record = _require_object(record, f"{where}: model")
     fields = {
-        name: _field(record, name, where, _real, default)
-        for name, default in (
-            ("tau_a", None), ("tau_b", None), ("tau_c", 0.0), ("rho", 0.0), ("c0", 0.0)
+        name: _field(record, name, where, cast, default)
+        for name, cast, default in (
+            ("tau_a", _precision, None), ("tau_b", _precision, None),
+            ("tau_c", functools.partial(_precision, zero_ok=True), 0.0),
+            ("rho", _real, 0.0), ("c0", _real, 0.0),
         )
     }
-    return _require_analysable(SignalModel(**fields), where)
-
-
-def _require_analysable(model: SignalModel, where: str) -> SignalModel:
-    """``model``, or a config error naming the fields whose values the
-    analytic quantities cannot be evaluated at."""
-    # The pooled posterior takes sqrt(tau_a * tau_b).
-    if not math.isfinite(float(model.tau_a) * float(model.tau_b)):
-        raise ValidationError(f"{where}: tau_a * tau_b must be finite")
-    # Every curvature ratio divides by alpha_g = tau_a / (tau_a + tau_c).
-    if model.alpha_g == 0.0:
-        raise ValidationError(f"{where}: tau_a / (tau_a + tau_c) underflows to 0")
-    return model
+    return SignalModel(**fields)
 
 
 def _rule_from(name: str) -> ScoringRule:
@@ -244,10 +248,12 @@ class SweepConfig:
             raise ValidationError("sweep ranges must be non-empty")
         if any(not -1.0 <= r <= 1.0 for r in self.rho_values):
             raise ValidationError("rho values must lie in [-1, 1]")
-        if any(r <= 0 for r in self.ratio_values):
-            raise ValidationError("precision ratios must be positive")
-        if any(c < 0 for c in self.tau_c_values):
-            raise ValidationError("tau_c values must be non-negative")
+        for name, values in (("ratio", self.ratio_values), ("tau_c", self.tau_c_values)):
+            try:
+                for value in values:
+                    _precision(value, zero_ok=name == "tau_c")
+            except ValueError as exc:
+                raise ValidationError(f"{name} values: {exc}") from exc
         models = len(self.rho_values) * len(self.ratio_values) * len(self.tau_c_values)
         if models > _MAX_GRID_MODELS:
             raise ValidationError(
@@ -334,10 +340,7 @@ def cmd_classify(config: SweepConfig) -> str:
     for rho in sorted(config.rho_values):
         for ratio in sorted(config.ratio_values):
             for tau_c in sorted(config.tau_c_values):
-                model = _require_analysable(
-                    SignalModel(tau_a=ratio, tau_b=1.0, tau_c=tau_c, rho=rho),
-                    f"grid point ratio={ratio!r}, tau_c={tau_c!r}",
-                )
+                model = SignalModel(tau_a=ratio, tau_b=1.0, tau_c=tau_c, rho=rho)
                 verdict = _classify(config.rule, model)
                 try:
                     k_min = _fmt(required_ratio_numeric(config.rule, model))
@@ -382,21 +385,21 @@ def cmd_discount(rule: ScoringRule, model: SignalModel, out: str | None) -> dict
         "margin": verdict.margin,
     }
     try:
-        k_numeric = required_ratio_numeric(rule, model)
-        report["discount_effective"] = True
-        report["k_min_numeric"] = k_numeric
-        if rule is ScoringRule.LOGARITHMIC:
-            try:
-                report["k_min_analytic"] = required_ratio_log(model)
-            except ZeroDivisionError as exc:
-                raise NumericError(f"k_min_analytic: {exc} in float64") from exc
+        k_min = required_ratio_numeric(rule, model)
     except DiscountIneffectiveError as exc:
         report["discount_effective"] = False
         report["reason"] = str(exc)
+    else:
+        report["discount_effective"] = True
+        report["k_min_numeric"] = k_min
+        if rule is ScoringRule.LOGARITHMIC:
+            # Schema v1 prints the log rule's one k_min under both names.
+            report["k_min_analytic"] = k_min
     # At |rho| = 1 no shift is safe under the quadratic rule: margin -inf.
+    # Within the CLI's precision range nothing else is ever non-finite.
     bad = [
         f"{key} = {report[key]!r}"
-        for key in ("margin", "k_min_numeric", "k_min_analytic")
+        for key in ("margin", "k_min_numeric")
         if key in report and not math.isfinite(report[key])
         and not (key == "margin" and model.degenerate)
     ]
@@ -522,7 +525,7 @@ def cmd_market_simulate(
         prior_rec = _require_object(prior_rec, where)
         prior = NormalBelief(
             float(_field(prior_rec, "mean", where, _real)),
-            float(_field(prior_rec, "precision", where, _real)),
+            float(_field(prior_rec, "precision", where, _precision)),
         )
     schedule = _schedule_from(config.get("schedule"))
     n_bins = _field(config, "n_bins", "market config", _json_int, 512)

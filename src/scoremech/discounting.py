@@ -12,8 +12,8 @@ so truth-telling is restored exactly when k(t1)/k(t2) is at least the
 supremum over shifts of the influence/forfeit ratio: the two divergences
 of ``truthfulness.deviation_criterion``, read from ``scoring``.
 ``required_ratio_numeric`` reads it from the curvature ratio R of
-``truthfulness`` for both rules; ``required_ratio_log`` is the log-rule
-ratio in closed form, an independent reference.
+``truthfulness`` for both rules, and ``required_ratio_log`` is its log-rule
+case: R is the package's one formula for the minimal ratio.
 
 ``loss_bound`` gives the market-maker exposure of a discounted scoring
 market: each reset opens a fresh epoch whose worst-case cost is
@@ -140,34 +140,19 @@ def schedule_eval(schedule: DiscountSchedule, t: int) -> float:
 
 
 def required_ratio_log(model: SignalModel) -> float:
-    """Minimal early/late payment ratio making the log-rule game truthful.
+    """Minimal early/late payment ratio making the log-rule game truthful:
+    ``required_ratio_numeric(ScoringRule.LOGARITHMIC, model)``.
 
-    Closed form
+    In the model's fields that ratio R is the closed form
 
         K_min = (tau_A + tau_C) g^2
                 / ( tau_A [ (1-rho^2) g^2 + (1-rho^2)^2 (tau_B + tau_C) ] ),
-        g = sqrt(tau_A) - rho sqrt(tau_B),
+        g = sqrt(tau_A) - rho sqrt(tau_B).
 
-    the supremum over shifts of the influence/forfeit ratio (which for the
-    log rule is shift-independent). Values <= 1 mean the undiscounted game
-    is already truthful. On the locus g = 0 the shift cannot move the
-    pooled report and K_min = 0.
-
-    Raises
-    ------
-    DiscountIneffectiveError
-        If |rho| = 1: no finite ratio restores truthfulness.
+    Values <= 1 mean the undiscounted game is already truthful; on the
+    locus g = 0 it is 0, and at |rho| = 1 it raises DiscountIneffectiveError.
     """
-    if model.degenerate:
-        raise DiscountIneffectiveError(
-            "|rho| = 1: no finite discount ratio restores truthfulness"
-        )
-    ta, tb, tc, rho = model.tau_a, model.tau_b, model.tau_c, model.rho
-    gap = math.sqrt(ta) - rho * math.sqrt(tb)
-    one_minus_r2 = 1.0 - rho * rho
-    numer = (ta + tc) * gap * gap
-    denom = ta * (one_minus_r2 * gap * gap + one_minus_r2 * one_minus_r2 * (tb + tc))
-    return numer / denom
+    return required_ratio_numeric(ScoringRule.LOGARITHMIC, model)
 
 
 def required_ratio_numeric(rule: ScoringRule, model: SignalModel) -> float:
@@ -178,7 +163,7 @@ def required_ratio_numeric(rule: ScoringRule, model: SignalModel) -> float:
     / (first-slot divergence forfeited by it), the two terms of
     ``deviation_criterion``; it tends to the curvature ratio R of
     ``truthfulness`` as c -> 0. For the log rule it is R at every shift,
-    and R is returned (``required_ratio_log`` to rounding). For the
+    and R is returned. For the
     quadratic rule, with x = c^2 and ``scoring``'s weight W and rate q,
     a = q(tau_single) a_g^2 and b = q(tau_pool) a_h^2, it is
 

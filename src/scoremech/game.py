@@ -135,8 +135,8 @@ def _require_sampleable(model: SignalModel) -> None:
         )
 
 
-def _block_normals(seed: int, n: int, start_index: int) -> np.ndarray:
-    """Standard normals of shape (n, 3), row i from counter block start_index + i."""
+def _world_indices(seed: int, n: int, start_index: int) -> tuple[int, int, int]:
+    """(seed, n, start_index) as ints, checked as the sampler needs them."""
     seed = _normalize_seed(seed)
     if not isinstance(n, (int, np.integer)) or n <= 0:
         raise ValidationError("n must be a positive integer")
@@ -145,6 +145,12 @@ def _block_normals(seed: int, n: int, start_index: int) -> np.ndarray:
     n, start_index = int(n), int(start_index)
     if start_index + n > _SEED_LIMIT:
         raise ValidationError("world indices must lie in [0, 2^64)")
+    return seed, n, start_index
+
+
+def _block_normals(seed: int, n: int, start_index: int) -> np.ndarray:
+    """Standard normals of shape (n, 3), row i from counter block start_index + i."""
+    seed, n, start_index = _world_indices(seed, n, start_index)
     # Imported here so that the analytic commands never load numpy.random.
     from numpy.random import Philox
 
@@ -164,8 +170,10 @@ def _normals_from_words(words: np.ndarray) -> np.ndarray:
     # Imported here so that the analytic commands never load scipy.special.
     from scipy.special import ndtri
 
-    u = ((words >> np.uint64(12)).astype(np.float64) + 0.5) * _U52
-    return ndtri(u)
+    u = (words >> np.uint64(12)).astype(np.float64)
+    u += 0.5
+    u *= _U52
+    return ndtri(u, out=u)
 
 
 def _world_from_noise(model: SignalModel, z0, z1, z2):
@@ -174,6 +182,11 @@ def _world_from_noise(model: SignalModel, z0, z1, z2):
     rho = model.rho
     b0 = lam + (rho * z1 + math.sqrt(1.0 - rho * rho) * z2) / math.sqrt(model.tau_b)
     return lam, a0, b0
+
+
+# draw_worlds makes this many worlds at a time, so that its peak memory is
+# its result, 24 B per world, plus one batch's temporaries (about 1.5 MiB).
+_WORLD_BATCH = 2**14
 
 
 def draw_worlds(
@@ -185,11 +198,17 @@ def draw_worlds(
     ``Philox(key=seed, counter=i).random_raw(4)`` returns, i.e. the 256-bit
     counter [i, 0, 0, 0]: words 0-2 become the three standard normals,
     word 3 is unused. Every block makes exactly one world, so a world
-    depends only on (seed, index).
+    depends only on (seed, index), and the worlds are made ``_WORLD_BATCH``
+    at a time into the three rows of one (3, n) array.
     """
     _require_sampleable(model)
-    z = _block_normals(seed, n, start_index)
-    return _world_from_noise(model, z[:, 0], z[:, 1], z[:, 2])
+    seed, n, start_index = _world_indices(seed, n, start_index)
+    lam, a0, b0 = np.empty((3, n))
+    for lo in range(0, n, _WORLD_BATCH):
+        z = _block_normals(seed, min(_WORLD_BATCH, n - lo), start_index + lo)
+        hi = lo + len(z)
+        lam[lo:hi], a0[lo:hi], b0[lo:hi] = _world_from_noise(model, z[:, 0], z[:, 1], z[:, 2])
+    return lam, a0, b0
 
 
 def draw_world(model: SignalModel, seed: int, index: int = 0) -> tuple[float, float, float]:

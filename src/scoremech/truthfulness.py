@@ -104,14 +104,17 @@ def _curvatures(rule: ScoringRule, model: SignalModel) -> tuple[float, float, fl
     R = W(tau_pool) b / (W(tau_single) a) is their ratio as c -> 0 and
     tail = W(tau_pool)/W(tau_single) the quadratic rule's ratio as c -> inf.
     R is a product of ratios, so that it stays finite where a or b under-
-    or overflows; it is 0 where a_h = 0.
+    or overflows, and the precision ratio meets each factor a_h/a_g in turn,
+    so that no square of it leaves the normal range of float64 (at
+    tau_A = 1e-92 and tau_B = 1e66, (a_h/a_g)^2 = 1e-316 kept 8 digits); it
+    is 0 where a_h = 0.
     """
     (tau_first, alpha_first), (tau_pool, alpha_pool) = _reports(model)
     w_first, q_first = _divergence_scale(rule, tau_first)
     w_pool, q_pool = _divergence_scale(rule, tau_pool)
     tail = w_pool / w_first
     shift = alpha_pool / alpha_first
-    ratio = tail * (q_pool / q_first) * (shift * shift)
+    ratio = tail * (q_pool / q_first * shift) * shift
     return ratio, tail, q_first * alpha_first**2, q_pool * alpha_pool**2
 
 

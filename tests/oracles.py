@@ -3,14 +3,17 @@
 Everything here deliberately avoids the package's own numerics: expectations
 run through QUADPACK, Gaussian conditioning through dense linear algebra (or
 generalized least squares when the prior is flat), bin masses through the
-stdlib error function, and schedule evaluation through direct recursion.
-Agreement between these routes and the library is what the tests assert.
+stdlib error function, schedule evaluation through direct recursion, and
+the deviation calculus through 60-digit mpmath arithmetic on the exact
+values of the model's floats. Agreement between these routes and the
+library is what the tests assert.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -203,3 +206,110 @@ def erf_bin_masses(mean, precision, edges):
         return 0.5 * (1.0 + math.erf((x - mean) / (sd * math.sqrt(2.0))))
 
     return [cdf(b) - cdf(a) for a, b in zip(edges[:-1], edges[1:])]
+
+
+# The deviation calculus at 60 significant digits. Each function takes the
+# model's fields as floats, which mpmath holds exactly, and returns an mpf;
+# a rule is "logarithmic" or "quadratic". These are the textbook forms, with
+# no rearrangement against cancellation: at 60 digits none is needed.
+MP = mpmath.MPContext()
+MP.dps = 60
+
+
+def mp_precisions(tau_a, tau_b, tau_c, rho):
+    """(tau_single, tau_pool): the posterior precisions on Alice's signal
+    alone and on both signals."""
+    ta, tb, tc, r = (MP.mpf(v) for v in (tau_a, tau_b, tau_c, rho))
+    pool = (ta - 2 * r * MP.sqrt(ta * tb) + tb) / (1 - r * r) + tc
+    return ta + tc, pool
+
+
+def mp_alphas(tau_a, tau_b, tau_c, rho):
+    """(alpha_g, alpha_h): how far a unit shift of Alice's signal moves the
+    single-signal and the pooled posterior means."""
+    ta, tb, tc, r = (MP.mpf(v) for v in (tau_a, tau_b, tau_c, rho))
+    cross = r * MP.sqrt(ta * tb)
+    pooled = (ta - cross) / (ta - 2 * cross + tb + (1 - r * r) * tc)
+    return ta / (ta + tc), pooled
+
+
+def _mp_scale(rule, tau):
+    """Weight W and rate q of the equal-precision divergence W phi(q d^2)."""
+    if rule == "logarithmic":
+        return MP.mpf(1), tau / 2
+    return MP.sqrt(tau / MP.pi), tau / 4
+
+
+def _mp_divergence(rule, tau, shift):
+    weight, rate = _mp_scale(rule, tau)
+    x = rate * shift * shift
+    return weight * (-x if rule == "logarithmic" else MP.expm1(-x))
+
+
+def mp_curvature_ratio(rule, tau_a, tau_b, tau_c, rho):
+    """R = W(tau_pool) q(tau_pool) a_h^2 / (W(tau_single) q(tau_single) a_g^2),
+    the pooled/forfeited divergence ratio as the shift tends to 0."""
+    (single, pool), (a_g, a_h) = (mp_precisions(tau_a, tau_b, tau_c, rho),
+                                  mp_alphas(tau_a, tau_b, tau_c, rho))
+    w_single, q_single = _mp_scale(rule, single)
+    w_pool, q_pool = _mp_scale(rule, pool)
+    return (w_pool * q_pool * a_h**2) / (w_single * q_single * a_g**2)
+
+
+def mp_quadratic_tail(tau_a, tau_b, tau_c, rho):
+    """W(tau_pool)/W(tau_single) = sqrt(tau_pool/tau_single), the quadratic
+    rule's ratio as the shift grows without bound."""
+    single, pool = mp_precisions(tau_a, tau_b, tau_c, rho)
+    return MP.sqrt(pool / single)
+
+
+def mp_log_ratio_closed_form(tau_a, tau_b, tau_c, rho):
+    """The log rule's minimal early/late ratio in closed form,
+
+        K = (tau_A + tau_C) g^2
+            / ( tau_A [ (1-rho^2) g^2 + (1-rho^2)^2 (tau_B + tau_C) ] ),
+        g = sqrt(tau_A) - rho sqrt(tau_B),
+
+    which is R of the log rule written out in the model's fields."""
+    ta, tb, tc, r = (MP.mpf(v) for v in (tau_a, tau_b, tau_c, rho))
+    gap = MP.sqrt(ta) - r * MP.sqrt(tb)
+    one_minus_r2 = 1 - r * r
+    return (ta + tc) * gap**2 / (
+        ta * (one_minus_r2 * gap**2 + one_minus_r2**2 * (tb + tc)))
+
+
+def mp_required_ratio(rule, tau_a, tau_b, tau_c, rho):
+    """K for either rule: the closed form for the log rule, and for the
+    quadratic rule the larger of R and the tail, or 0 where a_h = 0."""
+    if rule == "logarithmic":
+        return mp_log_ratio_closed_form(tau_a, tau_b, tau_c, rho)
+    if mp_alphas(tau_a, tau_b, tau_c, rho)[1] == 0:
+        return MP.mpf(0)
+    return max(mp_curvature_ratio(rule, tau_a, tau_b, tau_c, rho),
+               mp_quadratic_tail(tau_a, tau_b, tau_c, rho))
+
+
+def mp_margin_sides(rule, tau_a, tau_b, tau_c, rho):
+    """(lhs, rhs) of the classifier's inequality, whose margin is lhs - rhs:
+    for the log rule
+
+        (1-rho^2)^2 (1 + tau_C/tau_B) >= (rho^2 + tau_C/tau_A)(sqrt(tau_A/tau_B) - rho)^2,
+
+    and 1 > R for the quadratic rule."""
+    if rule == "quadratic":
+        return MP.mpf(1), mp_curvature_ratio(rule, tau_a, tau_b, tau_c, rho)
+    ta, tb, tc, r = (MP.mpf(v) for v in (tau_a, tau_b, tau_c, rho))
+    return ((1 - r * r) ** 2 * (1 + tc / tb),
+            (r * r + tc / ta) * (MP.sqrt(ta / tb) - r) ** 2)
+
+
+def mp_gain_terms(rule, tau_a, tau_b, tau_c, rho, k1, k2, c):
+    """(k1 D(tau_single, c a_g), k2 D(tau_pool, c a_h)): the weighted
+    divergences of Alice's first report and of the pooled one when she
+    shifts her signal by c. Her expected gain, ``analytic_gain``, is the
+    first less the second."""
+    single, pool = mp_precisions(tau_a, tau_b, tau_c, rho)
+    a_g, a_h = mp_alphas(tau_a, tau_b, tau_c, rho)
+    c = MP.mpf(c)
+    return (MP.mpf(k1) * _mp_divergence(rule, single, c * a_g),
+            MP.mpf(k2) * _mp_divergence(rule, pool, c * a_h))

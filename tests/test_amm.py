@@ -831,6 +831,26 @@ def test_replay_refuses_an_inventory_whose_prices_overflow(tmp_path):
     assert got[1] == "record 1: line 3: width-weighted prices failed to sum to 1"
 
 
+def test_replay_names_a_potential_that_overflows_as_cost_function_does(tmp_path):
+    # At k = 3 the price mass of [max, 0] is 1, but its potential overflows:
+    # replay refuses record 0's post at its own line with the message that
+    # cost_function raises, not as a cost that differs from inf.
+    thirds = DiscountSchedule(kind="constant", k0=3.0)
+    largest = [float(np.finfo(float).max), 0.0]
+    lines = delta_log(tmp_path, TOY_DELTAS, schedule=thirds)
+    logged, huge = shares_text([1.0, 0.0]), shares_text(largest)
+    for line, key in ((1, "post"), (2, "pre")):
+        assert f'"{key}": "{logged}"' in lines[line]
+        lines[line] = lines[line].replace(f'"{key}": "{logged}"', f'"{key}": "{huge}"')
+    raises_without_warning(NumericError, "^the potential C\\(post, t\\) overflows$",
+                           cost_function, largest, 0, thirds, TOY_GRID)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = replay_outcome(lines)
+    assert caught == []
+    assert got == ("refused", "record 0: line 2: the potential C(post, t) overflows", 0)
+
+
 @pytest.mark.parametrize("index", (1, 3))
 def test_replay_refuses_a_belief_that_rebuilds_a_non_finite_inventory(index, tmp_path):
     # At k = 1e306 a belief sharp enough to clip bins rebuilds an inventory

@@ -20,6 +20,7 @@ from log_versions import as_version_2, write_v2_log
 from scoremech import (
     DiscountSchedule,
     NormalBelief,
+    NumericError,
     OutcomeGrid,
     ScoringRule,
     SignalModel,
@@ -32,7 +33,7 @@ from scoremech import (
     trade,
     write_log,
 )
-from scoremech.cli import _DEFAULT_C_GRID, _MAX_SAMPLES, cmd_simulate, main
+from scoremech.cli import _DEFAULT_C_GRID, _MAX_SAMPLES, cmd_discount, cmd_simulate, main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -123,7 +124,31 @@ def test_discount_report(tmp_path, capsys):
     assert report["discount_effective"] is True
     assert report["k_min_analytic"] == pytest.approx(2.5, rel=1e-12)
     assert report["k_min_numeric"] == pytest.approx(2.5, rel=1e-6)
+    # Schema v1 prints the log rule's one k_min under both names.
+    assert report["k_min_analytic"] == report["k_min_numeric"]
     assert report["globally_truthful"] is False
+
+
+def test_discount_refuses_a_report_that_is_not_finite():
+    # Outside the CLI's precision range a library model can still reach
+    # cmd_discount; its margin overflows and no report is written.
+    model = SignalModel(tau_a=1e300, tau_b=1e-300, tau_c=1.0, rho=0.5)
+    with pytest.raises(NumericError, match="margin = -inf"):
+        cmd_discount(ScoringRule.LOGARITHMIC, model, os.devnull)
+
+
+@pytest.mark.parametrize("field", ("tau_a", "tau_b", "tau_c"))
+def test_the_precision_range_is_inclusive(field, tmp_path, capsys):
+    # A model precision may be 1e-100 or 1e100 but nothing beyond, and
+    # tau_c may also be 0; each command reads the model alike.
+    for value, code in ((1e-100, 0), (1e100, 0), (np.nextafter(1e-100, 0.0), 2),
+                        (np.nextafter(1e100, math.inf), 2), (0.0, 0 if field == "tau_c" else 2),
+                        (-1.0, 2)):
+        model = {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 0.0, "rho": -0.8, field: float(value)}
+        got, out, err = run(["discount", "--config", write_config(tmp_path, model)], capsys)
+        assert got == code, (value, err)
+        if code == 2:
+            assert out == "" and f"field {field!r}" in err and "[1e-100, 1e+100]" in err
 
 
 def test_discount_ineffective(tmp_path, capsys):
@@ -915,9 +940,10 @@ HOSTILE = {
         ["market", "simulate", "--config", "{market}", "--samples", str(10**30)], "--samples"),
     "replay_out": (["market", "replay", "--log", "{log}", "--out", "{missing}"], "{missing}"),
     "grid_repeated_values": (["classify", "--grid", "rho=0:1e-12:2e-13;ratio=1;tau_c=0"], "rho"),
-    # alpha_g = tau_a / (tau_a + tau_c) underflowed to 0 and divided.
+    # alpha_g = tau_a / (tau_a + tau_c) underflowed to 0 and divided; the
+    # ratio now lies outside the precision range [1e-100, 1e100].
     "grid_alpha_g_underflow": (
-        ["classify", "--grid", "ratio=1e-300;tau_c=1e30;rho=0.5"], "tau_a / (tau_a + tau_c)"),
+        ["classify", "--grid", "ratio=1e-300;tau_c=1e30;rho=0.5"], "ratio"),
 }
 
 # Config files that once raised a bare ValueError, were silently read as
@@ -946,16 +972,17 @@ HOSTILE_CONFIGS = {
     "c_grid_nan": (("simulate",), {"c_grid": [float("nan")]}, "c_grid"),
     "c_grid_empty": (("simulate",), {"c_grid": []}, "c_grid"),
     "c_grid_string": (("simulate",), {"c_grid": [1.0, "2"]}, "c_grid"),
+    # The cases down to "margin_not_finite" hold a precision outside the
+    # range [1e-100, 1e100], which is a config error naming the field.
     # sqrt(tau_a * tau_b) once overflowed: a traceback from the quadratic
     # rule, "k_min_numeric": NaN from the log rule.
     "precision_product_overflow": (
         ("discount_log", "discount_quadratic", *BOTH_SIMULATIONS),
-        {"model": {"tau_a": 1e10, "tau_b": 1e300, "rho": 0.5, "tau_c": 1}}, "tau_a * tau_b"),
+        {"model": {"tau_a": 1e10, "tau_b": 1e300, "rho": 0.5, "tau_c": 1}}, "'tau_b'"),
     # alpha_g = tau_a / (tau_a + tau_c) once underflowed to 0 and divided.
     "alpha_g_underflow": (
         ("discount_log", "discount_quadratic", *BOTH_SIMULATIONS),
-        {"model": {"tau_a": 1e-300, "tau_b": 1, "tau_c": 1e30, "rho": 0.5}},
-        "tau_a / (tau_a + tau_c)"),
+        {"model": {"tau_a": 1e-300, "tau_b": 1, "tau_c": 1e30, "rho": 0.5}}, "'tau_a'"),
     # Booleans and strings were once read as numbers.
     "tau_a_boolean": (
         ("discount_log", *BOTH_SIMULATIONS),
@@ -968,29 +995,34 @@ HOSTILE_CONFIGS = {
         ("market",), {"prior": {"mean": True, "precision": "2"}}, "mean"),
     "prior_precision_string": (
         ("market",), {"prior": {"mean": 0.0, "precision": "2"}}, "precision"),
-    # Worlds of scale 1e150 absorbed every shift in a0 + c: each point read
-    # a standard error of 0 against analytic -5.33 at c = -4 and exited 4.
+    # Worlds of scale 1e150 once absorbed every shift in a0 + c: each point
+    # read a standard error of 0 against analytic -5.33 at c = -4 and exited
+    # 4. At tau_c = 1e-100, in range, the worlds' scale of 1e50 still does.
     "lost_shift": (
-        ("simulate",), {"model": {"tau_a": 1, "tau_b": 1, "tau_c": 1e-300, "rho": 0.5}},
+        ("simulate",), {"model": {"tau_a": 1, "tau_b": 1, "tau_c": 1e-100, "rho": 0.5}},
         "c = -4"),
+    # A prior of precision 1e-300 once clipped 15,300 bins in every market
+    # session with exit 0, and scaled the worlds as in "lost_shift".
+    "tau_c_below_range": (
+        BOTH_SIMULATIONS, {"model": {"tau_a": 1, "tau_b": 1, "tau_c": 1e-300, "rho": 0.5}},
+        "'tau_c'"),
+    "prior_precision_below_range": (
+        ("market",), {"prior": {"mean": 0.0, "precision": 1e-300}}, "'precision'"),
     # The log rule's closed-form ratio in float64 once divided by zero (a
     # traceback), and once printed "k_min_analytic": NaN and "margin":
-    # -Infinity with exit 0.
+    # -Infinity with exit 0. Its curvature ratio R printed K = 0.951 against
+    # an exact 0.249.
     "k_min_analytic_divides_by_zero": (
         ("discount_log",),
         {"model": {"tau_a": 1.0907e-227, "tau_b": 1.1536e-227, "tau_c": 2.0250e-252,
                    "rho": 0.69944}},
-        "k_min_analytic"),
+        "'tau_a'"),
     "margin_not_finite": (
         ("discount_log",), {"model": {"tau_a": 1e300, "tau_b": 1e-300, "tau_c": 1, "rho": 0.5}},
-        "margin"),
+        "'tau_a'"),
 }
 # The cases that are numeric failures (exit 3) rather than config errors.
-NUMERIC_HOSTILE = {
-    "simulate_lost_shift",
-    "discount_log_k_min_analytic_divides_by_zero",
-    "discount_log_margin_not_finite",
-}
+NUMERIC_HOSTILE = {"simulate_lost_shift"}
 _CONFIG_COMMANDS = {
     "simulate": ["simulate", "--samples", "100"],
     "market": ["market", "simulate", "--samples", "2"],

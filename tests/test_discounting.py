@@ -140,7 +140,7 @@ def test_required_ratio_log_edge_cases():
 def test_numeric_ratio_matches_analytic_for_log_rule():
     # Two derivations of one number: the curvature ratio read from
     # scoring's divergence weight and rate, and the closed form in
-    # (tau_A, tau_B, tau_C, rho).
+    # (tau_A, tau_B, tau_C, rho), which the oracle evaluates at 60 digits.
     rng = np.random.default_rng(22)
     models = list(canonical_models())
     for _ in range(25):
@@ -149,8 +149,10 @@ def test_numeric_ratio_matches_analytic_for_log_rule():
                                   tau_c=float(np.exp(rng.uniform(-3, 2))),
                                   rho=float(rng.uniform(-0.9, 0.9))))
     for model in models:
+        closed = oracles.mp_log_ratio_closed_form(
+            model.tau_a, model.tau_b, model.tau_c, model.rho)
         assert required_ratio_numeric(LOG, model) == pytest.approx(
-            required_ratio_log(model), rel=1e-12, abs=0.0), model
+            float(closed), rel=1e-12, abs=0.0), model
 
 
 def test_numeric_ratio_quadratic_equals_extreme_limit():

@@ -1,6 +1,7 @@
 """Seeded worlds, payoffs and gain curves on them, best responses, and
 forum reduction."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -97,6 +98,39 @@ def test_draw_worlds_rows_are_independent_counter_blocks():
     lam, a0, b0 = draw_worlds(MODEL, seed=77, n=2, start_index=top)
     for i in (0, 1):
         assert (lam[i], a0[i], b0[i]) == _world_from_block(MODEL, 77, top + i)
+
+
+# SHA-256 of np.stack(draw_worlds(WORLD_BITS_MODEL, 2**63 + 11, n, start))
+# as the sampler wrote it before it made worlds in batches: three batches
+# and part of a fourth, 2^20 worlds from index 0, and the stream's last five.
+WORLD_BITS_MODEL = SignalModel(tau_a=2.0, tau_b=0.5, tau_c=0.25, rho=-0.6, c0=1.5)
+WORLD_BITS = {
+    (3 * 2**14 + 7, 2**40): "7fc7a6e05e165e1d0bd9ac1881b7549a8e2f526d087644f06b7ea24eaab31e6a",
+    (2**20, 0): "a865794bddc7095a942b59fa6741e854f78990fa02bd58f4ffa4a85e60704030",
+    (5, 2**64 - 5): "9e4bbfdd4d685f993635cb9982affb8e14c95bd569d4b2949883410cd4c18d63",
+}
+
+
+@pytest.mark.parametrize("n, start", sorted(WORLD_BITS))
+def test_batched_worlds_keep_their_bits(n, start):
+    worlds = draw_worlds(WORLD_BITS_MODEL, 2**63 + 11, n, start)
+    digest = hashlib.sha256(np.stack(worlds).tobytes()).hexdigest()
+    assert digest == WORLD_BITS[n, start]
+
+
+def test_draw_worlds_peak_memory_is_its_result_and_one_batch():
+    # The worlds are made _WORLD_BATCH at a time into one (3, n) result, so
+    # the peak is its 3 n floats and one batch's temporaries: 3.2 n floats
+    # at n = 2^20. Drawn all at once, the normals' temporaries made it 10.
+    n = 2**20
+    draw_worlds(MODEL, seed=3, n=2)  # imports outside the trace
+    tracemalloc.start()
+    try:
+        draw_worlds(MODEL, seed=3, n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.9 * n * 8, peak / (n * 8)
 
 
 def test_extreme_words_give_finite_symmetric_normals():

@@ -1,7 +1,8 @@
 """Import hygiene: every name a package module imports is used there, every
-private module-level name is used somewhere in the package, and the
-analytic commands never load the sampling stack. No package module
-validates with ``assert``, which ``python -O`` strips.
+private module-level name is used somewhere in the package, the analytic
+commands never load the sampling stack, and nothing in the package loads
+mpmath, which only the tests' oracle uses. No package module validates
+with ``assert``, which ``python -O`` strips.
 
 No linter ships with the package, so this walks the syntax trees itself.
 A name counts as used when it is read anywhere in the module or listed in
@@ -118,3 +119,30 @@ def test_analytic_commands_skip_the_sampling_stack(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+def test_the_package_never_loads_mpmath(tmp_path):
+    # mpmath is a test dependency: the 60-digit oracle of tests/oracles.py.
+    # Neither the import nor the discount and simulate commands load it.
+    model = {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0, "rho": -0.8}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"model": model}))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import scoremech\n"
+        "loaded = ['mpmath' in sys.modules]\n"
+        "from scoremech.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['discount', '--rule', rule, '--config', sys.argv[1]])\n"
+        "             for rule in ('log', 'quadratic')]\n"
+        "    loaded.append('mpmath' in sys.modules)\n"
+        "    codes.append(main(['simulate', '--config', sys.argv[1], '--samples', '500']))\n"
+        "    loaded.append('mpmath' in sys.modules)\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(config)], env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0, 0, 0], "loaded": [False, False, False]}
