@@ -50,7 +50,6 @@ import bisect
 import functools
 import json
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -58,9 +57,10 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .beliefs import SignalModel
-from .discounting import DiscountSchedule, _is_real, schedule_eval
+from .discounting import DiscountSchedule, schedule_eval
 from .errors import LogConsistencyError, NumericError, ValidationError
-from .game import _as_worlds
+from .errors import _field, _is_real, _json_int, _object, _real, _text
+from .game import _BLOCK_ELEMENTS, _as_worlds
 from .scoring import NormalBelief
 
 __all__ = [
@@ -97,11 +97,6 @@ _MASS_TOL = 1e-10
 
 # Grid coverage demanded of every market state, in prior standard deviations.
 _COVER_SIGMAS = 10.0
-
-# simulate_sessions and replay work on (block, n) arrays of at most this
-# many elements (128 KiB of float64 each), whatever the session or record
-# count.
-_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -712,41 +707,27 @@ def write_log(
             fh.write(json.dumps(settlement_to_json(report), sort_keys=True) + "\n")
 
 
-def _log_int(obj: dict, key: str) -> int:
-    """``obj[key]``, which must be a JSON integer; a boolean is not one."""
-    value = obj[key]
-    if isinstance(value, bool):
-        raise TypeError(f"field {key!r} must be an integer, not {value!r}")
-    return operator.index(value)
-
-
-def _log_real(obj: dict, key: str):
-    """``obj[key]``, which must be a JSON number that a finite float holds;
-    a boolean or a string is not one."""
-    value = obj[key]
-    if not _is_real(value):
-        raise TypeError(f"field {key!r} must be a finite number, not {value!r}")
-    return value
-
-
 def _opening_state(header: dict) -> tuple[MarketState, int]:
     """The header's opening state and the log's format version."""
     if header.get("format") != _LOG_FORMAT:
-        raise ValueError("missing market header")
-    version = header.get("version")
-    if type(version) is not int or not 1 <= version <= _LOG_VERSION:
+        raise ValueError(f"missing market header: field 'format' must be {_LOG_FORMAT!r}")
+    version = _field(header, "version", "", _json_int)
+    if not 1 <= version <= _LOG_VERSION:
         raise ValueError(f"unsupported log version {version!r}")
-    grid_rec, prior_rec = header["grid"], header["prior"]
-    for key in ("lo", "hi"):
-        _log_real(grid_rec, key)
-    grid = OutcomeGrid(**grid_rec)
+    grid_rec, prior_rec = _field(header, "grid", "", _object), _field(header, "prior", "", _object)
+    unknown = sorted(set(grid_rec) - {"lo", "hi", "n"})
+    if unknown:
+        raise ValueError(f"field 'grid' holds an unknown field {unknown[0]!r}")
+    grid = OutcomeGrid(_field(grid_rec, "lo", "", _real), _field(grid_rec, "hi", "", _real),
+                       _field(grid_rec, "n", "", _json_int))
     state = MarketState(
         grid=grid,
         shares=_decode_shares(header["s0"], "s0", grid.n, version),
-        t=_log_int(header, "t0"),
-        schedule=DiscountSchedule.from_config(header["schedule"]),
-        prior=NormalBelief(_log_real(prior_rec, "mean"), _log_real(prior_rec, "precision")),
-        affine_shift=float(_log_real(header, "affine_shift")),
+        t=_field(header, "t0", "", _json_int),
+        schedule=DiscountSchedule.from_config(_field(header, "schedule", "", _object), ""),
+        prior=NormalBelief(_field(prior_rec, "mean", "", _real),
+                           _field(prior_rec, "precision", "", _real)),
+        affine_shift=float(_field(header, "affine_shift", "", _real)),
     )
     return state, version
 
@@ -765,13 +746,11 @@ class _Logged(NamedTuple):
     post: np.ndarray | None
 
 
-def _logged_belief(value) -> NormalBelief:
+def _logged_belief(value: dict) -> NormalBelief:
     """The logged belief object ``value``: a finite mean and a positive,
     finite precision, as JSON numbers."""
-    if not isinstance(value, dict):
-        raise TypeError(f"field 'belief' must be an object, not {type(value).__name__}")
-    mean = float(_log_real(value, "mean"))
-    precision = float(_log_real(value, "precision"))
+    mean = float(_field(value, "mean", "", _real))
+    precision = float(_field(value, "precision", "", _real))
     if precision <= 0.0:
         raise ValueError(f"field 'precision' must be positive, not {precision!r}")
     return NormalBelief(mean, precision)
@@ -789,9 +768,10 @@ def _logged_trade(
     ``running``: an inventory whose value equals ``running`` is that
     inventory and is not decoded, and any other ``pre`` is decoded and
     compared with it by value."""
-    if _log_int(obj, "i") != index:
-        raise ValueError(f"record number {obj['i']} is out of sequence")
-    t_new = _log_int(obj, "t")
+    number = _field(obj, "i", "", _json_int)
+    if number != index:
+        raise ValueError(f"record number {number} is out of sequence")
+    t_new = _field(obj, "t", "", _json_int)
     belief = None
     if version < 3:
         pre, post = obj["pre"], obj["post"]
@@ -807,12 +787,10 @@ def _logged_trade(
     elif "post" in obj:
         raise ValueError("field 'post' must be absent from a belief trade")
     else:
-        belief, post = _logged_belief(obj["belief"]), None
-    cost = float(_log_real(obj, "cost"))
-    trader = obj["trader"]
-    if not isinstance(trader, str):
-        raise TypeError(f"field 'trader' must be a string, not {trader!r}")
-    clipped = _log_int(obj, "clipped_bins") if "clipped_bins" in obj else 0
+        belief, post = _logged_belief(_field(obj, "belief", "", _object)), None
+    cost = float(_field(obj, "cost", "", _real))
+    trader = _field(obj, "trader", "", _text)
+    clipped = _field(obj, "clipped_bins", "", _json_int, 0)
     if clipped < 0:
         raise ValueError(f"field 'clipped_bins' must be non-negative, not {clipped}")
     return _Logged(lineno, t_new, cost, trader, clipped, belief, post)
@@ -910,7 +888,7 @@ def _replay_settlement(
 ) -> SettlementReport:
     """Settle at the logged outcome; every logged field must equal the
     recomputed one exactly, as ``write_log`` serializes it."""
-    report = settle(state, float(_log_real(logged, "outcome")), records)
+    report = settle(state, float(_field(logged, "outcome", "", _real)), records)
     want = settlement_to_json(report)["settlement"]
     for key in sorted(set(logged) | set(want)):
         got, expected = logged.get(key), want.get(key)
@@ -945,9 +923,9 @@ def replay(
     it must be valid, padded base64 of 8 * ``n`` bytes. Any inconsistent or
     malformed line (a fractional counter, text nested too deeply to parse or
     a bytes line that is not UTF-8 included) raises LogConsistencyError
-    naming the line and the number of records verified before it. Returns
-    the final state, the verified records, and the recomputed settlement
-    when the log carries one.
+    naming the line, the number of records verified before it and any
+    missing or mistyped field (read by ``errors._field``). Returns the final
+    state, the verified records, and the recomputed settlement if logged.
 
     Each line's fields are checked as it is read. Records are verified in
     blocks of at most ``_BLOCK_ELEMENTS`` inventory elements (see
@@ -988,9 +966,7 @@ def replay(
                 line = line.decode("utf-8")
             if not line or line.isspace():
                 continue
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise TypeError("not a JSON object")
+            obj = _object(json.loads(line))
             if opening is None:
                 opening, version = _opening_state(obj)
                 running, potential = obj["s0"], opening.potential
@@ -1000,7 +976,8 @@ def replay(
                 raise ValueError("the settlement must be the last line")
             elif "settlement" in obj:
                 verify()
-                report = _replay_settlement(final_state(), records, obj["settlement"])
+                logged = _field(obj, "settlement", "", _object)
+                report = _replay_settlement(final_state(), records, logged)
             else:
                 index = len(records) + len(pending)
                 entry = _logged_trade(
@@ -1012,7 +989,8 @@ def replay(
                     verify()
         except KeyError as exc:
             verify()
-            raise LogConsistencyError(f"line {lineno}: missing field {exc}", len(records)) from exc
+            message = f"line {lineno}: field {exc} is missing"
+            raise LogConsistencyError(message, len(records)) from exc
         except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:
             verify()
             raise LogConsistencyError(f"line {lineno}: {exc}", len(records)) from exc

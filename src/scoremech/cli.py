@@ -36,7 +36,7 @@ import numpy as np
 
 from . import amm, game
 from .beliefs import SignalModel
-from .discounting import DiscountSchedule, _is_real, required_ratio_numeric
+from .discounting import DiscountSchedule, required_ratio_numeric
 from .errors import (
     DiscountIneffectiveError,
     LogConsistencyError,
@@ -44,6 +44,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
+from .errors import _field, _finite_list, _json_int, _object, _precision, _real
 from .scoring import NormalBelief, ScoringRule
 from .truthfulness import TruthfulnessVerdict, classify_log, classify_quadratic
 
@@ -77,13 +78,6 @@ _MAX_SAMPLES = 2**20
 # may sweep; both are checked before any value is built.
 _MAX_GRID_VALUES = 10_000
 _MAX_GRID_MODELS = 2**18
-
-# The precisions a model, a market prior or a classify grid may hold; a
-# model's prior precision tau_c may also be 0. Within this range every
-# analytic quantity agrees with a 60-digit evaluation to 1e-9 relative (the
-# test suite checks it). Beyond it float64 loses them: at precisions near
-# 1e-227 the log rule's k_min read 0.951 against an exact 0.249.
-_MIN_PRECISION, _MAX_PRECISION = 1e-100, 1e100
 
 
 def _fmt(x: float) -> str:
@@ -119,76 +113,21 @@ def _emit_report(report: dict, out_path: str | None) -> None:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
+            return _object(json.load(fh))
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno})"
         ) from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"config {path} is not UTF-8 text: {exc}") from exc
-    except RecursionError as exc:
-        raise ValidationError(f"config {path} is nested too deeply to parse") from exc
-    return _require_object(record, f"config {path}")
-
-
-def _require_object(record, where: str) -> dict:
-    if not isinstance(record, dict):
-        raise ValidationError(f"{where} must be a JSON object, not {type(record).__name__}")
-    return record
-
-
-def _field(record: dict, key: str, where: str, cast, default=None):
-    """``cast(record[key])``, or ``default`` when the key is absent and a
-    default is given; a missing or malformed value is a config error that
-    names the field."""
-    if key not in record:
-        if default is None:
-            raise ValidationError(f"{where}: missing field {key!r}")
-        return default
-    try:
-        return cast(record[key])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: malformed field {key!r}: {exc}") from exc
-
-
-def _json_int(value) -> int:
-    """``value`` if it is a JSON integer (not a float, string or boolean)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"must be a JSON integer, not {value!r}")
-    return value
-
-
-def _real(value):
-    """``value`` if it is a JSON number that a finite float holds (not a
-    boolean or a string)."""
-    if not _is_real(value):
-        raise TypeError(f"must be a finite number, not {value!r}")
-    return value
-
-
-def _precision(value, zero_ok: bool = False):
-    """``value`` if it is a JSON number in [``_MIN_PRECISION``,
-    ``_MAX_PRECISION``], or 0 when ``zero_ok``."""
-    if not (_is_real(value) and (
-            _MIN_PRECISION <= value <= _MAX_PRECISION or (zero_ok and value == 0))):
-        raise ValueError(f"must be {'0 or ' if zero_ok else ''}a number in "
-                         f"[{_MIN_PRECISION!r}, {_MAX_PRECISION!r}], not {value!r}")
-    return value
-
-
-def _finite_list(value) -> tuple[float, ...]:
-    """``value`` as floats if it is a non-empty JSON array of finite numbers."""
-    if not (isinstance(value, list) and value):
-        raise TypeError("must be a non-empty list of numbers")
-    if not all(_is_real(v) for v in value):
-        raise ValueError("entries must be finite numbers")
-    return tuple(float(v) for v in value)
+    # Text that is not UTF-8, is nested too deeply or holds an integer of
+    # more digits than int() converts, or a root that is not an object.
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"config {path}: {exc}") from exc
 
 
 def _model_from(record: dict, where: str) -> SignalModel:
-    record = _require_object(record, f"{where}: model")
+    """The model that the config object ``record``, at path ``where``, holds."""
     fields = {
         name: _field(record, name, where, cast, default)
         for name, cast, default in (
@@ -212,15 +151,18 @@ def _rule_from(name: str) -> ScoringRule:
         raise ValidationError(f"unknown rule {name!r} (use log or quadratic)") from None
 
 
-def _schedule_from(record: dict | None) -> DiscountSchedule:
-    if record is None:
+def _schedule_from(config: dict, where: str) -> DiscountSchedule:
+    """The schedule of a config whose path is ``where``; an absent or null
+    one is the constant k = 1."""
+    if config.get("schedule") is None:
         return DiscountSchedule(kind="constant", k0=1.0)
-    return DiscountSchedule.from_config(record)
+    record = _field(config, "schedule", where, _object)
+    return DiscountSchedule.from_config(record, f"{where}: schedule")
 
 
-def _require_samples(samples: int) -> None:
-    if samples > _MAX_SAMPLES:
-        raise ValidationError(f"--samples must be at most {_MAX_SAMPLES}, not {samples}")
+def _require_samples(samples: int, least: int) -> None:
+    if not least <= samples <= _MAX_SAMPLES:
+        raise ValidationError(f"--samples must lie in [{least}, {_MAX_SAMPLES}], not {samples}")
 
 
 def _classify(rule: ScoringRule, model: SignalModel) -> TruthfulnessVerdict:
@@ -421,10 +363,11 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
     arm, which is what ``game.compare_mechanisms`` of the truthful
     scenario pays, averaged over the first min(samples, 2000) worlds.
     """
-    _require_samples(samples)
-    model = _model_from(config.get("model", {}), "scenario")
-    rule = _rule_from(config.get("rule", "log"))
-    schedule = _schedule_from(config.get("schedule"))
+    # A Monte-Carlo standard error needs two worlds.
+    _require_samples(samples, 2)
+    model = _model_from(_field(config, "model", "scenario", _object, {}), "scenario: model")
+    rule = _field(config, "rule", "scenario", _rule_from, ScoringRule.LOGARITHMIC)
+    schedule = _schedule_from(config, "scenario")
     c_grid = _field(config, "c_grid", "scenario", _finite_list, _DEFAULT_C_GRID)
     if model.tau_c <= 0:
         raise ValidationError(
@@ -516,29 +459,25 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
 def cmd_market_simulate(
     config: dict, sessions: int, seed: int, out: str | None, log_path: str | None
 ) -> dict:
-    model = _model_from(config.get("model", {}), "market config")
-    prior_rec = config.get("prior")
-    if prior_rec is None:
+    where = "market config"
+    model = _model_from(_field(config, "model", where, _object, {}), f"{where}: model")
+    # A null prior, like an absent one, is the model's.
+    if config.get("prior") is None:
         prior = NormalBelief(model.c0, model.tau_c)
     else:
-        where = "market config: prior"
-        prior_rec = _require_object(prior_rec, where)
+        prior_rec = _field(config, "prior", where, _object)
         prior = NormalBelief(
-            float(_field(prior_rec, "mean", where, _real)),
-            float(_field(prior_rec, "precision", where, _precision)),
+            float(_field(prior_rec, "mean", f"{where}: prior", _real)),
+            float(_field(prior_rec, "precision", f"{where}: prior", _precision)),
         )
-    schedule = _schedule_from(config.get("schedule"))
-    n_bins = _field(config, "n_bins", "market config", _json_int, 512)
+    schedule = _schedule_from(config, where)
+    n_bins = _field(config, "n_bins", where, _json_int, 512)
     if not 2 <= n_bins <= _MAX_BINS:
-        raise ValidationError(
-            f"market config: 'n_bins' must lie in [2, {_MAX_BINS}], not {n_bins}"
-        )
-    affine_shift = float(_field(config, "affine_shift", "market config", _real, 0.0))
+        raise ValidationError(f"{where}: field 'n_bins' must lie in [2, {_MAX_BINS}], not {n_bins}")
+    affine_shift = float(_field(config, "affine_shift", where, _real, 0.0))
     if model.tau_c <= 0:
         raise ValidationError("market model needs tau_c > 0 to sample outcomes")
-    if sessions < 1:
-        raise ValidationError("need at least one session")
-    _require_samples(sessions)
+    _require_samples(sessions, 1)
 
     worlds = game.draw_worlds(model, seed, sessions)
     opening = amm.open_market(prior, schedule, n_bins=n_bins, affine_shift=affine_shift)
@@ -672,7 +611,9 @@ def main(argv: list[str] | None = None) -> int:
             return _EXIT_OK
         if args.cmd == "discount":
             record = _load_json(args.config)
-            model = _model_from(record.get("model", record), "discount config")
+            # A bare model record is the model.
+            model = _model_from(_field(record, "model", "discount config", _object, record),
+                                "discount config: model")
             cmd_discount(_rule_from(args.rule), model, args.out)
             return _EXIT_OK
         if args.cmd == "simulate":

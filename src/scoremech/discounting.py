@@ -23,12 +23,11 @@ market: each reset opens a fresh epoch whose worst-case cost is
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .beliefs import SignalModel
-from .errors import DiscountIneffectiveError, ValidationError
+from .errors import DiscountIneffectiveError, ValidationError, _field, _is_real, _real, _text
 from .scoring import NormalBelief, ScoringRule, expected_score
 from .truthfulness import _curvatures
 
@@ -46,13 +45,6 @@ __all__ = [
 _MAX_RESETS = 64
 
 _KINDS = ("constant", "geometric_by_count", "piecewise")
-
-
-def _is_real(value) -> bool:
-    """An int or float, not a bool, that a finite float can hold."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -111,16 +103,15 @@ class DiscountSchedule:
         }
 
     @classmethod
-    def from_config(cls, record: Mapping) -> "DiscountSchedule":
-        try:
-            return cls(
-                kind=record["kind"],
-                k0=record["k0"],
-                decay=record.get("decay", 1.0),
-                resets=record.get("resets", ()),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed schedule record: {exc}") from exc
+    def from_config(cls, record: Mapping, where: str = "schedule") -> "DiscountSchedule":
+        """The schedule of a ``to_config`` record; a missing or mistyped
+        field raises ValidationError naming it after the path ``where``."""
+        return cls(
+            kind=_field(record, "kind", where, _text),
+            k0=_field(record, "k0", where, _real),
+            decay=_field(record, "decay", where, _real, 1.0),
+            resets=record.get("resets", ()),
+        )
 
 
 def schedule_eval(schedule: DiscountSchedule, t: int) -> float:

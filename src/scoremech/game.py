@@ -304,8 +304,9 @@ def analytic_gain(
     return k1 * div_first - k2 * div_pool
 
 
-# deviation_curve scores its arms as (arms, n) blocks of at most this many
-# elements (128 KiB of float64 each), whatever the grid's length.
+# deviation_curve scores its arms, and amm's simulate_sessions and replay
+# their sessions and records, as (block, n) arrays of at most this many
+# elements (128 KiB of float64 each), whatever the grid's or the batch's length.
 _BLOCK_ELEMENTS = 2**14
 
 

@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
 import base64
+import contextlib
+import copy
 import csv
 import io
 import json
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -15,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from log_versions import as_version_2, write_v2_log
 from scoremech import (
@@ -364,6 +368,29 @@ NOT_NUMBERS = {
 }
 MALFORMED_LOGS.update({case: (line, edit) for case, (line, _, edit) in NOT_NUMBERS.items()})
 
+# Fields of another JSON type than the one replay reads, which replay
+# once refused with Python's own exception text (such as "'int' object is
+# not subscriptable"): (line and field named in the error, edit as above).
+MISTYPED_LOG_FIELDS = {
+    "grid_list": (1, "grid", lambda o: o[0].update(grid=[1, 2])),
+    "grid_string": (1, "grid", lambda o: o[0].update(grid="x")),
+    "grid_n_float": (1, "n", lambda o: o[0]["grid"].update(n=float(o[0]["grid"]["n"]))),
+    "grid_n_string": (1, "n", lambda o: o[0]["grid"].update(n=str(o[0]["grid"]["n"]))),
+    "grid_n_boolean": (1, "n", lambda o: o[0]["grid"].update(n=True)),
+    "grid_unknown_key": (1, "grid", lambda o: o[0]["grid"].update(step=0.1)),
+    "grid_key_missing": (1, "n", lambda o: o[0]["grid"].pop("n")),
+    "prior_number": (1, "prior", lambda o: o[0].update(prior=5)),
+    "schedule_list": (1, "schedule", lambda o: o[0].update(schedule=[o[0]["schedule"]])),
+    "t0_float": (1, "t0", lambda o: o[0].update(t0=0.0)),
+    "counter_float": (2, "t", lambda o: o[1].update(t=float(o[1]["t"]))),
+    "record_number_float": (2, "i", lambda o: o[1].update(i=0.0)),
+    "record_number_string": (3, "i", lambda o: o[2].update(i="1")),
+    "clipped_bins_float": (3, "clipped_bins", lambda o: o[2].update(clipped_bins=0.0)),
+    "settlement_number": (5, "settlement", lambda o: o[4].update(settlement=5)),
+}
+MALFORMED_LOGS.update(
+    {case: (line, edit) for case, (line, _, edit) in MISTYPED_LOG_FIELDS.items()})
+
 
 # Version-2 inventories that replay refuses: (line and field named in the
 # error, edit as above).
@@ -434,6 +461,14 @@ def test_market_replay_names_the_first_faulty_line(tmp_path, capsys):
     code, err = replay_edited_log(edit, tmp_path, capsys)
     assert code == 4
     assert err.startswith("consistency error: record 0: line 2: logged cost")
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_LOG_FIELDS))
+def test_market_replay_names_a_mistyped_field(case, tmp_path, capsys):
+    line, field, edit = MISTYPED_LOG_FIELDS[case]
+    code, err = replay_edited_log(edit, tmp_path, capsys, version=3)
+    assert code == 4
+    assert err.startswith("consistency error:") and f"line {line}: field {field!r}" in err
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INVENTORIES))
@@ -609,11 +644,13 @@ def test_market_replay_of_the_version_3_log_is_unchanged(tmp_path, capsys):
         assert err.startswith(f"consistency error: {refused}")
 
 
-# Config text that json.load cannot take: bytes that are not UTF-8, and
-# arrays nested past the interpreter's recursion limit.
+# Config text that json.load cannot take: bytes that are not UTF-8, arrays
+# nested past the interpreter's recursion limit, and an integer of more
+# digits than int() converts (a traceback once).
 UNDECODABLE_CONFIGS = {
     "not_utf8": b'{"model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0}, "rule": "l\xffg"}',
     "nested_too_deeply": b"[" * 100000 + b"]" * 100000,
+    "integer_too_long": b'{"n_bins": ' + b"9" * 5000 + b"}",
 }
 
 
@@ -969,6 +1006,16 @@ HOSTILE_CONFIGS = {
         BOTH_SIMULATIONS, {"schedule": {"kind": "piecewise", "k0": 1.0, "resets": [[2, True]]}},
         "resets"),
     "k0_boolean": (BOTH_SIMULATIONS, {"schedule": {"kind": "constant", "k0": True}}, "k0"),
+    # A schedule of the wrong type, or a mistyped or missing k0, was once
+    # refused without the field's path.
+    "schedule_list": (BOTH_SIMULATIONS, {"schedule": [{"kind": "constant", "k0": 1.0}]},
+                      "field 'schedule': must be a JSON object"),
+    "schedule_string": (BOTH_SIMULATIONS, {"schedule": "constant"},
+                        "field 'schedule': must be a JSON object"),
+    "k0_string": (BOTH_SIMULATIONS, {"schedule": {"kind": "constant", "k0": "1"}},
+                  "schedule: field 'k0': must be a finite number"),
+    "k0_missing": (BOTH_SIMULATIONS, {"schedule": {"kind": "constant"}},
+                   "schedule: field 'k0' is missing"),
     "c_grid_nan": (("simulate",), {"c_grid": [float("nan")]}, "c_grid"),
     "c_grid_empty": (("simulate",), {"c_grid": []}, "c_grid"),
     "c_grid_string": (("simulate",), {"c_grid": [1.0, "2"]}, "c_grid"),
@@ -1089,3 +1136,140 @@ def test_hostile_arguments_write_no_traceback(tmp_path, capsys):
     assert "Traceback" not in done.stderr, done.stderr
     assert done.returncode == 0
     assert json.loads(done.stdout) == [3 if case in NUMERIC_HOSTILE else 2 for case in HOSTILE]
+
+
+# Fuzzed inputs: one field of a valid config or of a valid three-trade log
+# set to an arbitrary JSON value or deleted, or a log line replaced by
+# garbage. Every run must exit 0, 2, 3 or 4 without a traceback; a field
+# given a value of another JSON type (or a non-integer where an integer
+# was) must be named when it is refused; and no report may print a
+# non-finite number, except the quadratic discount margin at |rho| = 1.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=4,
+)
+DELETED = object()
+# n_bins is drawn from a bounded set, so that no example allocates more
+# than a few MiB: small grids, one past the cap, and other JSON types.
+N_BINS_VALUES = st.sampled_from([2, 3, 16, 2**20 + 1, True, 16.0, 2.5, "16", None, [16]])
+FUZZ_MODEL = {"tau_a": 1.0, "tau_b": 2.0, "tau_c": 1.0, "rho": -0.5, "c0": 0.25}
+FUZZ_SCHEDULE = {"kind": "piecewise", "k0": 2.0, "decay": 1.0, "resets": [[2, 1.0]]}
+FUZZ_CONFIGS = {
+    "discount": {"model": FUZZ_MODEL},
+    "simulate": {"model": FUZZ_MODEL, "rule": "log", "schedule": FUZZ_SCHEDULE,
+                 "c_grid": [-1.0, 0.5]},
+    "market": {"model": FUZZ_MODEL, "prior": {"mean": 0.0, "precision": 1.0},
+               "schedule": FUZZ_SCHEDULE, "n_bins": 16, "affine_shift": 0.0},
+}
+
+
+def field_paths(record):
+    """The keys of a JSON object and of the objects it holds."""
+    return [(key,) for key in record] + [
+        (key, sub) for key, value in record.items() if isinstance(value, dict) for sub in value]
+
+
+def edited(record, path, value):
+    record = copy.deepcopy(record)
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    if value is DELETED:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return record
+
+
+def retyped(old, new):
+    """True when ``new`` is missing, of another JSON type than ``old``, or
+    not an integer where ``old`` is one."""
+    def kind(value):
+        return "number" if type(value) in (int, float) else type(value)
+    return new is DELETED or kind(new) != kind(old) or (type(old) is int and type(new) is not int)
+
+
+def run_quietly(argv):
+    """Exit code, stdout and stderr of ``main(argv)``, with warnings (such
+    as clipped beliefs) ignored."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_fuzzed_run(code, out, err, key, named):
+    assert code in (0, 2, 3, 4), (code, err)
+    if err:
+        assert err.startswith(("config error:", "numeric error:", "consistency error:")), err
+    if code in (2, 4) and err and named:
+        assert re.search(rf"\b{re.escape(key)}\b", err), (key, err)
+    if out:
+        report = json.loads(out)
+        if (report["schema"] == "scoremech-discount v1" and report["rule"] == "quadratic"
+                and abs(report["model"]["rho"]) == 1.0):
+            assert report.pop("margin") == -math.inf
+        assert not re.search(r"\bNaN\b|Infinity", json.dumps(report)), out
+
+
+@given(st.data())
+def test_fuzzed_configs_exit_cleanly(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
+    config = FUZZ_CONFIGS[command]
+    path = data.draw(st.sampled_from(field_paths(config)))
+    values = N_BINS_VALUES if path == ("n_bins",) else JSON_VALUES
+    value = data.draw(values | st.just(DELETED))
+    cfg = write_config(tmp_path_factory.getbasetemp(), edited(config, path, value),
+                       name="fuzzed.json")
+    samples = str(data.draw(st.integers(2, 5)))
+    argv = {
+        "discount": ["discount", "--rule", data.draw(st.sampled_from(["log", "quadratic"]))],
+        "simulate": ["simulate", "--samples", samples],
+        "market": ["market", "simulate", "--samples", samples],
+    }[command]
+    old = config
+    for key in path:
+        old = old[key]
+    check_fuzzed_run(*run_quietly([*argv, "--config", cfg]), path[-1], retyped(old, value))
+
+
+@pytest.fixture(scope="module")
+def fuzz_log(tmp_path_factory):
+    """A directory to write logs in, and the parsed lines of a settled
+    three-trade 16-bin log."""
+    directory = tmp_path_factory.mktemp("fuzzed_logs")
+    cfg = write_config(directory, FUZZ_CONFIGS["market"], name="market.json")
+    log = directory / "session.jsonl"
+    assert run_quietly(["market", "simulate", "--config", cfg, "--samples", "2",
+                        "--log", str(log)])[0] == 0
+    return directory, [json.loads(line) for line in log.read_text().splitlines()]
+
+
+@given(st.data())
+def test_fuzzed_logs_exit_cleanly(fuzz_log, data):
+    directory, objs = fuzz_log
+    lines = [json.dumps(obj).encode() for obj in objs]
+    index = data.draw(st.integers(0, len(lines) - 1))
+    key, named = None, False
+    if data.draw(st.booleans()):
+        path = data.draw(st.sampled_from(field_paths(objs[index])))
+        value = data.draw(JSON_VALUES)
+        lines[index] = json.dumps(edited(objs[index], path, value)).encode()
+        old = objs[index]
+        for key in path:
+            old = old[key]
+        named = retyped(old, value)
+    else:
+        lines[index] = data.draw(st.binary(max_size=12) | st.text(max_size=12).map(str.encode)
+                                 | JSON_VALUES.map(lambda v: json.dumps(v).encode()))
+    log = directory / "fuzzed.jsonl"
+    log.write_bytes(b"\n".join(lines) + b"\n")
+    code, out, err = run_quietly(["market", "replay", "--log", str(log)])
+    assert code in (0, 4), (code, err)
+    if code == 4:
+        assert re.match(r"consistency error: record \d+: line \d+: ", err), err
+    check_fuzzed_run(code, out, err, key, named)

@@ -1,8 +1,8 @@
 """Import hygiene: every name a package module imports is used there, every
-private module-level name is used somewhere in the package, the analytic
-commands never load the sampling stack, and nothing in the package loads
-mpmath, which only the tests' oracle uses. No package module validates
-with ``assert``, which ``python -O`` strips.
+private module-level name is used somewhere in the package and defined in
+one module only, the analytic commands never load the sampling stack, and
+nothing in the package loads mpmath, which only the tests' oracle uses. No
+package module validates with ``assert``, which ``python -O`` strips.
 
 No linter ships with the package, so this walks the syntax trees itself.
 A name counts as used when it is read anywhere in the module or listed in
@@ -83,6 +83,19 @@ def test_no_orphaned_private_names():
         if name not in read
     ]
     assert not orphans, "private names used nowhere in the package: " + ", ".join(orphans)
+
+
+def test_no_private_name_is_defined_twice():
+    # A private constant or helper is defined in one module and imported
+    # where else it is needed, so that the copies cannot drift apart.
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for line, name in _private_definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            defined.setdefault(name, set()).add(path.name)
+    assert defined, f"no private names found under {SRC}"
+    twice = sorted(f"{name} ({', '.join(sorted(modules))})"
+                   for name, modules in defined.items() if len(modules) > 1)
+    assert not twice, "private names defined in more than one module: " + ", ".join(twice)
 
 
 def test_no_assert_statements():

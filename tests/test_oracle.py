@@ -32,7 +32,7 @@ from scoremech import (
     required_ratio_log,
     required_ratio_numeric,
 )
-from scoremech.cli import _MAX_PRECISION, _MIN_PRECISION
+from scoremech.errors import _MAX_PRECISION, _MIN_PRECISION
 from scoremech.truthfulness import _curvatures
 
 REL_TOL = 1e-9
