@@ -71,7 +71,6 @@ from .truthfulness import (
     classify_log,
     classify_quadratic,
     deviation_criterion,
-    local_truthfulness_fd,
 )
 
 __version__ = "0.1.0"
@@ -112,7 +111,6 @@ __all__ = [
     "draw_world",
     "draw_worlds",
     "expected_score",
-    "local_truthfulness_fd",
     "loss_bound",
     "nonpositivity_shift",
     "open_market",

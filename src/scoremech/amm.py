@@ -465,13 +465,11 @@ def settle(
     is computed once per (prior, grid).
     """
     idx, out_of_range = state.grid.locate(outcome)
-    payouts: dict[str, float] = {}
-    collected = 0.0
-    for rec in records:
-        net = float(rec.post_shares[idx] - rec.pre_shares[idx])
-        payouts[rec.trader] = payouts.get(rec.trader, 0.0) + net
-        collected += rec.cost
-    maker_loss = sum(payouts.values()) - collected
+    payouts, collected, maker_loss = _account(
+        [rec.trader for rec in records],
+        [float(rec.post_shares[idx] - rec.pre_shares[idx]) for rec in records],
+        [rec.cost for rec in records],
+    )
     k0 = schedule_eval(state.schedule, 0)
     k_final = schedule_eval(state.schedule, state.t)
     shift = state.affine_shift
@@ -490,6 +488,21 @@ def settle(
     )
 
 
+def _account(traders, nets, costs):
+    """(payouts, collected, maker_loss) of trades by ``traders`` that
+    acquired ``nets`` shares in the outcome's bin at ``costs``: each
+    trader's nets summed in trade order, the costs summed in trade order,
+    and the maker's loss, the payouts' sum less the collected costs. The
+    nets and costs are floats, or arrays with one entry per session.
+    """
+    payouts = {}
+    collected = 0.0
+    for trader, net, cost in zip(traders, nets, costs):
+        payouts[trader] = payouts.get(trader, 0.0) + net
+        collected = collected + cost
+    return payouts, collected, sum(payouts.values()) - collected
+
+
 @dataclass(frozen=True, eq=False)
 class SessionBatch:
     """Sessions run by ``simulate_sessions``. Row i of each array is session
@@ -501,6 +514,10 @@ class SessionBatch:
     clipped_bins: np.ndarray
     records: tuple[TradeRecord, ...]
     settlement: SettlementReport
+
+
+# The traders of a simulated session's three trades, in trade order.
+_TRADERS = ("alice", "bob", "alice")
 
 
 def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> SessionBatch:
@@ -553,11 +570,7 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
             nets.append(post_held - held)
             finals.append((_read_only(post[-1].copy()), float(post_potential[-1])))
             held, potential = post_held, post_potential
-        # settle's accounting, in its order: payouts per trader in record
-        # order, their sum, and the collected costs.
-        alice, bob = 0.0 + nets[0] + nets[2], 0.0 + nets[1]
-        collected = 0.0 + costs[rows, 0] + costs[rows, 1] + costs[rows, 2]
-        maker_loss[rows] = (0.0 + alice + bob) - collected
+        maker_loss[rows] = _account(_TRADERS, nets, costs[rows].T)[2]
 
     total = int(clipped.sum())
     if total:
@@ -572,7 +585,7 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
     pooled_belief = NormalBelief(float(pooled[-1]), model.tau_pool)
     state, records = opening, []
     for j, (t, trader, belief, (shares, potential)) in enumerate(zip(
-        counters, ("alice", "bob", "alice"), (single_belief, pooled_belief, pooled_belief), finals
+        counters, _TRADERS, (single_belief, pooled_belief, pooled_belief), finals
     )):
         post = _priced(state, shares, t, potential)
         records.append(
@@ -926,6 +939,15 @@ def replay(
     naming the line, the number of records verified before it and any
     missing or mistyped field (read by ``errors._field``). Returns the final
     state, the verified records, and the recomputed settlement if logged.
+
+    Replay proves that a log agrees with itself: each line's fields, the
+    counters and the record order; every cost to 1e-10; every rebuilt
+    inventory bit for bit; and the settlement exactly. It cannot prove that
+    the log is the one traded: nothing ties the header's ``s0`` to its
+    prior and schedule, and belief trades are cashless whatever k is, so an
+    unsettled log's schedule, or its beliefs moved inside the grid, may not
+    be the ones traded. A settled log shows such an edit only at its
+    settlement line.
 
     Each line's fields are checked as it is read. Records are verified in
     blocks of at most ``_BLOCK_ELEMENTS`` inventory elements (see

@@ -63,9 +63,6 @@ _AGREEMENT_SIGMAS = 4.0
 
 _DEFAULT_C_GRID = (-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0)
 
-# Worlds the simulate report's mechanism comparison averages over.
-_MECHANISM_WORLDS = 2000
-
 # Largest market grid a config may ask for: 8 MiB per inventory array.
 _MAX_BINS = 2**20
 
@@ -261,7 +258,8 @@ def _parse_grid_spec(spec: str | None) -> dict[str, tuple[float, ...]]:
 
 
 def cmd_classify(config: SweepConfig) -> str:
-    """Sweep the grid and render the CSV (also written to config.out)."""
+    """Sweep the grid, render the CSV and write it to config.out, or to
+    stdout when that is None."""
     buf = io.StringIO()
     buf.write(_CSV_SCHEMA + "\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -302,8 +300,7 @@ def cmd_classify(config: SweepConfig) -> str:
                     ]
                 )
     text = buf.getvalue()
-    if config.out is not None:
-        _emit(text, config.out)
+    _emit(text, config.out)
     return text
 
 
@@ -362,6 +359,7 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
     ``samples`` of them; the mechanism comparison is the curve's c = 0
     arm, which is what ``game.compare_mechanisms`` of the truthful
     scenario pays, averaged over the first min(samples, 2000) worlds.
+    A model with tau_c = 0 is refused by ``game.draw_worlds``.
     """
     # A Monte-Carlo standard error needs two worlds.
     _require_samples(samples, 2)
@@ -369,11 +367,6 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
     rule = _field(config, "rule", "scenario", _rule_from, ScoringRule.LOGARITHMIC)
     schedule = _schedule_from(config, "scenario")
     c_grid = _field(config, "c_grid", "scenario", _finite_list, _DEFAULT_C_GRID)
-    if model.tau_c <= 0:
-        raise ValidationError(
-            "scenario model needs tau_c > 0 to sample outcomes; "
-            "use a small positive tau_c to approximate an uninformative prior"
-        )
 
     verdict = _classify(rule, model)
     curve = []
@@ -381,7 +374,7 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
     # Overflow at a huge shift is caught from the non-finite results below.
     with np.errstate(over="ignore", invalid="ignore"):
         worlds = game.draw_worlds(model, seed, samples)
-        estimates, truthful = game._curve_and_truthful_sequence(
+        estimates, mechanisms = game._curve_and_mechanisms(
             model, rule, schedule, c_grid, worlds
         )
     for c, (mc_mean, mc_se) in zip(c_grid, estimates):
@@ -410,17 +403,6 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
             }
         )
     best = game.best_response(model, rule, schedule)
-    truthful = [(t, e, s[:_MECHANISM_WORLDS]) for t, e, s in truthful]
-    rows = [
-        (mech, expert, payoff)
-        for mech in game._MECHANISMS
-        for expert, payoff in game._payoffs(mech, truthful, schedule).items()
-    ]
-    # One reduction over the stacked rows gives each row's own mean exactly.
-    means = np.stack([payoff for _, _, payoff in rows]).mean(axis=1).tolist()
-    mechanisms: dict[str, dict[str, float]] = {}
-    for (mech, expert, _), mean in zip(rows, means):
-        mechanisms.setdefault(mech, {})[expert] = mean
     report = {
         "schema": "scoremech-simulate v1",
         "rule": rule.value,
@@ -461,6 +443,8 @@ def cmd_market_simulate(
 ) -> dict:
     where = "market config"
     model = _model_from(_field(config, "model", where, _object, {}), f"{where}: model")
+    # Before the default prior, whose precision tau_c would be refused first.
+    game._require_sampleable(model)
     # A null prior, like an absent one, is the model's.
     if config.get("prior") is None:
         prior = NormalBelief(model.c0, model.tau_c)
@@ -475,8 +459,6 @@ def cmd_market_simulate(
     if not 2 <= n_bins <= _MAX_BINS:
         raise ValidationError(f"{where}: field 'n_bins' must lie in [2, {_MAX_BINS}], not {n_bins}")
     affine_shift = float(_field(config, "affine_shift", where, _real, 0.0))
-    if model.tau_c <= 0:
-        raise ValidationError("market model needs tau_c > 0 to sample outcomes")
     _require_samples(sessions, 1)
 
     worlds = game.draw_worlds(model, seed, sessions)
@@ -605,9 +587,7 @@ def main(argv: list[str] | None = None) -> int:
                 tau_c_values=grid["tau_c"],
                 out=args.out,
             )
-            text = cmd_classify(config)
-            if args.out is None:
-                sys.stdout.write(text)
+            cmd_classify(config)
             return _EXIT_OK
         if args.cmd == "discount":
             record = _load_json(args.config)

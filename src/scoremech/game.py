@@ -57,6 +57,9 @@ _T_PRIOR, _T_FIRST, _T_POOL, _T_CORRECT = 0, 1, 2, 3
 
 _MECHANISMS = ("discounted_msr", "group", "single")
 
+# Worlds the simulate report's mechanism comparison averages over.
+_MECHANISM_WORLDS = 2000
+
 
 @dataclass(frozen=True)
 class ForumSchedule:
@@ -149,8 +152,8 @@ def _world_indices(seed: int, n: int, start_index: int) -> tuple[int, int, int]:
 
 
 def _block_normals(seed: int, n: int, start_index: int) -> np.ndarray:
-    """Standard normals of shape (n, 3), row i from counter block start_index + i."""
-    seed, n, start_index = _world_indices(seed, n, start_index)
+    """Standard normals of shape (n, 3), row i from counter block start_index + i,
+    for indices that ``_world_indices`` has checked."""
     # Imported here so that the analytic commands never load numpy.random.
     from numpy.random import Philox
 
@@ -212,14 +215,9 @@ def draw_worlds(
 
 
 def draw_world(model: SignalModel, seed: int, index: int = 0) -> tuple[float, float, float]:
-    """Row 0 of ``draw_worlds(model, seed, 1, index)``, as floats.
-
-    The row's normals go through the same world arithmetic as Python
-    floats, which is the same IEEE arithmetic without the array overhead.
-    """
-    _require_sampleable(model)
-    z0, z1, z2 = _block_normals(seed, 1, index)[0].tolist()
-    return _world_from_noise(model, z0, z1, z2)
+    """Row 0 of ``draw_worlds(model, seed, 1, index)``, as floats."""
+    lam, a0, b0 = draw_worlds(model, seed, 1, index)
+    return float(lam[0]), float(a0[0]), float(b0[0])
 
 
 def _as_worlds(worlds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -474,11 +472,33 @@ def compare_mechanisms(scenario: Scenario, worlds) -> dict[str, dict[str, np.nda
     For the truthful scenario (no shift, with the correction, no
     freeloader) that sequence is the c = 0 arm of ``deviation_curve``.
     The simulate report's mechanism comparison is these payoffs on the
-    first min(samples, 2000) worlds, taken from the curve's one scoring
-    pass instead of a second one.
+    first min(samples, ``_MECHANISM_WORLDS``) worlds, averaged, and taken
+    from the curve's one scoring pass (``_curve_and_mechanisms``).
     """
     seq = _scenario_sequence(scenario, worlds)
     return {mech: _payoffs(mech, seq, scenario.schedule) for mech in _MECHANISMS}
+
+
+def _curve_and_mechanisms(model, rule, schedule, c_grid, worlds):
+    """``deviation_curve``'s estimates, and each expert's mean payoff under
+    each mechanism as {mechanism: {expert: mean}}: ``compare_mechanisms``
+    of the truthful scenario on the first ``_MECHANISM_WORLDS`` worlds,
+    averaged, and paid from the curve's c = 0 arm, so that the worlds are
+    scored once for both.
+    """
+    estimates, truthful = _curve_and_truthful_sequence(model, rule, schedule, c_grid, worlds)
+    truthful = [(t, e, s[:_MECHANISM_WORLDS]) for t, e, s in truthful]
+    rows = [
+        (mech, expert, payoff)
+        for mech in _MECHANISMS
+        for expert, payoff in _payoffs(mech, truthful, schedule).items()
+    ]
+    # One reduction over the stacked rows gives each row's own mean exactly.
+    means = np.stack([payoff for _, _, payoff in rows]).mean(axis=1).tolist()
+    mechanisms: dict[str, dict[str, float]] = {}
+    for (mech, expert, _), mean in zip(rows, means):
+        mechanisms.setdefault(mech, {})[expert] = mean
+    return estimates, mechanisms
 
 
 def run_mechanism(

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .beliefs import SignalModel
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .scoring import ScoringRule, _divergence, _divergence_scale
 
 __all__ = [
@@ -44,12 +44,7 @@ __all__ = [
     "deviation_criterion",
     "classify_log",
     "classify_quadratic",
-    "local_truthfulness_fd",
 ]
-
-# Below this curvature magnitude the finite-difference test refuses to call
-# a side: the model sits on the truthfulness boundary.
-_CURVATURE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -172,34 +167,3 @@ def classify_quadratic(model: SignalModel) -> TruthfulnessVerdict:
     return TruthfulnessVerdict(
         globally_truthful=False, locally_truthful=margin > 0.0, margin=margin
     )
-
-
-def local_truthfulness_fd(rule: ScoringRule, model: SignalModel) -> bool:
-    """Numerically decide local truthfulness from criterion curvature at c = 0.
-
-    Richardson-extrapolated central second differences (base step 1e-4) of
-    ``deviation_criterion``. Positive curvature means infinitesimal shifts
-    hurt, i.e. locally truthful.
-
-    Raises
-    ------
-    NumericError
-        If the extrapolated curvature magnitude falls below 1e-12; the model
-        then sits on the boundary and the sign is not trustworthy.
-    """
-
-    def second_diff(h: float) -> float:
-        # The criterion vanishes at c = 0, so the central stencil collapses.
-        crit = deviation_criterion(rule, model, h) + deviation_criterion(rule, model, -h)
-        return crit / (h * h)
-
-    h = 1e-4
-    coarse = second_diff(h)
-    fine = second_diff(h / 2.0)
-    curvature = (4.0 * fine - coarse) / 3.0
-    if abs(curvature) < _CURVATURE_FLOOR:
-        raise NumericError(
-            "criterion curvature is below 1e-12; the model is on the "
-            "truthfulness boundary"
-        )
-    return curvature > 0.0

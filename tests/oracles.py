@@ -5,8 +5,10 @@ run through QUADPACK, Gaussian conditioning through dense linear algebra (or
 generalized least squares when the prior is flat), bin masses through the
 stdlib error function, schedule evaluation through direct recursion, and
 the deviation calculus through 60-digit mpmath arithmetic on the exact
-values of the model's floats. Agreement between these routes and the
-library is what the tests assert.
+values of the model's floats, and local truthfulness through finite
+differences of the package's deviation criterion rather than its closed
+curvature. Agreement between these routes and the library is what the
+tests assert.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 import mpmath
 import numpy as np
 from scipy import integrate
+
+from scoremech import NumericError, deviation_criterion
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -313,3 +317,39 @@ def mp_gain_terms(rule, tau_a, tau_b, tau_c, rho, k1, k2, c):
     c = MP.mpf(c)
     return (MP.mpf(k1) * _mp_divergence(rule, single, c * a_g),
             MP.mpf(k2) * _mp_divergence(rule, pool, c * a_h))
+
+
+# Below this curvature magnitude the finite-difference probe refuses to call
+# a side: the model sits on the truthfulness boundary.
+_CURVATURE_FLOOR = 1e-12
+
+
+def local_truthfulness_fd(rule, model) -> bool:
+    """Numerically decide local truthfulness from criterion curvature at c = 0.
+
+    Richardson-extrapolated central second differences (base step 1e-4) of
+    ``deviation_criterion``. Positive curvature means infinitesimal shifts
+    hurt, i.e. locally truthful.
+
+    Raises
+    ------
+    NumericError
+        If the extrapolated curvature magnitude falls below 1e-12; the model
+        then sits on the boundary and the sign is not trustworthy.
+    """
+
+    def second_diff(h: float) -> float:
+        # The criterion vanishes at c = 0, so the central stencil collapses.
+        crit = deviation_criterion(rule, model, h) + deviation_criterion(rule, model, -h)
+        return crit / (h * h)
+
+    h = 1e-4
+    coarse = second_diff(h)
+    fine = second_diff(h / 2.0)
+    curvature = (4.0 * fine - coarse) / 3.0
+    if abs(curvature) < _CURVATURE_FLOOR:
+        raise NumericError(
+            "criterion curvature is below 1e-12; the model is on the "
+            "truthfulness boundary"
+        )
+    return curvature > 0.0

@@ -58,7 +58,6 @@ from scoremech import (
     divergence,
     draw_world,
     draw_worlds,
-    local_truthfulness_fd,
     loss_bound,
     open_market,
     posterior_pair,
@@ -282,7 +281,7 @@ def test_criterion_05_quadratic_never_truthful():
     for model in canonical_models():
         if _on_neutral_boundary(model):
             continue
-        fd = local_truthfulness_fd(QUAD, model)
+        fd = oracles.local_truthfulness_fd(QUAD, model)
         game_says = analytic_gain(model, QUAD, FLAT, 1e-3) < 0.0
         verdict = classify_quadratic(model)
         compared += 1

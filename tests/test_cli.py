@@ -204,12 +204,16 @@ def test_simulate_non_finite_curve_is_numeric_error(tmp_path, capsys):
     assert err.startswith("numeric error:") and "1e+308" in err
 
 
+# Every command that samples worlds refuses tau_c = 0 with this message.
+ZERO_NOISE_ERROR = "config error: tau_c must be positive to sample the latent outcome"
+
+
 def test_simulate_rejects_zero_noise(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 0.0, "rho": -0.8}})
     code, _, err = run(["simulate", "--config", cfg], capsys)
     assert code == 2
-    assert "tau_c" in err
+    assert err.startswith(ZERO_NOISE_ERROR)
 
 
 def test_simulate_malformed_config(tmp_path, capsys):
@@ -644,6 +648,34 @@ def test_market_replay_of_the_version_3_log_is_unchanged(tmp_path, capsys):
         assert err.startswith(f"consistency error: {refused}")
 
 
+def test_market_replay_checks_the_log_against_itself_only(tmp_path, capsys):
+    # Nothing ties the header's s0 to its prior and schedule, and a belief
+    # trade is cashless whatever k is. So a version-3 log of belief trades
+    # with an edited schedule.k0 replays unsettled as it did before, and a
+    # settled one is refused only at its settlement line.
+    cfg = market_config(tmp_path)
+    log = tmp_path / "session.jsonl"
+    argv = ["market", "simulate", "--config", cfg, "--samples", "2", "--log", str(log)]
+    assert run(argv, capsys)[0] == 0
+    header, *trades, settlement = log.read_text().splitlines()
+    header = json.loads(header)
+    assert header["version"] == 3 and header["schedule"]["k0"] == 1.0
+    assert len(trades) == 3 and all("belief" in json.loads(line) for line in trades)
+    unsettled = tmp_path / "unsettled.jsonl"
+    unsettled.write_text("\n".join([json.dumps(header), *trades]) + "\n")
+    code, want, _ = run(["market", "replay", "--log", str(unsettled)], capsys)
+    assert code == 0
+
+    header["schedule"]["k0"] = 5.0
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("\n".join([json.dumps(header), *trades]) + "\n")
+    assert run(["market", "replay", "--log", str(edited)], capsys) == (0, want, "")
+    edited.write_text("\n".join([json.dumps(header), *trades, settlement]) + "\n")
+    code, out, err = run(["market", "replay", "--log", str(edited)], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("consistency error: record 3: line 5: settlement loss_bound")
+
+
 # Config text that json.load cannot take: bytes that are not UTF-8, arrays
 # nested past the interpreter's recursion limit, and an integer of more
 # digits than int() converts (a traceback once).
@@ -742,12 +774,14 @@ def test_market_simulate_determinism(tmp_path, capsys):
 
 
 def test_market_rejects_zero_noise(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "model": {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 0.0, "rho": 0.0},
-        "prior": {"mean": 0.0, "precision": 1.0},
-    })
-    code, _, _ = run(["market", "simulate", "--config", cfg], capsys)
-    assert code == 2
+    # Without a prior, the default one (precision tau_c) must not be refused
+    # first, for its precision.
+    model = {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 0.0, "rho": 0.0}
+    for prior in ({"prior": {"mean": 0.0, "precision": 1.0}}, {}):
+        cfg = write_config(tmp_path, {"model": model, **prior})
+        code, out, err = run(["market", "simulate", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(ZERO_NOISE_ERROR)
 
 
 def test_market_prior_missing_field_is_config_error(tmp_path, capsys):

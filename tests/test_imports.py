@@ -2,7 +2,10 @@
 private module-level name is used somewhere in the package and defined in
 one module only, the analytic commands never load the sampling stack, and
 nothing in the package loads mpmath, which only the tests' oracle uses. No
-package module validates with ``assert``, which ``python -O`` strips.
+package module imports ``scipy.optimize`` or ``scipy.integrate``: the
+package evaluates closed forms, and search and quadrature live in the
+tests' oracle. No package module validates with ``assert``, which
+``python -O`` strips.
 
 No linter ships with the package, so this walks the syntax trees itself.
 A name counts as used when it is read anywhere in the module or listed in
@@ -108,6 +111,35 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, "assert statements: " + ", ".join(found)
+
+
+def _scipy_modules(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, module) of every scipy submodule the tree imports, ``from
+    scipy import x`` naming ``scipy.x``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            found += [(node.lineno, f"scipy.{alias.name}") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append((node.lineno, node.module))
+    return [(line, name) for line, name in found if name.startswith("scipy.")]
+
+
+def test_no_search_or_quadrature_in_the_package():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no modules found under {SRC}"
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in paths
+        for line, name in _scipy_modules(ast.parse(path.read_text(encoding="utf-8")))
+        if name.split(".")[1] in ("optimize", "integrate")
+    ]
+    assert not found, "search or quadrature imported: " + ", ".join(found)
+    # The rule sees the tests' oracle, which is the one place quadrature lives.
+    oracle = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    assert any(name == "scipy.integrate" for _, name in _scipy_modules(oracle))
 
 
 def test_analytic_commands_skip_the_sampling_stack(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import canonical_models, saturating_shift
+from oracles import local_truthfulness_fd
 from scoremech import (
     DegenerateCorrelationError,
     DiscountSchedule,
@@ -23,7 +24,6 @@ from scoremech import (
     classify_log,
     classify_quadratic,
     deviation_criterion,
-    local_truthfulness_fd,
     posterior_pair,
     posterior_single,
     required_ratio_numeric,
