@@ -5,26 +5,14 @@ correlated signals, analytic truthfulness classification of the
 Alice-Bob-Alice prediction game, discount schedules that restore prompt
 truthfulness, a Monte-Carlo game engine, and a discounted logarithmic
 market scoring rule run as an automated market maker.
+
+The import loads only the numpy-free modules. ``game``, ``amm`` and their
+public names load on first attribute access, so that the analytic
+commands never load numpy, the Monte-Carlo engine or the market maker.
 """
 
-from .amm import (
-    MarketState,
-    OutcomeGrid,
-    SessionBatch,
-    SettlementReport,
-    TradeRecord,
-    binned_density,
-    binned_self_score,
-    cost_function,
-    open_market,
-    price,
-    prices,
-    replay,
-    settle,
-    simulate_sessions,
-    trade,
-    write_log,
-)
+import importlib
+
 from .beliefs import SignalModel, posterior_pair, posterior_single
 from .discounting import (
     DiscountSchedule,
@@ -41,21 +29,6 @@ from .errors import (
     MechanismError,
     NumericError,
     ValidationError,
-)
-from .game import (
-    ABASubgame,
-    BestResponse,
-    ForumSchedule,
-    Scenario,
-    analytic_gain,
-    best_response,
-    compare_mechanisms,
-    deviation_curve,
-    draw_world,
-    draw_worlds,
-    reduce_schedule,
-    run_mechanism,
-    run_mechanism_batch,
 )
 from .scoring import (
     NormalBelief,
@@ -133,3 +106,33 @@ __all__ = [
     "write_log",
     "__version__",
 ]
+
+# The module of each name that loads on first access; a submodule is its own.
+_LAZY = {
+    **dict.fromkeys((
+        "game", "ABASubgame", "BestResponse", "ForumSchedule", "Scenario",
+        "analytic_gain", "best_response", "compare_mechanisms", "deviation_curve",
+        "draw_world", "draw_worlds", "reduce_schedule", "run_mechanism",
+        "run_mechanism_batch",
+    ), "game"),
+    **dict.fromkeys((
+        "amm", "MarketState", "OutcomeGrid", "SessionBatch", "SettlementReport",
+        "TradeRecord", "binned_density", "binned_self_score", "cost_function",
+        "open_market", "price", "prices", "replay", "settle", "simulate_sessions",
+        "trade", "write_log",
+    ), "amm"),
+}
+
+
+def __getattr__(name: str):
+    """Load ``name`` from its module on first access and keep it here."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

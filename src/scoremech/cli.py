@@ -30,11 +30,9 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import amm, game
 from .beliefs import SignalModel
 from .discounting import DiscountSchedule, required_ratio_numeric
 from .errors import (
@@ -361,6 +359,12 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
     scenario pays, averaged over the first min(samples, 2000) worlds.
     A model with tau_c = 0 is refused by ``game.draw_worlds``.
     """
+    # Imported here so that the analytic commands never load numpy or the
+    # Monte-Carlo engine.
+    import numpy as np
+
+    from . import game
+
     # A Monte-Carlo standard error needs two worlds.
     _require_samples(samples, 2)
     model = _model_from(_field(config, "model", "scenario", _object, {}), "scenario: model")
@@ -441,6 +445,9 @@ def cmd_simulate(config: dict, samples: int, seed: int, out: str | None) -> tupl
 def cmd_market_simulate(
     config: dict, sessions: int, seed: int, out: str | None, log_path: str | None
 ) -> dict:
+    # Imported here so that no other command loads the market maker.
+    from . import amm, game
+
     where = "market config"
     model = _model_from(_field(config, "model", where, _object, {}), f"{where}: model")
     # Before the default prior, whose precision tau_c would be refused first.
@@ -509,6 +516,8 @@ def _read_log(log_path: str) -> list[str] | list[bytes]:
 
 
 def cmd_market_replay(log_path: str, out: str | None) -> dict:
+    from . import amm
+
     state, records, settlement = amm.replay(_read_log(log_path))
     report: dict = {
         "schema": "scoremech-replay v1",
@@ -574,9 +583,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as the commands print it: one line, without the source."""
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # Only the printed form changes: callers that record warnings get them.
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
+    try:
+        return _run(args)
+    finally:
+        warnings.formatwarning = formatwarning
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.cmd == "classify":
             grid = _parse_grid_spec(args.grid)

@@ -36,8 +36,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 
 __all__ = [
@@ -124,6 +122,9 @@ def _score(rule: ScoringRule, mean, tau: float, x):
     z = x - mean
     if rule is ScoringRule.LOGARITHMIC:
         return 0.5 * (math.log(tau) - _LOG_2PI) - 0.5 * tau * z * z
+    # Imported here so that the analytic commands never load numpy.
+    import numpy as np
+
     dens = math.sqrt(tau / (2.0 * math.pi)) * np.exp(-0.5 * tau * z * z)
     return 2.0 * dens - 0.5 * math.sqrt(tau / math.pi) - 1.0
 

@@ -721,6 +721,28 @@ def test_market_loss_bound_holds_across_a_reset(tmp_path, capsys):
     assert report["bound_satisfied"] is True
 
 
+def test_cli_prints_a_warning_as_one_line(tmp_path):
+    # Run as a program, where no caller records warnings: the clipped-bin
+    # warning is one line, without the package's file name or source line.
+    cfg = write_config(tmp_path, {
+        "model": {"tau_a": 100, "tau_b": 100, "tau_c": 1}, "n_bins": 512,
+    })
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "scoremech.cli", "market", "simulate", "--config", cfg,
+         "--samples", "5", "--out", os.devnull],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr == (
+        "warning: belief density clipped to 1e-300 on 5378 bins in 5 of 5 sessions\n")
+    # In process, main puts the caller's formatter back.
+    before = warnings.formatwarning
+    assert main(["classify", "--grid", "rho=0;ratio=1;tau_c=1", "--out", os.devnull]) == 0
+    assert warnings.formatwarning is before
+
+
 # market simulate reports and logs written before trade, simulate_sessions
 # and replay priced their inventories in one step: (config, sessions, the
 # clipped-bin warning). Each session count spans three blocks of sessions;

@@ -143,27 +143,59 @@ def test_no_search_or_quadrature_in_the_package():
 
 
 def test_analytic_commands_skip_the_sampling_stack(tmp_path):
-    # scipy.special and numpy.random are imported where worlds are drawn or
-    # densities binned, so classify and discount never load them.
+    # The package loads game and amm on first use, and numpy, scipy.special
+    # and numpy.random are imported where arrays are scored, worlds drawn or
+    # densities binned. So the import, classify and discount load none of
+    # them, and simulate never loads the market maker.
+    model = {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0, "rho": -0.8}
     config = tmp_path / "model.json"
-    config.write_text(json.dumps({"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0, "rho": -0.8}))
+    config.write_text(json.dumps(model))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"model": model}))
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
+        "stack = ('numpy', 'numpy.random', 'scipy', 'scipy.special',\n"
+        "         'scoremech.game', 'scoremech.amm')\n"
+        "def loaded():\n"
+        "    return [m for m in stack if m in sys.modules]\n"
+        "import scoremech\n"
+        "after = {'import': loaded()}\n"
         "from scoremech.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main([cmd, '--rule', rule, *extra])\n"
         "             for rule in ('log', 'quadratic')\n"
-        f"             for cmd, extra in (('classify', []), ('discount', ['--config', {str(config)!r}]))]\n"
-        "loaded = [m for m in ('scipy', 'scipy.special', 'numpy.random') if m in sys.modules]\n"
-        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+        "             for cmd, extra in (('classify', []), ('discount', ['--config', sys.argv[1]]))]\n"
+        "    after['analytic'] = loaded()\n"
+        "    codes.append(main(['simulate', '--config', sys.argv[2], '--samples', '50']))\n"
+        "    after['simulate'] = loaded()\n"
+        "names = [*scoremech.__all__, 'game', 'amm']\n"
+        "unresolved = [n for n in names if getattr(scoremech, n, None) is None]\n"
+        "undirected = sorted(set(scoremech.__all__) - set(dir(scoremech)))\n"
+        "try:\n"
+        "    scoremech.no_such_name\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "print(json.dumps({'codes': codes, 'after': after, 'unresolved': unresolved,\n"
+        "                  'undirected': undirected, 'unknown': unknown}))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run(
-        [sys.executable, "-c", "import json\n" + code],
+        [sys.executable, "-c", code, str(config), str(scenario)],
         env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {"codes": [0, 0, 0, 0], "loaded": []}
+    assert json.loads(done.stdout) == {
+        "codes": [0, 0, 0, 0, 0],
+        "after": {
+            "import": [],
+            "analytic": [],
+            "simulate": ["numpy", "numpy.random", "scipy", "scipy.special", "scoremech.game"],
+        },
+        "unresolved": [],
+        "undirected": [],
+        "unknown": "module 'scoremech' has no attribute 'no_such_name'",
+    }
 
 
 def test_the_package_never_loads_mpmath(tmp_path):
