@@ -727,7 +727,7 @@ def _opening_state(header: dict) -> tuple[MarketState, int]:
     version = _field(header, "version", "", _json_int)
     if not 1 <= version <= _LOG_VERSION:
         raise ValueError(f"unsupported log version {version!r}")
-    grid_rec, prior_rec = _field(header, "grid", "", _object), _field(header, "prior", "", _object)
+    grid_rec = _field(header, "grid", "", _object)
     unknown = sorted(set(grid_rec) - {"lo", "hi", "n"})
     if unknown:
         raise ValueError(f"field 'grid' holds an unknown field {unknown[0]!r}")
@@ -738,8 +738,7 @@ def _opening_state(header: dict) -> tuple[MarketState, int]:
         shares=_decode_shares(header["s0"], "s0", grid.n, version),
         t=_field(header, "t0", "", _json_int),
         schedule=DiscountSchedule.from_config(_field(header, "schedule", "", _object), ""),
-        prior=NormalBelief(_field(prior_rec, "mean", "", _real),
-                           _field(prior_rec, "precision", "", _real)),
+        prior=_logged_belief(_field(header, "prior", "", _object)),
         affine_shift=float(_field(header, "affine_shift", "", _real)),
     )
     return state, version
@@ -770,31 +769,26 @@ def _logged_belief(value: dict) -> NormalBelief:
 
 
 def _logged_trade(
-    obj: dict, lineno: int, index: int, n: int, shares, t_pre: int, running, version: int
+    obj: dict, lineno: int, index: int, n: int, shares, t_pre: int, version: int
 ) -> _Logged:
     """Logged trade number ``index`` on an n-bin grid, read from line
     ``lineno`` and checked field by field, after the trade that left
     inventory ``shares`` at counter ``t_pre``. Its cost, and a belief
     trade's clipped bins, are left to ``_verify_block``.
 
-    In versions 1 and 2 the running inventory is logged as the JSON value
-    ``running``: an inventory whose value equals ``running`` is that
-    inventory and is not decoded, and any other ``pre`` is decoded and
-    compared with it by value."""
+    In versions 1 and 2 both the ``pre`` and the ``post`` inventory are
+    decoded, and ``pre`` must equal ``shares`` by value."""
     number = _field(obj, "i", "", _json_int)
     if number != index:
         raise ValueError(f"record number {number} is out of sequence")
     t_new = _field(obj, "t", "", _json_int)
+    if t_new < t_pre:
+        raise ValueError("counter regressed")
     belief = None
     if version < 3:
-        pre, post = obj["pre"], obj["post"]
-        if pre != running and not np.array_equal(_decode_shares(pre, "pre", n, version), shares):
+        if not np.array_equal(_decode_shares(obj["pre"], "pre", n, version), shares):
             raise ValueError("pre-trade inventory does not match the running state")
-        if t_new < t_pre:
-            raise ValueError("counter regressed")
-        post = shares if post == running else _decode_shares(post, "post", n, version)
-    elif t_new < t_pre:
-        raise ValueError("counter regressed")
+        post = _decode_shares(obj["post"], "post", n, version)
     elif "belief" not in obj:
         post = _decode_shares(obj["post"], "post", n, version)
     elif "post" in obj:
@@ -918,7 +912,7 @@ def replay(
     Reads log format versions 1, 2 and 3, as the header's ``version`` says;
     each line is parsed by one ``json.loads``. Checks per record that its
     number ``i`` is its position, the counter does not regress, in versions
-    1 and 2 the pre-inventory equals the running inventory exactly, in
+    1 and 2 the pre-inventory equals the inventory before it by value, in
     version 3 a belief trade's clipped-bin count equals the one its belief
     gives, and the logged cost matches the recomputed C(post, t) -
     C(pre, t_pre) within 1e-10; and that a settlement, if any, is the last
@@ -927,8 +921,8 @@ def replay(
     rebuilt from its belief with ``trade``'s arithmetic, bit for bit.
     Counters, record numbers and clipped-bin counts must be JSON integers
     (not booleans; clipped bins at least 0) and traders strings. Costs, the
-    grid's ``lo`` and ``hi``, the prior's fields, ``affine_shift``, a
-    belief's ``mean`` and ``precision`` (which must be positive), the
+    grid's ``lo`` and ``hi``, ``affine_shift``, the ``mean`` and
+    ``precision`` of the prior and of a belief (the precision positive), the
     settlement's outcome and the entries of version-1 inventories must be
     JSON numbers that a finite float holds, not booleans or strings. A
     version-3 record holds a ``belief`` object or a ``post`` inventory, not
@@ -954,19 +948,18 @@ def replay(
     ``_verify_block``), with the floating-point operations of one
     MarketState per record. Every record read before line L is verified
     before an error from line L is raised, so the first faulty line is the
-    one named, with the same record index. In versions 1 and 2 an inventory
-    is decoded only when its logged value differs from the running
-    inventory's: a ``pre`` that repeats it is that inventory, and any other
-    ``pre`` is compared by value. The final state reuses the potential
-    verified in the last block.
+    one named, with the same record index. In versions 1 and 2 every
+    ``pre`` and ``post`` is decoded, and each ``pre`` is compared by value
+    with the inventory before it, so an equal inventory spelled differently
+    is accepted. The final state reuses the potential verified in the last
+    block.
     """
     opening, report, records = None, None, []
-    # The header's format version; the logged value of the running inventory
-    # (versions 1 and 2 repeat it as the next ``pre``); the inventory and
-    # counter the last record read left, the inventory None when a version-3
-    # belief trade left it; C of the last verified inventory; and the
-    # records read but not verified yet.
-    version, running, shares, t, potential, pending = None, None, None, None, None, []
+    # The header's format version; the inventory and counter the last record
+    # read left, the inventory None when a version-3 belief trade left it; C
+    # of the last verified inventory; and the records read but not verified
+    # yet.
+    version, shares, t, potential, pending = None, None, None, None, []
 
     def verify() -> None:
         nonlocal potential
@@ -991,8 +984,7 @@ def replay(
             obj = _object(json.loads(line))
             if opening is None:
                 opening, version = _opening_state(obj)
-                running, potential = obj["s0"], opening.potential
-                shares, t = opening.shares, opening.t
+                shares, t, potential = opening.shares, opening.t, opening.potential
                 block = max(1, _BLOCK_ELEMENTS // opening.grid.n)
             elif report is not None:
                 raise ValueError("the settlement must be the last line")
@@ -1002,11 +994,9 @@ def replay(
                 report = _replay_settlement(final_state(), records, logged)
             else:
                 index = len(records) + len(pending)
-                entry = _logged_trade(
-                    obj, lineno, index, opening.grid.n, shares, t, running, version
-                )
+                entry = _logged_trade(obj, lineno, index, opening.grid.n, shares, t, version)
                 pending.append(entry)
-                running, shares, t = obj.get("post"), entry.post, entry.t
+                shares, t = entry.post, entry.t
                 if len(pending) == block:
                     verify()
         except KeyError as exc:

@@ -31,7 +31,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 from .beliefs import SignalModel
 from .discounting import DiscountSchedule, required_ratio_numeric
@@ -46,7 +45,8 @@ from .errors import _field, _finite_list, _json_int, _object, _precision, _real
 from .scoring import NormalBelief, ScoringRule
 from .truthfulness import TruthfulnessVerdict, classify_log, classify_quadratic
 
-__all__ = ["main", "SweepConfig", "cmd_classify", "cmd_simulate", "cmd_market"]
+__all__ = ["main", "cmd_classify", "cmd_discount", "cmd_simulate", "cmd_market_simulate",
+           "cmd_market_replay"]
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -170,34 +170,6 @@ def _classify(rule: ScoringRule, model: SignalModel) -> TruthfulnessVerdict:
 # classify
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid sweep over (rho, tau_A/tau_B ratio, tau_C) for one rule."""
-
-    rule: ScoringRule
-    rho_values: tuple[float, ...]
-    ratio_values: tuple[float, ...]
-    tau_c_values: tuple[float, ...]
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if not (self.rho_values and self.ratio_values and self.tau_c_values):
-            raise ValidationError("sweep ranges must be non-empty")
-        if any(not -1.0 <= r <= 1.0 for r in self.rho_values):
-            raise ValidationError("rho values must lie in [-1, 1]")
-        for name, values in (("ratio", self.ratio_values), ("tau_c", self.tau_c_values)):
-            try:
-                for value in values:
-                    _precision(value, zero_ok=name == "tau_c")
-            except ValueError as exc:
-                raise ValidationError(f"{name} values: {exc}") from exc
-        models = len(self.rho_values) * len(self.ratio_values) * len(self.tau_c_values)
-        if models > _MAX_GRID_MODELS:
-            raise ValidationError(
-                f"the grid holds {models} models; at most {_MAX_GRID_MODELS} are supported"
-            )
-
-
 def _parse_floats(parts: list[str], name: str) -> tuple[float, ...]:
     try:
         values = tuple(float(p) for p in parts)
@@ -208,40 +180,57 @@ def _parse_floats(parts: list[str], name: str) -> tuple[float, ...]:
     return values
 
 
+def _rho(value: float) -> float:
+    if not -1.0 <= value <= 1.0:
+        raise ValueError(f"must lie in [-1, 1], not {value!r}")
+    return value
+
+
+# Each classify grid dimension: its default values and the check of one value.
+_GRID = {
+    "rho": ("-0.95:0.95:0.05", _rho),
+    "ratio": ("0.25,1,4", _precision),
+    "tau_c": ("0,1,100", functools.partial(_precision, zero_ok=True)),
+}
+
+
 def _parse_values(text: str, name: str) -> tuple[float, ...]:
     """Comma list ('0,1,100') or inclusive range ('-0.95:0.95:0.05') of
-    finite values, at most ``_MAX_GRID_VALUES`` of them."""
+    finite values, at most ``_MAX_GRID_VALUES`` of them, each passing the
+    check of grid dimension ``name``."""
     text = text.strip()
     if ":" not in text:
         parts = text.split(",")
         if len(parts) > _MAX_GRID_VALUES:
             raise ValidationError(f"{name}: at most {_MAX_GRID_VALUES} values are supported")
-        return _parse_floats(parts, name)
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValidationError(f"{name}: range spec must be start:stop:step")
-    start, stop, step = _parse_floats(parts, name)
-    if step <= 0 or stop < start:
-        raise ValidationError(f"{name}: need positive step and stop >= start")
-    # Count before building: the span may be inf, which fails the test too.
-    span = (stop - start) / step
-    if not span < _MAX_GRID_VALUES - 0.5:
-        raise ValidationError(f"{name}: at most {_MAX_GRID_VALUES} values are supported")
-    values = tuple(round(start + i * step, 12) for i in range(round(span) + 1))
-    if len(set(values)) < len(values):
-        raise ValidationError(f"{name}: values repeat once rounded to 12 decimals")
+        values = _parse_floats(parts, name)
+    else:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValidationError(f"{name}: range spec must be start:stop:step")
+        start, stop, step = _parse_floats(parts, name)
+        if step <= 0 or stop < start:
+            raise ValidationError(f"{name}: need positive step and stop >= start")
+        # Count before building: the span may be inf, which fails the test too.
+        span = (stop - start) / step
+        if not span < _MAX_GRID_VALUES - 0.5:
+            raise ValidationError(f"{name}: at most {_MAX_GRID_VALUES} values are supported")
+        values = tuple(round(start + i * step, 12) for i in range(round(span) + 1))
+        if len(set(values)) < len(values):
+            raise ValidationError(f"{name}: values repeat once rounded to 12 decimals")
+    try:
+        for value in values:
+            _GRID[name][1](value)
+    except ValueError as exc:
+        raise ValidationError(f"{name} values: {exc}") from exc
     return values
 
 
 def _parse_grid_spec(spec: str | None) -> dict[str, tuple[float, ...]]:
-    values = {
-        "rho": _parse_values("-0.95:0.95:0.05", "rho"),
-        "ratio": (0.25, 1.0, 4.0),
-        "tau_c": (0.0, 1.0, 100.0),
-    }
-    if spec is None:
-        return values
-    for part in spec.split(";"):
+    """The classify grid of ``spec`` ('rho=a:b:step;ratio=...;tau_c=...'),
+    with each dimension it does not name at its default."""
+    grid = {}
+    for part in (spec or "").split(";"):
         part = part.strip()
         if not part:
             continue
@@ -249,15 +238,23 @@ def _parse_grid_spec(spec: str | None) -> dict[str, tuple[float, ...]]:
             raise ValidationError(f"grid spec segment {part!r} is not name=values")
         name, text = part.split("=", 1)
         name = name.strip()
-        if name not in values:
+        if name not in _GRID:
             raise ValidationError(f"unknown grid dimension {name!r}")
-        values[name] = _parse_values(text, name)
-    return values
+        grid[name] = _parse_values(text, name)
+    for name, (default, _) in _GRID.items():
+        if name not in grid:
+            grid[name] = _parse_values(default, name)
+    models = math.prod(map(len, grid.values()))
+    if models > _MAX_GRID_MODELS:
+        raise ValidationError(
+            f"the grid holds {models} models; at most {_MAX_GRID_MODELS} are supported"
+        )
+    return grid
 
 
-def cmd_classify(config: SweepConfig) -> str:
-    """Sweep the grid, render the CSV and write it to config.out, or to
-    stdout when that is None."""
+def cmd_classify(rule: ScoringRule, grid: dict[str, tuple[float, ...]], out: str | None) -> str:
+    """Sweep ``grid`` (as ``_parse_grid_spec`` returns it), render the CSV
+    and write it to ``out``, or to stdout when that is None."""
     buf = io.StringIO()
     buf.write(_CSV_SCHEMA + "\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -274,14 +271,14 @@ def cmd_classify(config: SweepConfig) -> str:
             "k_min",
         ]
     )
-    rule_name = config.rule.value
-    for rho in sorted(config.rho_values):
-        for ratio in sorted(config.ratio_values):
-            for tau_c in sorted(config.tau_c_values):
+    rule_name = rule.value
+    for rho in sorted(grid["rho"]):
+        for ratio in sorted(grid["ratio"]):
+            for tau_c in sorted(grid["tau_c"]):
                 model = SignalModel(tau_a=ratio, tau_b=1.0, tau_c=tau_c, rho=rho)
-                verdict = _classify(config.rule, model)
+                verdict = _classify(rule, model)
                 try:
-                    k_min = _fmt(required_ratio_numeric(config.rule, model))
+                    k_min = _fmt(required_ratio_numeric(rule, model))
                 except DiscountIneffectiveError:
                     k_min = "inf"
                 writer.writerow(
@@ -298,7 +295,7 @@ def cmd_classify(config: SweepConfig) -> str:
                     ]
                 )
     text = buf.getvalue()
-    _emit(text, config.out)
+    _emit(text, out)
     return text
 
 
@@ -501,16 +498,12 @@ def cmd_market_simulate(
     return report
 
 
-def _read_log(log_path: str) -> list[str] | list[bytes]:
-    """The log's lines as text or, when the log is not UTF-8, as the bytes
-    of each line, so that ``amm.replay`` names the first line that is not."""
+def _read_log(log_path: str) -> list[bytes]:
+    """The bytes of each of the log's lines; ``amm.replay`` decodes them and
+    names the first that is not UTF-8."""
     try:
-        try:
-            with open(log_path, "r", encoding="utf-8") as fh:
-                return fh.readlines()
-        except UnicodeDecodeError:
-            with open(log_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                return [line.encode("utf-8", "surrogateescape") for line in fh]
+        with open(log_path, "rb") as fh:
+            return fh.readlines()
     except OSError as exc:
         raise ValidationError(f"cannot read log {log_path}: {exc}") from exc
 
@@ -529,15 +522,6 @@ def cmd_market_replay(log_path: str, out: str | None) -> dict:
         report["settlement"] = amm.settlement_to_json(settlement)["settlement"]
     _emit_report(report, out)
     return report
-
-
-def cmd_market(args: argparse.Namespace) -> int:
-    if args.market_cmd == "replay":
-        cmd_market_replay(args.log, args.out)
-        return _EXIT_OK
-    config = _load_json(args.config) if args.config else {}
-    cmd_market_simulate(config, args.samples, args.seed, args.out, args.log)
-    return _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +586,7 @@ def _run(args: argparse.Namespace) -> int:
     try:
         if args.cmd == "classify":
             grid = _parse_grid_spec(args.grid)
-            config = SweepConfig(
-                rule=_rule_from(args.rule),
-                rho_values=grid["rho"],
-                ratio_values=grid["ratio"],
-                tau_c_values=grid["tau_c"],
-                out=args.out,
-            )
-            cmd_classify(config)
+            cmd_classify(_rule_from(args.rule), grid, args.out)
             return _EXIT_OK
         if args.cmd == "discount":
             record = _load_json(args.config)
@@ -622,9 +599,13 @@ def _run(args: argparse.Namespace) -> int:
             config = _load_json(args.config)
             _, agreement = cmd_simulate(config, args.samples, args.seed, args.out)
             return _EXIT_OK if agreement else _EXIT_CONSISTENCY
-        if args.cmd == "market":
-            return cmd_market(args)
-        raise ValidationError(f"unknown command {args.cmd!r}")
+        # argparse requires a command, so this one is market.
+        if args.market_cmd == "replay":
+            cmd_market_replay(args.log, args.out)
+            return _EXIT_OK
+        config = _load_json(args.config) if args.config else {}
+        cmd_market_simulate(config, args.samples, args.seed, args.out, args.log)
+        return _EXIT_OK
     except LogConsistencyError as exc:
         print(f"consistency error: {exc}", file=sys.stderr)
         return _EXIT_CONSISTENCY

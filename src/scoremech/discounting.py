@@ -104,14 +104,14 @@ class DiscountSchedule:
 
     @classmethod
     def from_config(cls, record: Mapping, where: str = "schedule") -> "DiscountSchedule":
-        """The schedule of a ``to_config`` record; a missing or mistyped
-        field raises ValidationError naming it after the path ``where``."""
-        return cls(
-            kind=_field(record, "kind", where, _text),
-            k0=_field(record, "k0", where, _real),
-            decay=_field(record, "decay", where, _real, 1.0),
-            resets=record.get("resets", ()),
-        )
+        """The schedule of a ``to_config`` record; a missing, mistyped or
+        refused field raises ValidationError after the path ``where``."""
+        fields = (_field(record, "kind", where, _text), _field(record, "k0", where, _real),
+                  _field(record, "decay", where, _real, 1.0), record.get("resets", ()))
+        try:
+            return cls(*fields)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 def schedule_eval(schedule: DiscountSchedule, t: int) -> float:

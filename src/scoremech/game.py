@@ -30,8 +30,8 @@ import numpy as np
 from .beliefs import SignalModel
 from .discounting import DiscountSchedule, schedule_eval
 from .errors import ValidationError
-from .scoring import ScoringRule, _divergence, _score
-from .truthfulness import _curvatures, _reports
+from .scoring import ScoringRule, _score
+from .truthfulness import _curvatures, _divergences
 
 __all__ = [
     "ForumSchedule",
@@ -296,9 +296,7 @@ def analytic_gain(
     """
     k1 = schedule_eval(schedule, _T_FIRST)
     k2 = schedule_eval(schedule, _T_POOL)
-    (tau_first, alpha_first), (tau_pool, alpha_pool) = _reports(model)
-    div_first = _divergence(rule, tau_first, c * alpha_first)
-    div_pool = _divergence(rule, tau_pool, c * alpha_pool)
+    div_first, div_pool = _divergences(rule, model, c)
     return k1 * div_first - k2 * div_pool
 
 

@@ -79,15 +79,15 @@ def deviation_criterion(rule: ScoringRule, model: SignalModel, c: float) -> floa
     DegenerateCorrelationError
         If |rho| = 1: the pooled posterior is undefined.
     """
-    (tau_first, alpha_first), (tau_pool, alpha_pool) = _reports(model)
-    pooled = _divergence(rule, tau_pool, c * alpha_pool)
-    return pooled - _divergence(rule, tau_first, c * alpha_first)
+    first, pooled = _divergences(rule, model, c)
+    return pooled - first
 
 
-def _reports(model: SignalModel) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(tau, alpha) of Alice's first report, then of Bob's pooled one: its
-    precision and its mean's movement per unit shift of her signal."""
-    return (model.tau_single, model.alpha_g), (model.tau_pool, model.alpha_h)
+def _divergences(rule: ScoringRule, model: SignalModel, c: float) -> tuple[float, float]:
+    """(first, pooled): the divergences that a shift c of Alice's signal
+    causes in her first report and in Bob's pooled one."""
+    return (_divergence(rule, model.tau_single, c * model.alpha_g),
+            _divergence(rule, model.tau_pool, c * model.alpha_h))
 
 
 def _curvatures(rule: ScoringRule, model: SignalModel) -> tuple[float, float, float, float]:
@@ -104,13 +104,12 @@ def _curvatures(rule: ScoringRule, model: SignalModel) -> tuple[float, float, fl
     tau_A = 1e-92 and tau_B = 1e66, (a_h/a_g)^2 = 1e-316 kept 8 digits); it
     is 0 where a_h = 0.
     """
-    (tau_first, alpha_first), (tau_pool, alpha_pool) = _reports(model)
-    w_first, q_first = _divergence_scale(rule, tau_first)
-    w_pool, q_pool = _divergence_scale(rule, tau_pool)
+    w_first, q_first = _divergence_scale(rule, model.tau_single)
+    w_pool, q_pool = _divergence_scale(rule, model.tau_pool)
     tail = w_pool / w_first
-    shift = alpha_pool / alpha_first
+    shift = model.alpha_h / model.alpha_g
     ratio = tail * (q_pool / q_first * shift) * shift
-    return ratio, tail, q_first * alpha_first**2, q_pool * alpha_pool**2
+    return ratio, tail, q_first * model.alpha_g**2, q_pool * model.alpha_h**2
 
 
 def classify_log(model: SignalModel) -> TruthfulnessVerdict:

@@ -935,7 +935,7 @@ def test_replay_of_a_line_holding_a_marker_constant(trader, tmp_path):
     assert got[0] == "accepted" and got[2][1][4] == trader
 
 
-def test_replay_decodes_each_inventory_once(monkeypatch):
+def test_replay_decodes_s0_then_each_records_pre_and_post_once(monkeypatch):
     model, _ = SESSION_MODELS[0]
     opening = open_market(NormalBelief(model.c0, model.tau_c), FLAT, n_bins=64)
     records, report = scalar_session(opening, model, *draw_world_floats(model))
@@ -954,8 +954,8 @@ def test_replay_decodes_each_inventory_once(monkeypatch):
     monkeypatch.setattr(amm, "_decode_shares", counting_decode)
     monkeypatch.setattr(json, "loads", counting_loads)
     final, replayed, _ = replay(lines)
-    # s0, then the post of each record; every pre repeats the text before it.
-    assert decoded == ["s0", "post", "post", "post"]
+    # s0, then each record's pre and post, every one decoded exactly once.
+    assert decoded == ["s0", *["pre", "post"] * len(records)]
     assert parsed == lines
     assert np.array_equal(final.shares, records[-1].post_shares)
     assert all(r.pre_shares is p.post_shares for p, r in zip(replayed, replayed[1:]))

@@ -510,6 +510,44 @@ def test_market_replay_malformed_belief_exits_4(case, tmp_path, capsys):
     assert f"field {field!r}" in err
 
 
+# Refusals that the cases above never reach, each with its whole message:
+# (log version, edit as above, the message after "consistency error: ").
+# Record 0 trades at counter 1 and record 1 at counter 2.
+REGRESSED = "record 1: line 3: counter regressed"
+UNREACHED_REFUSALS = {
+    "v3_counter_regressed": (3, lambda o: o[2].update(t=0), REGRESSED),
+    "v2_counter_regressed": (2, lambda o: o[2].update(t=0), REGRESSED),
+    "v1_counter_regressed": (2, lambda o: as_version_1(o)[2].update(t=0), REGRESSED),
+    "v1_post_one_short": (2, lambda o: as_version_1(o)[1]["post"].pop(),
+                          "record 0: line 2: field 'post' must hold 256 values"),
+    "header_prior_precision_zero": (
+        3, lambda o: o[0]["prior"].update(precision=0.0),
+        "record 0: line 1: field 'precision' must be positive, not 0.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREACHED_REFUSALS))
+def test_market_replay_refusal_names_line_and_cause(case, tmp_path, capsys):
+    version, edit, message = UNREACHED_REFUSALS[case]
+    code, err = replay_edited_log(edit, tmp_path, capsys, version=version)
+    assert (code, err) == (4, f"consistency error: {message}\n")
+
+
+def test_market_replay_splits_lines_at_line_feeds_only(tmp_path, capsys):
+    # A carriage return, alone inside a line or before its line feed, is
+    # JSON whitespace.
+    log = tmp_path / "session.jsonl"
+    assert run(["market", "simulate", "--config", market_config(tmp_path), "--samples", "2",
+                "--log", str(log)], capsys)[0] == 0
+    code, want, _ = run(["market", "replay", "--log", str(log)], capsys)
+    assert code == 0
+    data = log.read_bytes()
+    for edited in (data.replace(b"\n", b"\r\n"), data.replace(b', "t":', b',\r"t":')):
+        assert edited != data
+        log.write_bytes(edited)
+        assert run(["market", "replay", "--log", str(log)], capsys) == (0, want, "")
+
+
 def test_versions_2_and_3_of_a_session_replay_alike(tmp_path, capsys):
     cfg = market_config(tmp_path)
     log, v2_log = tmp_path / "session.jsonl", tmp_path / "session_v2.jsonl"
@@ -849,6 +887,16 @@ def test_classify_malformed_range_is_config_error(capsys):
     assert "rho" in err
 
 
+@pytest.mark.parametrize("grid, message", (
+    ("rho=0:1", "rho: range spec must be start:stop:step"),
+    ("foo=1", "unknown grid dimension 'foo'"),
+    ("rho=" + ",".join(["0"] * 10_001) + ";ratio=1;tau_c=0",
+     "rho: at most 10000 values are supported"),
+), ids=("range_of_two_parts", "unknown_dimension", "one_value_too_many"))
+def test_classify_malformed_grid_is_named(grid, message, capsys):
+    assert run(["classify", "--grid", grid], capsys) == (2, "", f"config error: {message}\n")
+
+
 def test_discount_list_config_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, [{"tau_a": 1.0, "tau_b": 1.0}])
     code, _, err = run(["discount", "--config", cfg], capsys)
@@ -1137,6 +1185,20 @@ HOSTILE.update({
     for name, (commands, _, named) in HOSTILE_CONFIGS.items()
     for command in commands
 })
+
+
+@pytest.mark.parametrize("command, where", (("simulate", "scenario"), ("market", "market config")))
+@pytest.mark.parametrize("schedule, message", (
+    ({"kind": "constant", "k0": -1}, "k0 must be a positive finite real"),
+    ({"kind": "piecewise", "k0": 1.0, "resets": "x"}, "resets must be a list of at most 64 pairs"),
+    ({"kind": "constant", "k0": "1"}, "field 'k0': must be a finite number, not '1'"),
+), ids=("k0_negative", "resets_string", "k0_string"))
+def test_a_refused_schedule_is_named_after_its_path_once(
+        command, where, schedule, message, tmp_path, capsys):
+    model = {"tau_a": 1.0, "tau_b": 1.0, "tau_c": 1.0, "rho": -0.8}
+    cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
+    got = run([*_CONFIG_COMMANDS[command], "--config", cfg], capsys)
+    assert got == (2, "", f"config error: {where}: schedule: {message}\n")
 
 
 def _hostile_paths(tmp_path, capsys):
