@@ -33,12 +33,12 @@ A trade to a belief moves the market to that belief, as in Hanson's market
 scoring rule: the post-trade inventory is k(t) log(binned density) plus the
 potential before the trade. So the trade log (format version 3) records a
 belief trade by its belief (mean, precision) and only any other trade by its
-post-trade inventory. ``replay`` reads a log one line at a time but verifies
-it in blocks: it bins the beliefs of many records in one density call,
-rebuilds their inventories with ``trade``'s arithmetic bit for bit, and
-prices a block's inventories in one step, with one level k(t) per
-row and the potential before each rebuilt inventory guessed from the logged
-costs. It still names the first faulty line. Every number it reads must be
+post-trade inventory. ``replay`` parses a whole log, then verifies it in
+blocks, then settles. A block's beliefs are binned in one density call,
+their inventories rebuilt with ``trade``'s arithmetic bit for bit, and the
+block's inventories priced in one step, with one level k(t) per row and
+the potential before each rebuilt inventory guessed from the logged costs.
+It still names the first faulty line. Every number it reads must be
 a JSON number; it takes no boolean or string for one.
 """
 
@@ -552,6 +552,10 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
     maker_loss = np.empty(count)
     costs = np.empty((count, 3))
     clipped = np.empty((count, 3), dtype=np.intp)
+    # The last session's beliefs, states and records, built in its block.
+    pooled_belief = NormalBelief(float(pooled[-1]), model.tau_pool)
+    beliefs = (NormalBelief(float(single[-1]), model.tau_single), pooled_belief, pooled_belief)
+    state, records = opening, []
     block = max(1, _BLOCK_ELEMENTS // grid.n)
     for start in range(0, count, block):
         rows = slice(start, start + block)
@@ -561,15 +565,23 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
         at = index[rows]
         held = opening.shares[at]
         potential = np.full(at.size, opening.potential)
-        nets, finals = [], []
-        for j, (k, log_dens) in enumerate(zip(levels, (log_single, log_pooled, log_pooled))):
+        nets = []
+        for j, (t, k, log_dens, belief) in enumerate(zip(
+            counters, levels, (log_single, log_pooled, log_pooled), beliefs
+        )):
             post = _belief_inventories(k, log_dens, potential[:, None])
             post_potential = _checked_step(post, k, grid.widths)
             costs[rows, j] = post_potential - potential
             post_held = post[np.arange(at.size), at]
             nets.append(post_held - held)
-            finals.append((_read_only(post[-1].copy()), float(post_potential[-1])))
             held, potential = post_held, post_potential
+            if start + block >= count:
+                moved = _priced(state, _read_only(post[-1].copy()), t, float(potential[-1]))
+                records.append(TradeRecord(
+                    t=t, pre_shares=state.shares, post_shares=moved.shares,
+                    cost=float(costs[-1, j]), trader=_TRADERS[j],
+                    clipped_bins=int(clipped[-1, j]), belief=belief))
+                state = moved
         maker_loss[rows] = _account(_TRADERS, nets, costs[rows].T)[2]
 
     total = int(clipped.sum())
@@ -580,26 +592,6 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
             RuntimeWarning,
             stacklevel=2,
         )
-    # The last session's states, priced and checked in its block.
-    single_belief = NormalBelief(float(single[-1]), model.tau_single)
-    pooled_belief = NormalBelief(float(pooled[-1]), model.tau_pool)
-    state, records = opening, []
-    for j, (t, trader, belief, (shares, potential)) in enumerate(zip(
-        counters, _TRADERS, (single_belief, pooled_belief, pooled_belief), finals
-    )):
-        post = _priced(state, shares, t, potential)
-        records.append(
-            TradeRecord(
-                t=t,
-                pre_shares=state.shares,
-                post_shares=post.shares,
-                cost=float(costs[-1, j]),
-                trader=trader,
-                clipped_bins=int(clipped[-1, j]),
-                belief=belief,
-            )
-        )
-        state = post
     for array in (maker_loss, costs, clipped):
         _read_only(array)
     return SessionBatch(
@@ -745,12 +737,14 @@ def _opening_state(header: dict) -> tuple[MarketState, int]:
 
 
 class _Logged(NamedTuple):
-    """A trade as read from line ``lineno``, before it is verified. ``post``
-    is its logged post-trade inventory, or None for a version-3 belief
-    trade, whose inventory replay rebuilds from ``belief``."""
+    """A trade as read from line ``lineno``, before it is verified. ``k`` is
+    the level k(t) at its counter. ``post`` is its logged post-trade
+    inventory, or None for a version-3 belief trade, whose inventory replay
+    rebuilds from ``belief``."""
 
     lineno: int
     t: int
+    k: float
     cost: float
     trader: str
     clipped_bins: int
@@ -769,22 +763,23 @@ def _logged_belief(value: dict) -> NormalBelief:
 
 
 def _logged_trade(
-    obj: dict, lineno: int, index: int, n: int, shares, t_pre: int, version: int
+    obj: dict, lineno: int, opening: MarketState, version: int, before: Sequence[_Logged]
 ) -> _Logged:
-    """Logged trade number ``index`` on an n-bin grid, read from line
-    ``lineno`` and checked field by field, after the trade that left
-    inventory ``shares`` at counter ``t_pre``. Its cost, and a belief
-    trade's clipped bins, are left to ``_verify_block``.
+    """The logged trade read from line ``lineno`` of a log opening at
+    ``opening``, after the trades ``before``, checked field by field. Its
+    cost, and a belief trade's clipped bins, are left to ``_verify_block``.
 
     In versions 1 and 2 both the ``pre`` and the ``post`` inventory are
-    decoded, and ``pre`` must equal ``shares`` by value."""
+    decoded, and ``pre`` must equal the inventory before it by value."""
+    shares, t_pre = (before[-1].post, before[-1].t) if before else (opening.shares, opening.t)
     number = _field(obj, "i", "", _json_int)
-    if number != index:
+    if number != len(before):
         raise ValueError(f"record number {number} is out of sequence")
     t_new = _field(obj, "t", "", _json_int)
     if t_new < t_pre:
         raise ValueError("counter regressed")
-    belief = None
+    k = schedule_eval(opening.schedule, t_new)
+    n, belief = opening.grid.n, None
     if version < 3:
         if not np.array_equal(_decode_shares(obj["pre"], "pre", n, version), shares):
             raise ValueError("pre-trade inventory does not match the running state")
@@ -800,16 +795,15 @@ def _logged_trade(
     clipped = _field(obj, "clipped_bins", "", _json_int, 0)
     if clipped < 0:
         raise ValueError(f"field 'clipped_bins' must be non-negative, not {clipped}")
-    return _Logged(lineno, t_new, cost, trader, clipped, belief, post)
+    return _Logged(lineno, t_new, k, cost, trader, clipped, belief, post)
 
 
 def _verify_block(
-    opening: MarketState, block: Sequence[_Logged], start: int, shares: np.ndarray,
-    potential: float,
-) -> tuple[list[TradeRecord], float]:
+    block: Sequence[_Logged], start: int, state: MarketState
+) -> tuple[list[TradeRecord], MarketState]:
     """Verify the logged trades ``block``, record numbers ``start`` on, which
-    trade from inventory ``shares`` of potential C = ``potential``. Returns
-    their TradeRecords and C of the last post-trade inventory.
+    trade from ``state``. Returns their TradeRecords and the state the last
+    of them leaves, priced with the potential computed here.
 
     The beliefs are binned in one ``_log_densities`` call. A belief
     trade's inventory is rebuilt as ``trade`` builds it, k(t) log(density)
@@ -825,11 +819,11 @@ def _verify_block(
     Each row gets ``_checked_step``'s checks (finite shares, price mass 1
     within 1e-10, a finite potential) with its messages, its cost
     C(post, t) - C(pre, t_pre) is compared with the logged one within
-    1e-10, and a belief trade's clipped bins must equal the logged count. Raises LogConsistencyError naming the first faulty
-    record. A non-finite intermediate value fails a check instead of
-    warning."""
-    grid, rows = opening.grid, len(block)
-    levels = np.array([schedule_eval(opening.schedule, entry.t) for entry in block])
+    1e-10, and a belief trade's clipped bins must equal the logged count.
+    Raises LogConsistencyError naming the first faulty record. A non-finite
+    intermediate value fails a check instead of warning."""
+    grid, rows, potential = state.grid, len(block), state.potential
+    levels = np.array([entry.k for entry in block])
     logged_costs = [entry.cost for entry in block]
     logged_clips = [entry.clipped_bins for entry in block]
     posts = [entry.post for entry in block]
@@ -885,9 +879,9 @@ def _verify_block(
     records = [
         TradeRecord(t=entry.t, pre_shares=pre, post_shares=post, cost=entry.cost,
                     trader=entry.trader, clipped_bins=entry.clipped_bins, belief=entry.belief)
-        for entry, pre, post in zip(block, [shares, *posts[:-1]], posts)
+        for entry, pre, post in zip(block, [state.shares, *posts[:-1]], posts)
     ]
-    return records, float(potentials[-1])
+    return records, _priced(state, posts[-1], block[-1].t, float(potentials[-1]))
 
 
 def _replay_settlement(
@@ -902,6 +896,10 @@ def _replay_settlement(
         if json.dumps(got, sort_keys=True) != json.dumps(expected, sort_keys=True):
             raise ValueError(f"settlement {key} {got!r} differs from recomputed {expected!r}")
     return report
+
+
+# What reading or settling one line of a log may raise: replay names the line.
+_LINE_FAULTS = (KeyError, TypeError, ValueError, ArithmeticError, RecursionError)
 
 
 def replay(
@@ -943,38 +941,20 @@ def replay(
     be the ones traded. A settled log shows such an edit only at its
     settlement line.
 
-    Each line's fields are checked as it is read. Records are verified in
-    blocks of at most ``_BLOCK_ELEMENTS`` inventory elements (see
-    ``_verify_block``), with the floating-point operations of one
-    MarketState per record. Every record read before line L is verified
-    before an error from line L is raised, so the first faulty line is the
-    one named, with the same record index. In versions 1 and 2 every
-    ``pre`` and ``post`` is decoded, and each ``pre`` is compared by value
-    with the inventory before it, so an equal inventory spelled differently
-    is accepted. The final state reuses the potential verified in the last
-    block.
+    Replay works in three steps. It parses every line up to the first
+    faulty one, checking each line's fields and evaluating each record's
+    level k(t), which must not round to 0. It then verifies the parsed
+    records in blocks of at most ``_BLOCK_ELEMENTS`` inventory elements
+    (see ``_verify_block``), with the floating-point operations of one
+    MarketState per record, and then settles. Only then does it raise the
+    fault of the line that failed to parse, so an earlier faulty record or
+    settlement is the one named, with the number of records verified
+    before it. In versions 1 and 2 every ``pre`` and ``post`` is decoded,
+    and each ``pre`` is compared by value with the inventory before it, so
+    an equal inventory spelled differently is accepted. The final state
+    reuses the potential verified in the last block.
     """
-    opening, report, records = None, None, []
-    # The header's format version; the inventory and counter the last record
-    # read left, the inventory None when a version-3 belief trade left it; C
-    # of the last verified inventory; and the records read but not verified
-    # yet.
-    version, shares, t, potential, pending = None, None, None, None, []
-
-    def verify() -> None:
-        nonlocal potential
-        if pending:
-            entries = pending.copy()
-            pending.clear()
-            before = records[-1].post_shares if records else opening.shares
-            verified, potential = _verify_block(opening, entries, len(records), before, potential)
-            records.extend(verified)
-
-    def final_state() -> MarketState:
-        if not records:
-            return opening
-        return _priced(opening, records[-1].post_shares, records[-1].t, potential)
-
+    opening, entries, settlement, fault = None, [], None, None
     for lineno, line in enumerate(lines, 1):
         try:
             if isinstance(line, bytes):
@@ -984,29 +964,30 @@ def replay(
             obj = _object(json.loads(line))
             if opening is None:
                 opening, version = _opening_state(obj)
-                shares, t, potential = opening.shares, opening.t, opening.potential
-                block = max(1, _BLOCK_ELEMENTS // opening.grid.n)
-            elif report is not None:
+            elif settlement is not None:
                 raise ValueError("the settlement must be the last line")
             elif "settlement" in obj:
-                verify()
-                logged = _field(obj, "settlement", "", _object)
-                report = _replay_settlement(final_state(), records, logged)
+                settlement = lineno, _field(obj, "settlement", "", _object)
             else:
-                index = len(records) + len(pending)
-                entry = _logged_trade(obj, lineno, index, opening.grid.n, shares, t, version)
-                pending.append(entry)
-                shares, t = entry.post, entry.t
-                if len(pending) == block:
-                    verify()
-        except KeyError as exc:
-            verify()
-            message = f"line {lineno}: field {exc} is missing"
-            raise LogConsistencyError(message, len(records)) from exc
-        except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:
-            verify()
-            raise LogConsistencyError(f"line {lineno}: {exc}", len(records)) from exc
-    if opening is None:
+                entries.append(_logged_trade(obj, lineno, opening, version, entries))
+        except _LINE_FAULTS as exc:
+            fault = lineno, exc
+            break
+    if opening is None and fault is None:
         raise LogConsistencyError("empty log has no header", index=0)
-    verify()
-    return final_state(), records, report
+    state, records, report = opening, [], None
+    if entries:
+        block = max(1, _BLOCK_ELEMENTS // opening.grid.n)
+        for start in range(0, len(entries), block):
+            verified, state = _verify_block(entries[start : start + block], start, state)
+            records += verified
+    if settlement is not None:
+        try:
+            report = _replay_settlement(state, records, settlement[1])
+        except _LINE_FAULTS as exc:
+            fault = settlement[0], exc
+    if fault is not None:
+        lineno, exc = fault
+        message = f"field {exc} is missing" if isinstance(exc, KeyError) else exc
+        raise LogConsistencyError(f"line {lineno}: {message}", len(records)) from exc
+    return state, records, report

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .beliefs import SignalModel
-from .errors import DiscountIneffectiveError, ValidationError, _field, _is_real, _real, _text
+from .errors import DiscountIneffectiveError, NumericError, ValidationError
+from .errors import _field, _is_real, _real, _text
 from .scoring import NormalBelief, ScoringRule, expected_score
 from .truthfulness import _curvatures
 
@@ -115,7 +116,11 @@ class DiscountSchedule:
 
 
 def schedule_eval(schedule: DiscountSchedule, t: int) -> float:
-    """k(t) for an integer prediction counter t >= 0."""
+    """k(t) for an integer prediction counter t >= 0.
+
+    A decayed level that float64 rounds to 0, or whose power it cannot
+    evaluate (a counter beyond a float), raises NumericError: nothing can
+    be priced or scored at k = 0."""
     if not isinstance(t, int) or isinstance(t, bool):
         raise ValidationError("counter t must be an integer")
     if t < 0:
@@ -125,8 +130,14 @@ def schedule_eval(schedule: DiscountSchedule, t: int) -> float:
         if counter > t:
             break
         level, anchor = new_k, counter
-    if schedule.kind == "geometric_by_count":
-        return level * schedule.decay ** (t - anchor)
+    if schedule.decay != 1.0:
+        try:
+            level *= schedule.decay ** (t - anchor)
+        except OverflowError:
+            level = 0.0
+        if level == 0.0:
+            counter = t if t.bit_length() <= 64 else "beyond 2^64"
+            raise NumericError(f"the discount level k(t) underflows to 0 at counter {counter}")
     return level
 
 

@@ -306,38 +306,6 @@ def analytic_gain(
 _BLOCK_ELEMENTS = 2**14
 
 
-def _curve_and_truthful_sequence(model, rule, schedule, c_grid, worlds):
-    """``deviation_curve``'s estimates, and the truthful (c = 0) scored
-    sequence of the same worlds that the curve scored on its way.
-
-    The sequence is the c-free scores with row 0 of the first arm block,
-    so a caller that pays the truthful profile pays it without scoring
-    the worlds again. Its rows are views, which keep that block's first
-    and pooled scores (at most 2 max(n, ``_BLOCK_ELEMENTS``) floats) alive.
-    """
-    lam, a0, b0 = _as_worlds(worlds)
-    n = lam.size
-    if n < 2:
-        raise ValidationError("a deviation curve needs at least 2 worlds")
-    fixed = _fixed_scores(model, rule, lam, a0, b0)
-    arms = np.array([0.0, *c_grid], dtype=float)[:, None]
-    block = max(1, _BLOCK_ELEMENTS // n)
-    base = truthful = None
-    means, errors = [], []
-    for start in range(0, len(arms), block):
-        seq = _scored_sequence(model, rule, arms[start : start + block], lam, a0, b0, fixed)
-        diff = _payoffs("discounted_msr", seq, schedule)["alice"]
-        if base is None:
-            # Row 0 is the c = 0 arm that every other arm is paired with.
-            truthful = [(t, e, s if s.ndim == 1 else s[0]) for t, e, s in seq]
-            base, diff = diff[0], diff[1:]
-        diff -= base
-        means.extend(diff.mean(axis=1).tolist())
-        errors.extend((diff.std(axis=1, ddof=1) / math.sqrt(n)).tolist())
-        del seq, diff  # so that the next block is scored without this one alive
-    return list(zip(means, errors)), truthful
-
-
 def deviation_curve(
     model: SignalModel,
     rule: ScoringRule,
@@ -357,12 +325,10 @@ def deviation_curve(
     blocks of at most ``_BLOCK_ELEMENTS`` elements (one arm per block
     once n exceeds it), so memory does not grow with the grid. Each row
     goes through the same floating-point operations in the same order as
-    a lone arm, so every point equals its one-point curve exactly. The
-    c = 0 arm is the truthful profile that ``compare_mechanisms`` pays, so
-    the simulate report takes its mechanism comparison from this scoring
-    pass rather than scoring the worlds again.
+    a lone arm, so every point equals its one-point curve exactly. These
+    are the estimates of ``_curve_and_mechanisms``.
     """
-    return _curve_and_truthful_sequence(model, rule, schedule, c_grid, worlds)[0]
+    return _curve_and_mechanisms(model, rule, schedule, c_grid, worlds)[0]
 
 
 # Relative excess of w over 1 below which the log rule's gain counts as
@@ -467,11 +433,10 @@ def compare_mechanisms(scenario: Scenario, worlds) -> dict[str, dict[str, np.nda
     """``run_mechanism_batch`` of every mechanism, keyed by its name, paid
     from one scored sequence of ``worlds``.
 
-    For the truthful scenario (no shift, with the correction, no
-    freeloader) that sequence is the c = 0 arm of ``deviation_curve``.
-    The simulate report's mechanism comparison is these payoffs on the
-    first min(samples, ``_MECHANISM_WORLDS``) worlds, averaged, and taken
-    from the curve's one scoring pass (``_curve_and_mechanisms``).
+    The simulate report's mechanism comparison is these payoffs of the
+    truthful scenario (no shift, with the correction, no freeloader) on the
+    first min(samples, ``_MECHANISM_WORLDS``) worlds, averaged: see
+    ``_curve_and_mechanisms``.
     """
     seq = _scenario_sequence(scenario, worlds)
     return {mech: _payoffs(mech, seq, scenario.schedule) for mech in _MECHANISMS}
@@ -481,22 +446,50 @@ def _curve_and_mechanisms(model, rule, schedule, c_grid, worlds):
     """``deviation_curve``'s estimates, and each expert's mean payoff under
     each mechanism as {mechanism: {expert: mean}}: ``compare_mechanisms``
     of the truthful scenario on the first ``_MECHANISM_WORLDS`` worlds,
-    averaged, and paid from the curve's c = 0 arm, so that the worlds are
-    scored once for both.
+    averaged. The mechanisms are paid in the first arm block from its
+    c = 0 row, the truthful profile, so that the worlds are scored once for
+    both and no block's scores outlive it.
     """
-    estimates, truthful = _curve_and_truthful_sequence(model, rule, schedule, c_grid, worlds)
-    truthful = [(t, e, s[:_MECHANISM_WORLDS]) for t, e, s in truthful]
+    lam, a0, b0 = _as_worlds(worlds)
+    n = lam.size
+    if n < 2:
+        raise ValidationError("a deviation curve needs at least 2 worlds")
+    fixed = _fixed_scores(model, rule, lam, a0, b0)
+    arms = np.array([0.0, *c_grid], dtype=float)[:, None]
+    block = max(1, _BLOCK_ELEMENTS // n)
+    base = mechanisms = None
+    means, errors = [], []
+    for start in range(0, len(arms), block):
+        seq = _scored_sequence(model, rule, arms[start : start + block], lam, a0, b0, fixed)
+        diff = _payoffs("discounted_msr", seq, schedule)["alice"]
+        if base is None:
+            # Row 0 is the c = 0 arm that every other arm is paired with, and
+            # the truthful profile whose first worlds the mechanisms pay.
+            mechanisms = _mean_payoffs(
+                [(t, e, (s if s.ndim == 1 else s[0])[:_MECHANISM_WORLDS]) for t, e, s in seq],
+                schedule)
+            base, diff = diff[0], diff[1:]
+        diff -= base
+        means.extend(diff.mean(axis=1).tolist())
+        errors.extend((diff.std(axis=1, ddof=1) / math.sqrt(n)).tolist())
+        del seq, diff  # so that the next block is scored without this one alive
+    return list(zip(means, errors)), mechanisms
+
+
+def _mean_payoffs(seq, schedule) -> dict[str, dict[str, float]]:
+    """Each expert's mean payoff under each mechanism of the scored
+    sequence ``seq``, as {mechanism: {expert: mean}}."""
     rows = [
         (mech, expert, payoff)
         for mech in _MECHANISMS
-        for expert, payoff in _payoffs(mech, truthful, schedule).items()
+        for expert, payoff in _payoffs(mech, seq, schedule).items()
     ]
     # One reduction over the stacked rows gives each row's own mean exactly.
     means = np.stack([payoff for _, _, payoff in rows]).mean(axis=1).tolist()
     mechanisms: dict[str, dict[str, float]] = {}
     for (mech, expert, _), mean in zip(rows, means):
         mechanisms.setdefault(mech, {})[expert] = mean
-    return estimates, mechanisms
+    return mechanisms
 
 
 def run_mechanism(

@@ -1078,6 +1078,68 @@ def test_a_later_pre_fault_does_not_hide_an_earlier_cost_fault(pre_at, long_log)
     assert "record 300: line 302: logged cost" in got[1]
 
 
+def short_session():
+    """A settled version-3 log of a belief trade and a delta trade on 64
+    bins, decaying by 0.9 per counter: its opening, lines, records and
+    settlement."""
+    state = opening = open_market(STD, SESSION_SCHEDULES[1], n_bins=64)
+    records = []
+    for target in (NormalBelief(0.3, 2.0), np.full(64, 0.01)):
+        state, rec = trade(state, target, trader="m")
+        records.append(rec)
+    report = settle(state, 0.4, records)
+    return opening, reference_log_lines(opening, records, report), records, report
+
+
+@pytest.mark.parametrize("case", (
+    "no_lines", "blank_lines", "header_alone", "record_after_settlement",
+    "second_settlement", "tampered_settlement_then_garbage", "cost_fault_then_garbage",
+    "cost_fault_then_tampered_settlement",
+))
+def test_replay_names_the_first_fault_of_the_log(case):
+    # Replay parses every line, verifies the records, settles, and only
+    # then raises the first line that failed to parse.
+    opening, lines, records, report = short_session()
+    settlement = json.loads(lines[3])
+    settlement["settlement"]["maker_loss"] += 1.0
+    tampered = [*lines[:3], json.dumps(settlement, sort_keys=True)]
+    empty = (0, "record 0: empty log has no header")
+    last_line = (2, "record 2: line 5: the settlement must be the last line")
+    cost_fault = (0, f"record 0: line 2: logged cost {records[0].cost + 1e-6!r} differs "
+                     f"from recomputed {records[0].cost!r}")
+    edited, want = {
+        "no_lines": ([], empty),
+        "blank_lines": (["", "  ", "\t\n"], empty),
+        "header_alone": (lines[:1], None),
+        "record_after_settlement": ([*lines, lines[2]], last_line),
+        "second_settlement": ([*lines, lines[3]], last_line),
+        "tampered_settlement_then_garbage": ([*tampered, "garbage"], (
+            2, f"record 2: line 4: settlement maker_loss "
+               f"{settlement['settlement']['maker_loss']!r} differs from recomputed "
+               f"{report.maker_loss!r}")),
+        "cost_fault_then_garbage": ([*with_cost_moved(lines[:3], 0), "garbage"], cost_fault),
+        "cost_fault_then_tampered_settlement": (with_cost_moved(tampered, 0), cost_fault),
+    }[case]
+    got = replay_outcome(edited)
+    if want is None:
+        assert_same_outcome(got, ("accepted", (opening.t, opening.shares), [], None))
+    else:
+        assert got == ("refused", want[1], want[0])
+
+
+def test_a_level_that_underflows_is_refused_before_pricing():
+    # k(7100) = 0.9^7100 rounds to 0: nothing divides by it, and nothing
+    # warns. tests/test_cli.py checks that replay refuses it at its line.
+    decay = SESSION_SCHEDULES[1]
+    message = "^the discount level k\\(t\\) underflows to 0 at counter 7100$"
+    opening = open_market(STD, decay, n_bins=64)
+    raises_without_warning(NumericError, message, trade, opening, NormalBelief(0.1, 2.0), "m", 7100)
+    raises_without_warning(NumericError, message, cost_function, opening.shares, 7100, decay,
+                           opening.grid)
+    raises_without_warning(NumericError, message, MarketState, opening.grid, opening.shares,
+                           7100, decay, STD)
+
+
 @pytest.mark.parametrize("version", (1, 2))
 def test_replayed_arrays_are_read_only_float64(version, tmp_path):
     lines = delta_log(tmp_path, TOY_DELTAS)

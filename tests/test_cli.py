@@ -467,6 +467,22 @@ def test_market_replay_names_the_first_faulty_line(tmp_path, capsys):
     assert err.startswith("consistency error: record 0: line 2: logged cost")
 
 
+def test_market_replay_names_a_level_that_underflows(tmp_path, capsys):
+    # k(7100) = 0.9^7100 rounds to 0: record 0 is refused at its own line
+    # before anything divides by its level, so nothing warns.
+    def edit(objs):
+        objs[0]["schedule"].update(kind="geometric_by_count", decay=0.9)
+        objs[1]["t"] = 7100
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = replay_edited_log(edit, tmp_path, capsys, version=3)
+    assert caught == []
+    assert code == 4
+    assert err == ("consistency error: record 0: line 2: the discount level k(t) underflows "
+                   "to 0 at counter 7100\n")
+
+
 @pytest.mark.parametrize("case", sorted(MISTYPED_LOG_FIELDS))
 def test_market_replay_names_a_mistyped_field(case, tmp_path, capsys):
     line, field, edit = MISTYPED_LOG_FIELDS[case]

@@ -1,6 +1,7 @@
 """Discount schedules, restoration ratios, and worst-case loss bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scoremech import (
     DiscountIneffectiveError,
     DiscountSchedule,
     NormalBelief,
+    NumericError,
     ScoringRule,
     SignalModel,
     ValidationError,
@@ -82,6 +84,23 @@ def test_schedule_eval_spots():
     assert schedule_eval(stepped, 7) == 2.0
     with pytest.raises(ValidationError):
         schedule_eval(stepped, -1)
+
+
+def test_schedule_eval_names_a_level_that_underflows():
+    geo = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.9)
+    assert schedule_eval(geo, 7000) > 0.0
+    for t, counter in ((7100, "7100"), (10**400, "beyond 2\\^64")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match=f"^the discount level k\\(t\\) underflows "
+                                                   f"to 0 at counter {counter}$"):
+                schedule_eval(geo, t)
+        assert caught == []
+    # Without decay the level stays the level, at any counter.
+    flat = DiscountSchedule(kind="geometric_by_count", k0=2.0)
+    assert schedule_eval(flat, 10**400) == 2.0
+    stepped = DiscountSchedule(kind="piecewise", k0=2.0, resets=((5, 3.0),))
+    assert schedule_eval(stepped, 10**400) == 3.0
 
 
 @given(schedules(), st.integers(min_value=0, max_value=40))
