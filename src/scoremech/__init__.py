@@ -6,9 +6,10 @@ Alice-Bob-Alice prediction game, discount schedules that restore prompt
 truthfulness, a Monte-Carlo game engine, and a discounted logarithmic
 market scoring rule run as an automated market maker.
 
-The import loads only the numpy-free modules. ``game``, ``amm`` and their
-public names load on first attribute access, so that the analytic
-commands never load numpy, the Monte-Carlo engine or the market maker.
+The import loads only the numpy-free modules. ``game``, ``amm`` and the
+names of ``__all__`` that their own ``__all__`` lists load on first
+attribute access, so that the analytic commands never load numpy, the
+Monte-Carlo engine or the market maker.
 """
 
 import importlib
@@ -107,32 +108,23 @@ __all__ = [
     "__version__",
 ]
 
-# The module of each name that loads on first access; a submodule is its own.
-_LAZY = {
-    **dict.fromkeys((
-        "game", "ABASubgame", "BestResponse", "ForumSchedule", "Scenario",
-        "analytic_gain", "best_response", "compare_mechanisms", "deviation_curve",
-        "draw_world", "draw_worlds", "reduce_schedule", "run_mechanism",
-        "run_mechanism_batch",
-    ), "game"),
-    **dict.fromkeys((
-        "amm", "MarketState", "OutcomeGrid", "SessionBatch", "SettlementReport",
-        "TradeRecord", "binned_density", "binned_self_score", "cost_function",
-        "open_market", "price", "prices", "replay", "settle", "simulate_sessions",
-        "trade", "write_log",
-    ), "amm"),
-}
+# The submodules that load on first access, in import order: ``amm``
+# imports ``game`` anyway.
+_SUBMODULES = ("game", "amm")
 
 
 def __getattr__(name: str):
-    """Load ``name`` from its module on first access and keep it here."""
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LAZY[name]}", __name__)
-    value = module if name == _LAZY[name] else getattr(module, name)
-    globals()[name] = value
-    return value
+    """Load a submodule, or the public name of the first one whose
+    ``__all__`` lists it, on first access and keep it here."""
+    if name in _SUBMODULES or name in __all__:
+        for submodule in _SUBMODULES:
+            module = importlib.import_module(f".{submodule}", __name__)
+            if name == submodule or name in module.__all__:
+                value = module if name == submodule else getattr(module, name)
+                globals()[name] = value
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -614,10 +614,11 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
 # the record before it left. Inventories (the header's ``s0`` and a record's
 # ``post``) are base64 text of their little-endian float64 bytes: the exact
 # bit pattern. Every other float is a JSON number, which Python writes by
-# repr and reads back exactly, so replaying a file reproduces every cost
-# check and report byte for byte. Versions 1 and 2, which logged each
-# record's ``pre`` and ``post`` inventories (version 1 as JSON lists of
-# numbers, version 2 as base64 text), are still replayed.
+# repr and reads back exactly, so replaying a file on the writer's numpy
+# code path reproduces every cost check and report byte for byte. Versions
+# 1 and 2, which logged each record's ``pre`` and ``post`` inventories
+# (version 1 as JSON lists of numbers, version 2 as base64 text), are still
+# replayed.
 
 
 def _encode_shares(shares: np.ndarray) -> str:
@@ -887,15 +888,31 @@ def _verify_block(
 def _replay_settlement(
     state: MarketState, records: Sequence[TradeRecord], logged: dict
 ) -> SettlementReport:
-    """Settle at the logged outcome; every logged field must equal the
-    recomputed one exactly, as ``write_log`` serializes it."""
+    """Settle at the logged outcome. Each logged amount (``collected``,
+    ``maker_loss``, ``loss_bound`` and every payout) must be a JSON float
+    within ``_COST_TOL`` of the recomputed one, as costs are; every other
+    field, the payouts' traders included, must equal the recomputed one
+    exactly, as ``write_log`` serializes it."""
     report = settle(state, float(_field(logged, "outcome", "", _real)), records)
     want = settlement_to_json(report)["settlement"]
     for key in sorted(set(logged) | set(want)):
         got, expected = logged.get(key), want.get(key)
-        if json.dumps(got, sort_keys=True) != json.dumps(expected, sort_keys=True):
+        if key == "payouts":
+            same = (isinstance(got, dict) and got.keys() == expected.keys()
+                    and all(_near(got[trader], expected[trader]) for trader in expected))
+        elif key in ("collected", "maker_loss", "loss_bound"):
+            same = _near(got, expected)
+        else:
+            same = json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        if not same:
             raise ValueError(f"settlement {key} {got!r} differs from recomputed {expected!r}")
     return report
+
+
+def _near(got, expected: float) -> bool:
+    """A logged amount: a JSON float equal to ``expected`` (an infinite
+    bound included) or within ``_COST_TOL`` of it."""
+    return type(got) is float and (got == expected or abs(got - expected) <= _COST_TOL)
 
 
 # What reading or settling one line of a log may raise: replay names the line.
@@ -914,9 +931,10 @@ def replay(
     version 3 a belief trade's clipped-bin count equals the one its belief
     gives, and the logged cost matches the recomputed C(post, t) -
     C(pre, t_pre) within 1e-10; and that a settlement, if any, is the last
-    non-blank line and equals the settlement recomputed at its outcome in
-    every field exactly. A version-3 belief trade's post-trade inventory is
-    rebuilt from its belief with ``trade``'s arithmetic, bit for bit.
+    non-blank line and agrees with the settlement recomputed at its outcome:
+    each amount within 1e-10, every other field exactly. A version-3 belief
+    trade's post-trade inventory is rebuilt from its belief with ``trade``'s
+    arithmetic, bit for bit on the writer's numpy code path.
     Counters, record numbers and clipped-bin counts must be JSON integers
     (not booleans; clipped bins at least 0) and traders strings. Costs, the
     grid's ``lo`` and ``hi``, ``affine_shift``, the ``mean`` and
@@ -933,8 +951,8 @@ def replay(
     state, the verified records, and the recomputed settlement if logged.
 
     Replay proves that a log agrees with itself: each line's fields, the
-    counters and the record order; every cost to 1e-10; every rebuilt
-    inventory bit for bit; and the settlement exactly. It cannot prove that
+    counters and the record order; every cost and settlement amount to
+    1e-10; and the settlement's other fields exactly. It cannot prove that
     the log is the one traded: nothing ties the header's ``s0`` to its
     prior and schedule, and belief trades are cashless whatever k is, so an
     unsettled log's schedule, or its beliefs moved inside the grid, may not

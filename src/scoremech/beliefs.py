@@ -18,17 +18,14 @@ Posteriors are reported as NormalBelief values:
 Because all updates are linear-Gaussian, a shift c in Alice's reported signal
 moves each posterior mean by a model constant times c and never changes
 posterior precisions. `SignalModel` derives both precisions and both
-constants once, when it is built, as ``tau_single``, ``tau_pool``,
-``alpha_g`` and ``alpha_h``. They are cached properties, so that at
-|rho| = 1 the pooled two raise when read rather than when the model is
-built. It writes both posterior means once, as ``single_mean`` and
-``pair_mean`` (which also take arrays of signals); every other module
-reads them from there.
+constants once, when it is built, as the attributes ``tau_single``,
+``tau_pool``, ``alpha_g`` and ``alpha_h``. It writes both posterior means
+once, as ``single_mean`` and ``pair_mean`` (which also take arrays of
+signals); every other module reads them from there.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -77,57 +74,36 @@ class SignalModel:
             raise ValidationError("prior precision tau_c must be >= 0")
         if not -1.0 <= self.rho <= 1.0:
             raise ValidationError(f"rho must lie in [-1, 1], got {self.rho}")
-        # Storing the derived values in the instance dict shadows their
-        # cached properties, whose first read takes a lock. At |rho| = 1 the
-        # pooled ones stay lazy, so that reading them still raises.
-        derived = _SINGLE_DERIVED if self.degenerate else _DERIVED
-        for name, value_of in derived:
-            self.__dict__[name] = value_of(self)
+        ta, tb, tc, rho = self.tau_a, self.tau_b, self.tau_c, self.rho
+        tau_single = ta + tc
+        self.__dict__.update(tau_single=tau_single, alpha_g=ta / tau_single)
+        if self.degenerate:
+            return
+        cross = rho * math.sqrt(ta * tb)
+        one_minus_r2 = 1.0 - rho * rho
+        spread = ta - 2.0 * cross + tb
+        wa, denom = ta - cross, spread + one_minus_r2 * tc
+        # The pair weights are the pooled mean's numerator weights (on a0,
+        # b0, c0) and its denominator.
+        self.__dict__.update(
+            _pair_weights=(wa, tb - cross, one_minus_r2 * tc, denom),
+            tau_pool=spread / one_minus_r2 + tc,
+            alpha_h=wa / denom,
+        )
 
     @property
     def degenerate(self) -> bool:
         """True when |rho| = 1 and the signals jointly pin down the outcome."""
         return abs(self.rho) == 1.0
 
-    def _require_pooled(self) -> None:
-        if self.degenerate:
+    def __getattr__(self, name: str):
+        # Reached only for a name the instance does not hold: at |rho| = 1
+        # __post_init__ leaves out the pooled values.
+        if name in ("_pair_weights", "tau_pool", "alpha_h"):
             raise DegenerateCorrelationError(
                 "signals with |rho| = 1 reveal the outcome exactly"
             )
-
-    @functools.cached_property
-    def tau_single(self) -> float:
-        """Precision tau_A + tau_C of the posterior on Alice's signal alone."""
-        return self.tau_a + self.tau_c
-
-    @functools.cached_property
-    def tau_pool(self) -> float:
-        """Precision of the posterior on both signals (unbounded at |rho| = 1)."""
-        self._require_pooled()
-        ta, tb, rho = self.tau_a, self.tau_b, self.rho
-        cross = rho * math.sqrt(ta * tb)
-        return (ta - 2.0 * cross + tb) / (1.0 - rho * rho) + self.tau_c
-
-    @functools.cached_property
-    def alpha_g(self) -> float:
-        """Single-signal posterior mean movement per unit shift of Alice's signal."""
-        return self.tau_a / self.tau_single
-
-    @functools.cached_property
-    def alpha_h(self) -> float:
-        """Pooled posterior mean movement per unit shift of Alice's signal."""
-        wa, _, _, denom = self._pair_weights
-        return wa / denom
-
-    @functools.cached_property
-    def _pair_weights(self) -> tuple[float, float, float, float]:
-        """Numerator weights (on a0, b0, c0) and denominator of the pooled mean."""
-        self._require_pooled()
-        ta, tb, tc, rho = self.tau_a, self.tau_b, self.tau_c, self.rho
-        cross = rho * math.sqrt(ta * tb)
-        one_minus_r2 = 1.0 - rho * rho
-        denom = ta - 2.0 * cross + tb + one_minus_r2 * tc
-        return ta - cross, tb - cross, one_minus_r2 * tc, denom
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def single_mean(self, a0):
         """Posterior mean on Alice's signal alone; ``a0`` may be an array."""
@@ -138,15 +114,6 @@ class SignalModel:
         Raises DegenerateCorrelationError at |rho| = 1."""
         wa, wb, wc, denom = self._pair_weights
         return (wa * a0 + wb * b0 + wc * self.c0) / denom
-
-
-# SignalModel's cached properties and their functions, each after the ones
-# it reads; the pooled three follow the single-signal two.
-_DERIVED = tuple(
-    (name, SignalModel.__dict__[name].func)
-    for name in ("tau_single", "alpha_g", "_pair_weights", "tau_pool", "alpha_h")
-)
-_SINGLE_DERIVED = _DERIVED[:2]
 
 
 def posterior_single(model: SignalModel, a0: float) -> NormalBelief:

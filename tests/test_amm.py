@@ -1127,6 +1127,42 @@ def test_replay_names_the_first_fault_of_the_log(case):
         assert got == ("refused", want[1], want[0])
 
 
+@pytest.mark.parametrize("key", ("collected", "maker_loss", "loss_bound", "payouts"))
+def test_settlement_amounts_compare_within_the_cost_tolerance(key):
+    # A faithful log written on another CPU may differ from the recomputed
+    # settlement in an amount's last bits. An amount moved by 1e-9, or
+    # logged as a string, is refused with its field named; the report
+    # carries the recomputed settlement either way.
+    _, lines, _, report = short_session()
+
+    def replay_moved(move):
+        obj = json.loads(lines[3])
+        amounts, name = ((obj["settlement"]["payouts"], "m") if key == "payouts"
+                         else (obj["settlement"], key))
+        amounts[name] = move(amounts[name])
+        return replay_outcome([*lines[:3], json.dumps(obj, sort_keys=True)])
+
+    accepted = replay_moved(lambda amount: math.nextafter(amount, math.inf))
+    assert accepted[0] == "accepted" and accepted[3] == report
+    for move in (lambda amount: amount + 1e-9, str):
+        refused = replay_moved(move)
+        assert refused[0] == "refused" and refused[2] == 2
+        assert refused[1].startswith(f"record 2: line 4: settlement {key} ")
+
+
+def test_an_infinite_loss_bound_replays():
+    # k(0) affine_shift overflows: write_log logs the bound as Infinity,
+    # and replay accepts it as the recomputed value, not as an amount off
+    # by NaN.
+    opening = open_market(STD, DiscountSchedule(kind="constant", k0=10.0), n_bins=64,
+                          affine_shift=1e308)
+    state, rec = trade(opening, NormalBelief(0.1, 2.0), trader="m")
+    report = settle(state, 0.3, [rec])
+    assert report.loss_bound == math.inf
+    got = replay_outcome(reference_log_lines(opening, [rec], report))
+    assert got[0] == "accepted" and got[3] == report
+
+
 def test_a_level_that_underflows_is_refused_before_pricing():
     # k(7100) = 0.9^7100 rounds to 0: nothing divides by it, and nothing
     # warns. tests/test_cli.py checks that replay refuses it at its line.

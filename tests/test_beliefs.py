@@ -1,6 +1,8 @@
 """Belief aggregation against dense linear-algebra conditioning oracles."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -84,42 +86,56 @@ def test_independent_signals_reduce_to_precision_weighting_exactly():
     assert post.mean == (3.0 * a0 + 0.5 * b0 + 2.0 * (-1.0)) / denom
 
 
-SINGLE_DERIVED = ("tau_single", "alpha_g")
-POOLED_DERIVED = ("_pair_weights", "tau_pool", "alpha_h")
-
-
-def lazy_copy(model):
-    """The model's fields on an instance that skipped ``__post_init__``, so
-    each derived value is computed by its cached property when read."""
-    lazy = object.__new__(SignalModel)
-    lazy.__dict__.update(
-        (f.name, getattr(model, f.name)) for f in dataclasses.fields(SignalModel))
-    return lazy
-
-
-@given(precisions, precisions, st.floats(min_value=0.0, max_value=100.0), rhos)
-def test_derived_values_are_built_with_the_model_bit_for_bit(ta, tb, tc, rho):
-    model = SignalModel(tau_a=ta, tau_b=tb, tau_c=tc, rho=rho)
-    names = SINGLE_DERIVED + POOLED_DERIVED
-    built = [model.__dict__[name] for name in names]
-    lazy = lazy_copy(model)
-    # repr tells every float apart, -0.0 from 0.0 included.
-    assert repr(built) == repr([getattr(lazy, name) for name in names])
+DERIVED = ("tau_single", "alpha_g", "_pair_weights", "tau_pool", "alpha_h")
+POOLED = DERIVED[2:]
 
 
 def test_degenerate_correlation_raises():
     for rho in (1.0, -1.0):
         model = SignalModel(tau_a=2.0, tau_b=1.0, rho=rho)
-        for name in SINGLE_DERIVED:
-            assert repr(model.__dict__[name]) == repr(getattr(lazy_copy(model), name))
+        assert (model.tau_single, model.alpha_g) == (2.0, 1.0)
         assert not classify_log(model).globally_truthful
         assert classify_quadratic(model).margin == -np.inf
         with pytest.raises(DegenerateCorrelationError):
             posterior_pair(model, 1.0, 0.0)
-        for name in POOLED_DERIVED:
+        for name in POOLED:
             assert name not in model.__dict__
             with pytest.raises(DegenerateCorrelationError):
                 getattr(model, name)
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            model.no_such_name
+
+
+def derived_reprs(model):
+    """The repr of each derived value, which tells every float apart (-0.0
+    from 0.0 included), or the name of the error its read raises."""
+    reprs = []
+    for name in DERIVED:
+        try:
+            reprs.append(repr(getattr(model, name)))
+        except DegenerateCorrelationError as exc:
+            reprs.append(type(exc).__name__)
+    return reprs
+
+
+@pytest.mark.parametrize("model", [
+    SignalModel(tau_a=2.0, tau_b=0.7, tau_c=0.3, rho=-0.4, c0=1.5),
+    SignalModel(tau_a=2.0, tau_b=1.0, tau_c=0.5, rho=1.0),
+], ids=["ordinary", "degenerate"])
+@pytest.mark.parametrize("duplicate", [
+    copy.copy,
+    copy.deepcopy,
+    lambda model: pickle.loads(pickle.dumps(model)),
+    dataclasses.replace,
+], ids=["copy", "deepcopy", "pickle", "replace"])
+def test_a_model_survives_copying(model, duplicate):
+    # Copying and unpickling restore the instance dict without
+    # __post_init__, and look up hooks such as __setstate__ on an instance
+    # that holds no field yet, which __getattr__ must refuse plainly.
+    twin = duplicate(model)
+    assert twin == model
+    assert derived_reprs(twin) == derived_reprs(model)
+    assert ("DegenerateCorrelationError" in derived_reprs(twin)) == model.degenerate
 
 
 @given(precisions, precisions, precisions, rhos, signals, signals,

@@ -687,11 +687,12 @@ def test_market_replay_of_the_version_3_log_is_unchanged(tmp_path, capsys):
 
     # A belief trade is cashless wherever its belief lies inside the grid,
     # so a mean moved there changes no cost and only the settlement shows
-    # it; a mean moved onto the grid's edge loses half the belief's mass and
-    # changes its own cost.
+    # it: its payouts, since the maker's loss telescopes across the moved
+    # inventory to within 1e-10. A mean moved onto the grid's edge loses
+    # half the belief's mass and changes its own cost.
     lines = log.read_text().splitlines()
     hi = json.loads(lines[0])["grid"]["hi"]
-    for mean, refused in ((0.5, "record 40: line 42: settlement maker_loss"),
+    for mean, refused in ((0.5, "record 40: line 42: settlement payouts"),
                           (hi, "record 29: line 31: logged cost")):
         record = json.loads(lines[30])
         record["belief"]["mean"] = mean
@@ -700,6 +701,43 @@ def test_market_replay_of_the_version_3_log_is_unchanged(tmp_path, capsys):
         code, _, err = run(["market", "replay", "--log", str(tampered)], capsys)
         assert code == 4
         assert err.startswith(f"consistency error: {refused}")
+
+
+# numpy chooses its float64 exp and log kernels by CPU when it is imported.
+# This variable puts it on its AVX2 path on a CPU with AVX-512. numpy passes
+# over a name it cannot disable with an ImportWarning, which Python ignores
+# by default.
+AVX2_PATH = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def test_committed_logs_replay_alike_on_both_numpy_paths(capsys):
+    # The two paths' exp and log can differ in the last bit, and so can a
+    # settlement recomputed on each. Replay compares its amounts within
+    # 1e-10, so each committed log replays on the other path with exit 0
+    # and the same report. On a host without AVX-512 both runs take one
+    # path.
+    logs = [str(log) for log in sorted(FIXTURES.glob("*.jsonl"))]
+    assert len(logs) == 8
+    want = [[*run(["market", "replay", "--log", log], capsys)[:2]] for log in logs]
+    assert [exit_code for exit_code, _ in want] == [0] * 8
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from scoremech.cli import main\n"
+        "results = []\n"
+        "for log in sys.argv[1:]:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        results.append([main(['market', 'replay', '--log', log]), out.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *logs],
+        env=dict(os.environ, PYTHONPATH=str(src), **AVX2_PATH), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == want
 
 
 def test_market_replay_checks_the_log_against_itself_only(tmp_path, capsys):

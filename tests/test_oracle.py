@@ -19,6 +19,7 @@ as about 1e-16 / (1 - |rho|): at 1 - |rho| = 6.2e-9, R was off by 6.2e-9.
 
 import math
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
@@ -65,6 +66,10 @@ def assert_close(name, got, want, scale=None):
 
 @given(models)
 def test_posterior_precisions_and_shift_coefficients(model):
+    check_precisions_and_shift_coefficients(model)
+
+
+def check_precisions_and_shift_coefficients(model):
     single, pool = oracles.mp_precisions(*fields(model))
     a_g, a_h = oracles.mp_alphas(*fields(model))
     assert_close("tau_single", model.tau_single, single)
@@ -78,6 +83,10 @@ def test_posterior_precisions_and_shift_coefficients(model):
 # (a_h/a_g)^2 = 1e-316 here, which float64 holds to 8 digits only.
 @example(SignalModel(tau_a=1e-92, tau_b=1e66), ScoringRule.LOGARITHMIC)
 def test_curvature_ratio_tail_and_required_ratio(model, rule):
+    check_curvature_ratio_tail_and_required_ratio(model, rule)
+
+
+def check_curvature_ratio_tail_and_required_ratio(model, rule):
     ratio, tail, _, _ = _curvatures(rule, model)
     exact = oracles.mp_curvature_ratio(rule.value, *fields(model))
     if exact != 0:
@@ -87,6 +96,28 @@ def test_curvature_ratio_tail_and_required_ratio(model, rule):
     k_min = oracles.mp_required_ratio(rule.value, *fields(model))
     if k_min != 0:
         assert_close("k_min", required_ratio_numeric(rule, model), k_min)
+
+
+# A model inside the band, with tau_a close to tau_b, where the pooled
+# algebra's 1 - rho^2 and tau_a - 2 rho sqrt(tau_a tau_b) + tau_b cancel:
+# alpha_h is 9.1e-8 off relative and both rules' R 1.8e-7. The strategy
+# above draws tau_a and tau_b independently and almost never reaches it.
+CANCELLING = SignalModel(tau_a=0.641665468002355, tau_b=0.6416679720365872,
+                         tau_c=1.0816887343294421, rho=0.9999980486871994)
+cancels = pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="the pooled algebra cancels near |rho| = 1 when tau_a is close to tau_b")
+
+
+@cancels
+def test_precisions_of_a_cancelling_model():
+    check_precisions_and_shift_coefficients(CANCELLING)
+
+
+@cancels
+@pytest.mark.parametrize("rule", list(ScoringRule))
+def test_curvature_ratio_of_a_cancelling_model(rule):
+    check_curvature_ratio_tail_and_required_ratio(CANCELLING, rule)
 
 
 @given(models)
