@@ -540,7 +540,9 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
     reports their total.
     """
     outcomes, a0, b0 = _as_worlds(worlds)
-    single, pooled = model.single_mean(a0), model.pair_mean(a0, b0)
+    # The check below refuses the means that overflow here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        single, pooled = model.single_mean(a0), model.pair_mean(a0, b0)
     for means, precision in ((single, model.tau_single), (pooled, model.tau_pool)):
         if not (np.isfinite(means).all() and 0.0 < precision < math.inf):
             raise ValidationError("posterior beliefs need finite means and precisions")

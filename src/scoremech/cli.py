@@ -470,11 +470,15 @@ def cmd_market_simulate(
     batch = amm.simulate_sessions(opening, model, worlds)
     losses = batch.maker_loss.tolist()
     mean_loss = sum(losses) / sessions
+    se = 0.0
     if sessions > 1:
-        var = sum((x - mean_loss) ** 2 for x in losses) / (sessions - 1)
+        try:
+            var = sum((x - mean_loss) ** 2 for x in losses) / (sessions - 1)
+        except OverflowError:
+            var = math.inf
         se = math.sqrt(var / sessions)
-    else:
-        se = 0.0
+        if not math.isfinite(se):
+            raise NumericError("the maker-loss standard error overflows float64")
     # The last session supplies the reported bound and the written log.
     settlement = batch.settlement
     if log_path is not None:

@@ -318,15 +318,15 @@ def deviation_curve(
     ``worlds`` is (lam, a0, b0), such as ``draw_worlds`` returns, with at
     least two rows. Every arm, c = 0 included, replays them, so at c = 0
     the estimate is exactly (0, 0) and elsewhere the common noise cancels.
-    Returns one (mean, standard error) per c.
+    Returns one (mean, standard error) per c: d.mean() and d.std(ddof=1) /
+    sqrt(n) of d, Alice's ``run_mechanism_batch`` discounted payoff at c
+    less hers at c = 0, bit for bit.
 
     The prior and Alice's final report, which no shift moves, are scored
-    once. The arms [0, *c_grid] are evaluated together, as (arms, n)
-    blocks of at most ``_BLOCK_ELEMENTS`` elements (one arm per block
-    once n exceeds it), so memory does not grow with the grid. Each row
-    goes through the same floating-point operations in the same order as
-    a lone arm, so every point equals its one-point curve exactly. These
-    are the estimates of ``_curve_and_mechanisms``.
+    once, and the arms [0, *c_grid] together, as (arms, n) blocks of at
+    most ``_BLOCK_ELEMENTS`` elements (one arm per block once n exceeds
+    it), so memory does not grow with the grid. Only Alice's payoff is paid
+    per arm, and every point equals its one-point curve exactly.
     """
     return _curve_and_mechanisms(model, rule, schedule, c_grid, worlds)[0]
 
@@ -435,8 +435,8 @@ def compare_mechanisms(scenario: Scenario, worlds) -> dict[str, dict[str, np.nda
 
     The simulate report's mechanism comparison is these payoffs of the
     truthful scenario (no shift, with the correction, no freeloader) on the
-    first min(samples, ``_MECHANISM_WORLDS``) worlds, averaged: see
-    ``_curve_and_mechanisms``.
+    first min(samples, ``_MECHANISM_WORLDS``) worlds, averaged, which
+    ``_curve_and_mechanisms`` pays from its c = 0 arm's scores.
     """
     seq = _scenario_sequence(scenario, worlds)
     return {mech: _payoffs(mech, seq, scenario.schedule) for mech in _MECHANISMS}
@@ -446,50 +446,50 @@ def _curve_and_mechanisms(model, rule, schedule, c_grid, worlds):
     """``deviation_curve``'s estimates, and each expert's mean payoff under
     each mechanism as {mechanism: {expert: mean}}: ``compare_mechanisms``
     of the truthful scenario on the first ``_MECHANISM_WORLDS`` worlds,
-    averaged. The mechanisms are paid in the first arm block from its
-    c = 0 row, the truthful profile, so that the worlds are scored once for
-    both and no block's scores outlive it.
+    averaged. Each arm block pays Alice's discounted payoff alone, and its
+    c = 0 row also pays the mechanisms, so that the worlds are scored once
+    for both and no block's scores outlive it.
     """
     lam, a0, b0 = _as_worlds(worlds)
     n = lam.size
     if n < 2:
         raise ValidationError("a deviation curve needs at least 2 worlds")
     fixed = _fixed_scores(model, rule, lam, a0, b0)
+    k = [schedule_eval(schedule, t) for t in (_T_PRIOR, _T_FIRST, _T_POOL, _T_CORRECT)]
     arms = np.array([0.0, *c_grid], dtype=float)[:, None]
     block = max(1, _BLOCK_ELEMENTS // n)
-    base = mechanisms = None
+    mechanisms = None
     means, errors = [], []
     for start in range(0, len(arms), block):
         seq = _scored_sequence(model, rule, arms[start : start + block], lam, a0, b0, fixed)
-        diff = _payoffs("discounted_msr", seq, schedule)["alice"]
-        if base is None:
-            # Row 0 is the c = 0 arm that every other arm is paired with, and
-            # the truthful profile whose first worlds the mechanisms pay.
-            mechanisms = _mean_payoffs(
-                [(t, e, (s if s.ndim == 1 else s[0])[:_MECHANISM_WORLDS]) for t, e, s in seq],
-                schedule)
+        s_prior, s_first, s_pool, s_final = (s for _, _, s in seq)
+        # (k1 s_first - k0 s_prior) + (k3 s_final - k2 s_pool) in _payoffs' order, bit for bit.
+        diff = k[1] * s_first
+        diff -= k[0] * s_prior
+        diff += k[3] * s_final - k[2] * s_pool
+        if mechanisms is None:
+            # Row 0 is the c = 0 arm that every other arm is paired with.
+            mechanisms = _mechanism_means(k, diff[0], s_prior, s_first[0], s_pool[0], s_final)
             base, diff = diff[0], diff[1:]
+        del seq, s_first, s_pool  # so that the next block is scored without this one alive
         diff -= base
-        means.extend(diff.mean(axis=1).tolist())
-        errors.extend((diff.std(axis=1, ddof=1) / math.sqrt(n)).tolist())
-        del seq, diff  # so that the next block is scored without this one alive
+        # numpy's mean and std(ddof=1) of each row, from one row sum.
+        mean = diff.sum(axis=1, keepdims=True) / n
+        diff -= mean
+        np.square(diff, out=diff)
+        means.extend(mean[:, 0].tolist())
+        errors.extend((np.sqrt(diff.sum(axis=1) / (n - 1)) / math.sqrt(n)).tolist())
     return list(zip(means, errors)), mechanisms
 
 
-def _mean_payoffs(seq, schedule) -> dict[str, dict[str, float]]:
-    """Each expert's mean payoff under each mechanism of the scored
-    sequence ``seq``, as {mechanism: {expert: mean}}."""
-    rows = [
-        (mech, expert, payoff)
-        for mech in _MECHANISMS
-        for expert, payoff in _payoffs(mech, seq, schedule).items()
-    ]
-    # One reduction over the stacked rows gives each row's own mean exactly.
-    means = np.stack([payoff for _, _, payoff in rows]).mean(axis=1).tolist()
-    mechanisms: dict[str, dict[str, float]] = {}
-    for (mech, expert, _), mean in zip(rows, means):
-        mechanisms.setdefault(mech, {})[expert] = mean
-    return mechanisms
+def _mechanism_means(k, alice, s_prior, s_first, s_pool, s_final):
+    """Each expert's mean payoff under each mechanism, as ``_payoffs`` pays
+    the truthful scores; ``alice`` is her discounted payoff, already paid."""
+    a, p, f, q, final = (s[:_MECHANISM_WORLDS] for s in (alice, s_prior, s_first, s_pool, s_final))
+    rows = (a, k[2] * q - k[1] * f, final, final, np.minimum(f - p, final - q), q - f)
+    # One row sum over the stacked rows gives each row's own mean exactly.
+    pairs = (np.array(rows).sum(axis=1) / len(a)).reshape(len(_MECHANISMS), 2).tolist()
+    return {mech: dict(zip(("alice", "bob"), pair)) for mech, pair in zip(_MECHANISMS, pairs)}
 
 
 def run_mechanism(

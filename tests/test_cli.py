@@ -927,6 +927,38 @@ def test_market_n_bins_must_be_an_integer_in_range(n_bins, tmp_path, capsys):
     assert err.startswith("config error:") and "'n_bins'" in err
 
 
+# Losses scale with k0. At 1e300 a deviation's square overflows float64 and
+# raises; at 3e154 each square is finite and their sum overflows to inf.
+@pytest.mark.parametrize("k0,samples", ((1e300, 5), (3e154, 2)))
+def test_market_loss_spread_that_overflows_is_numeric_error(k0, samples, tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": {"tau_a": 100.0, "tau_b": 1.0, "tau_c": 1e-12},
+        "schedule": {"kind": "piecewise", "k0": k0, "resets": [[1, 0.5]]},
+        "n_bins": 64,
+    })
+    argv = ["market", "simulate", "--config", cfg, "--seed", "3", "--samples"]
+    with pytest.warns(RuntimeWarning, match="clipped"):
+        code, out, err = run([*argv, str(samples)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "numeric error: the maker-loss standard error overflows float64\n"
+    # One session has no spread to overflow.
+    with pytest.warns(RuntimeWarning, match="clipped"):
+        code, out, _ = run([*argv, "1"], capsys)
+    assert code == 0 and json.loads(out)["maker_loss_std_error"] == 0.0
+
+
+def test_market_posterior_mean_overflow_is_refused_without_a_numpy_warning(tmp_path, capsys):
+    # tau_c c0 overflows in the posterior means; every warning is an error here.
+    cfg = write_config(tmp_path, {
+        "model": {"tau_a": 1, "tau_b": 1e12, "tau_c": 1e100, "rho": 1e-12, "c0": 1e300},
+        "n_bins": 16,
+        "prior": {"mean": 1e-100, "precision": 1e-100},
+    })
+    code, out, err = run(["market", "simulate", "--config", cfg, "--samples", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: posterior beliefs need finite means and precisions\n"
+
+
 def test_market_n_bins_accepts_json_integers(tmp_path, capsys):
     for n_bins in (2, 64):
         cfg = write_config(tmp_path, {
@@ -1026,6 +1058,9 @@ def _simulate_config(rule, case):
     config = {"model": SIMULATE_MODEL, "rule": rule}
     if case == "constant":
         return {**config, "schedule": {"kind": "constant", "k0": 1.0}}
+    if case == "geometric":
+        # k(0) to k(3) all differ.
+        return {**config, "schedule": {"kind": "geometric_by_count", "k0": 1.0, "decay": 0.8}}
     # Reset from the log rule's required ratio to 1 at Bob's slot.
     k0 = required_ratio_log(SignalModel(**SIMULATE_MODEL))
     config["schedule"] = {"kind": "piecewise", "k0": k0, "resets": [[2, 1.0]]}
@@ -1076,10 +1111,19 @@ def test_simulate_scores_c_free_predictions_once(rule, monkeypatch):
 
 # 1,821 worlds split the nine arms over two blocks, 2,001 leave the
 # mechanisms fewer worlds than the curve, and 16,385 give each arm a block.
-@pytest.mark.parametrize("samples", (2, 500, 1821, 2001, 16385))
-@pytest.mark.parametrize("rule", ("log", "quadratic"))
-def test_simulate_report_equals_the_public_batch_paths(rule, samples):
-    config = _simulate_config(rule, "reset")
+# The reset cases keep the ids they had before the other schedule kinds.
+PUBLIC_BATCH_CASES = [
+    pytest.param(schedule, rule, samples, id="-".join(
+        ([] if schedule == "reset" else [schedule]) + [rule, str(samples)]))
+    for schedule in ("reset", "constant", "geometric")
+    for rule in ("log", "quadratic")
+    for samples in (2, 500, 1821, 2001, 16385)
+]
+
+
+@pytest.mark.parametrize("schedule,rule,samples", PUBLIC_BATCH_CASES)
+def test_simulate_report_equals_the_public_batch_paths(schedule, rule, samples):
+    config = _simulate_config(rule, schedule)
     report, _ = cmd_simulate(config, samples, 7, os.devnull)
 
     model = SignalModel(**SIMULATE_MODEL)

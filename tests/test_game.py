@@ -269,7 +269,7 @@ def test_curve_memory_stays_per_block(rule):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * n * 8, (len(grid), peak / (n * 8))
+        assert peak < 11 * n * 8, (len(grid), peak / (n * 8))
 
 
 def test_deviation_gain_sign_matches_classifier():
