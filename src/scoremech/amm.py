@@ -24,10 +24,12 @@ density), which makes the opening potential zero and the maker's total
 outlay telescope to the discounted final-vs-prior score difference.
 
 One market step prices and checks every inventory on (rows, bins) arrays:
-finite shares, and a width-weighted price mass of 1 within 1e-10, which a
-NaN mass fails. ``simulate_sessions`` runs it on blocks of sessions and
-``replay`` on blocks of records; ``trade``, ``cost_function`` and
-``MarketState`` are its one-row case.
+finite shares, and a unit width-weighted price mass. The prices are the
+exponentials over their width-weighted sum, the normalizer, so the mass is
+1 by construction; the step checks that the normalizer and its reciprocal
+are finite, which a NaN or an overflow fails. ``simulate_sessions`` runs it
+on blocks of sessions and ``replay`` on blocks of records; ``trade``,
+``cost_function`` and ``MarketState`` are its one-row case.
 
 A trade to a belief moves the market to that belief, as in Hanson's market
 scoring rule: the post-trade inventory is k(t) log(binned density) plus the
@@ -93,7 +95,6 @@ _LOG_VERSION = 3
 _DENSITY_FLOOR = 1e-300
 
 _COST_TOL = 1e-10
-_MASS_TOL = 1e-10
 
 # Grid coverage demanded of every market state, in prior standard deviations.
 _COVER_SIGMAS = 10.0
@@ -301,35 +302,43 @@ def _prior_self_score(prior: NormalBelief, lo: float, hi: float, n: int) -> floa
     return binned_self_score(prior, OutcomeGrid(lo, hi, n))
 
 
-def _potentials(shares: np.ndarray, k, widths: np.ndarray):
+def _normalizer(shares: np.ndarray, k, widths: np.ndarray):
     """For each row s of ``shares`` (rows, n) at level k = k(t), one scalar
-    for all rows or a (rows,) array of one level per row: the potential
-    C(s, t) = k log sum_j w_j exp(s_j / k), evaluated stably, the price
-    densities, and the width-weighted price mass (1 up to rounding)."""
+    for all rows or a (rows,) array of one level per row: the largest
+    s_j / k, top, the exponentials e_j = exp(s_j / k - top), and the
+    normalizer total = sum_j w_j e_j. The price densities are e / total, so
+    their width-weighted mass is 1 by construction."""
     z = shares / (k[:, None] if isinstance(k, np.ndarray) else k)
     top = z.max(axis=1)
     z -= top[:, None]
     e = np.exp(z, out=z)
-    total = np.sum(widths * e, axis=1)
-    dens = np.divide(e, total[:, None], out=e)
-    # math.log, not np.log: the two can differ in the last bit.
-    log_total = np.array([math.log(v) for v in total.tolist()])
-    return k * (top + log_total), dens, np.sum(dens * widths, axis=1)
+    return top, e, np.sum(widths * e, axis=1)
 
 
 def _step(post: np.ndarray, k, widths: np.ndarray):
-    """The market step: C(post, t) of each row of ``post`` (rows, n) at
-    level k = k(t), one scalar or one per row, and a MarketState's checks as
-    two flags per row: finite shares, and price mass within 1e-10 of 1 (a
-    NaN mass, as from an s / k that overflows, fails), without warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        potential, _, mass = _potentials(post, k, widths)
-        return potential, np.isfinite(post).all(axis=1), np.abs(mass - 1.0) <= _MASS_TOL
+    """The market step: C(post, t) = k (top + log total) of each row of
+    ``post`` (rows, n) at level k = k(t), one scalar or one per row,
+    evaluated stably, and a MarketState's checks as two flags per row:
+    finite shares, and a unit price mass. The mass is 1 by construction
+    whenever the normalizer and its reciprocal are both finite, so that is
+    the flag; a NaN or an overflow, as from an s / k that overflows, fails
+    it. Nothing warns. (Only terms w_j e_j that round to subnormals move the
+    computed mass sum_j (e_j / total) w_j by more than a few ulps, and by
+    more than 1e-10 only when the normalizer is below n * 2.5e-314.)"""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        top, _, total = _normalizer(post, k, widths)
+        # math.log, not np.log: the two can differ in the last bit. A zero
+        # normalizer, from a grid whose zero-width bins hold every price
+        # that does not underflow, fails the mass flag.
+        log_total = np.array([math.log(v) if v else -math.inf for v in total.tolist()])
+        unit_mass = np.isfinite(total) & np.isfinite(1.0 / total)
+        return k * (top + log_total), np.isfinite(post).all(axis=1), unit_mass
 
 
 def _checked_step(post: np.ndarray, k, widths: np.ndarray) -> np.ndarray:
     """``_step``'s potentials, raising ValidationError when a row's shares
-    are not finite and NumericError when its price mass is not 1 or its
+    are not finite and NumericError when its normalizer or the normalizer's
+    reciprocal is not finite (the prices have no unit mass) or its
     potential overflows."""
     potential, finite, unit_mass = _step(post, k, widths)
     if not finite.all():
@@ -362,7 +371,8 @@ def cost_function(
 def prices(state: MarketState) -> np.ndarray:
     """Instantaneous price density of every bin."""
     k = schedule_eval(state.schedule, state.t)
-    return _potentials(state.shares[None, :], k, state.grid.widths)[1][0]
+    _, e, total = _normalizer(state.shares[None, :], k, state.grid.widths)
+    return e[0] / total[0]
 
 
 def price(state: MarketState, bin_index: int) -> float:
@@ -467,7 +477,7 @@ def settle(
     idx, out_of_range = state.grid.locate(outcome)
     payouts, collected, maker_loss = _account(
         [rec.trader for rec in records],
-        [float(rec.post_shares[idx] - rec.pre_shares[idx]) for rec in records],
+        [rec.post_shares.item(idx) - rec.pre_shares.item(idx) for rec in records],
         [rec.cost for rec in records],
     )
     k0 = schedule_eval(state.schedule, 0)
@@ -814,13 +824,15 @@ def _verify_block(
     before. Those Cs are guessed as the C before the block plus the logged
     costs since, and the rows are priced in one ``_step`` call at one
     level k(t) per row. The rows before the first rebuilt row whose guess
-    differs from the computed C in any bit are exact; from that row on they
-    are rebuilt and priced again. ``trade``'s costs nearly always add up
+    differs from the computed C in any bit, found in one comparison of
+    their int64 views, are exact; from that row on they are rebuilt and
+    priced again. ``trade``'s costs nearly always add up
     bit for bit, so a block takes one call; costs that never do take one
     call per row.
 
-    Each row gets ``_checked_step``'s checks (finite shares, price mass 1
-    within 1e-10, a finite potential) with its messages, its cost
+    Each row gets ``_checked_step``'s checks (finite shares, a finite
+    normalizer and reciprocal, so unit price mass, a finite potential) with
+    its messages, its cost
     C(post, t) - C(pre, t_pre) is compared with the logged one within
     1e-10, and a belief trade's clipped bins must equal the logged count.
     Raises LogConsistencyError naming the first faulty record. A non-finite
@@ -856,8 +868,10 @@ def _verify_block(
             stacked = built if len(todo) == rows - first else np.array(posts[first:])
             potentials[first:], finite[first:], unit_mass[first:] = _step(
                 stacked, levels[first:], grid.widths)
-            end = next((row for row in todo if row > first
-                        and guess[row - first].tobytes() != potentials[row - 1].tobytes()), rows)
+            # Row first + 1 + i follows a guess that differs from the
+            # computed C before it in some bit.
+            differs = guess[1:].view(np.int64) != potentials[first:-1].view(np.int64)
+            end = next((row for row in todo if row > first and differs[row - first - 1]), rows)
             first, before = end, potentials[end - 1]
         costs = potentials - np.concatenate(([potential], potentials[:-1]))
         bad_cost = ~(np.abs(costs - logged_costs) <= _COST_TOL)
@@ -879,11 +893,15 @@ def _verify_block(
             cost = float(costs[row])
             message = f"logged cost {block[row].cost!r} differs from recomputed {cost!r}"
         raise LogConsistencyError(f"line {block[row].lineno}: {message}", start + row)
-    records = [
-        TradeRecord(t=entry.t, pre_shares=pre, post_shares=post, cost=entry.cost,
-                    trader=entry.trader, clipped_bins=entry.clipped_bins, belief=entry.belief)
-        for entry, pre, post in zip(block, [state.shares, *posts[:-1]], posts)
-    ]
+    # TradeRecord runs no checks, so its fields are set directly, as
+    # ``_priced`` sets a state's, without the frozen dataclass's __init__.
+    records = []
+    for entry, pre, post in zip(block, [state.shares, *posts[:-1]], posts):
+        record = object.__new__(TradeRecord)
+        record.__dict__.update(t=entry.t, pre_shares=pre, post_shares=post, cost=entry.cost,
+                               trader=entry.trader, clipped_bins=entry.clipped_bins,
+                               belief=entry.belief)
+        records.append(record)
     return records, _priced(state, posts[-1], block[-1].t, float(potentials[-1]))
 
 
@@ -894,18 +912,23 @@ def _replay_settlement(
     ``maker_loss``, ``loss_bound`` and every payout) must be a JSON float
     within ``_COST_TOL`` of the recomputed one, as costs are; every other
     field, the payouts' traders included, must equal the recomputed one
-    exactly, as ``write_log`` serializes it."""
+    exactly, in type and repr, as ``write_log`` serializes it; and a field
+    ``write_log`` never writes is refused, whatever it holds."""
     report = settle(state, float(_field(logged, "outcome", "", _real)), records)
     want = settlement_to_json(report)["settlement"]
     for key in sorted(set(logged) | set(want)):
-        got, expected = logged.get(key), want.get(key)
+        if key not in want:
+            raise ValueError(f"field 'settlement' holds an unknown field {key!r}")
+        got, expected = logged.get(key), want[key]
         if key == "payouts":
             same = (isinstance(got, dict) and got.keys() == expected.keys()
                     and all(_near(got[trader], expected[trader]) for trader in expected))
         elif key in ("collected", "maker_loss", "loss_bound"):
             same = _near(got, expected)
         else:
-            same = json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+            # The exact fields are a float, an int and a bool: JSON writes
+            # them as their repr, and the type tells 3 from 3.0 and 0 from false.
+            same = type(got) is type(expected) and repr(got) == repr(expected)
         if not same:
             raise ValueError(f"settlement {key} {got!r} differs from recomputed {expected!r}")
     return report
@@ -934,9 +957,10 @@ def replay(
     gives, and the logged cost matches the recomputed C(post, t) -
     C(pre, t_pre) within 1e-10; and that a settlement, if any, is the last
     non-blank line and agrees with the settlement recomputed at its outcome:
-    each amount within 1e-10, every other field exactly. A version-3 belief
-    trade's post-trade inventory is rebuilt from its belief with ``trade``'s
-    arithmetic, bit for bit on the writer's numpy code path.
+    each amount within 1e-10, every other field exactly, with no field the
+    writer never writes. A version-3 belief trade's post-trade inventory is
+    rebuilt from its belief with ``trade``'s arithmetic, bit for bit on the
+    writer's numpy code path.
     Counters, record numbers and clipped-bin counts must be JSON integers
     (not booleans; clipped bins at least 0) and traders strings. Costs, the
     grid's ``lo`` and ``hi``, ``affine_shift``, the ``mean`` and

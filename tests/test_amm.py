@@ -131,25 +131,159 @@ def test_batched_potentials_equal_the_scalar_formula_bit_for_bit():
     shares = rng.normal(scale=3.0, size=(4000, grid.n))
     # Rows whose largest share is 0 carry the log's last bit into C.
     shares[::2] -= shares[::2].max(axis=1, keepdims=True)
-    potential, dens, mass = amm._potentials(shares, 0.7, grid.widths)
-    for row, got, got_dens, got_mass in zip(shares, potential, dens, mass):
+    potential, finite, unit_mass = amm._step(shares, 0.7, grid.widths)
+    top, e, total = amm._normalizer(shares, 0.7, grid.widths)
+    assert finite.all() and unit_mass.all()
+    for row, got, got_top, got_e, got_total in zip(shares, potential, top, e, total):
         z = row / 0.7
-        e = np.exp(z - z.max())
-        total = float(np.sum(grid.widths * e))
-        assert got == 0.7 * (float(z.max()) + math.log(total))
-        assert got_dens.tobytes() == (e / total).tobytes()
-        assert got_mass == np.sum(e / total * grid.widths)
-    assert cost_function(shares[0], 0, HALF, grid) == amm._potentials(
+        want_e = np.exp(z - z.max())
+        want_total = float(np.sum(grid.widths * want_e))
+        assert got == 0.7 * (float(z.max()) + math.log(want_total))
+        assert (got_top, got_total) == (z.max(), want_total)
+        assert got_e.tobytes() == want_e.tobytes()
+    assert cost_function(shares[0], 0, HALF, grid) == amm._step(
         shares[:1], 0.5, grid.widths)[0][0]
+    # The price densities are the exponentials over the normalizer.
+    state = MarketState(grid=grid, shares=shares[0], t=0, prior=NormalBelief(0.5, 100.0),
+                        schedule=DiscountSchedule(kind="constant", k0=0.7))
+    assert prices(state).tobytes() == (e[0] / total[0]).tobytes()
     # One level per row, as replay prices a block of records: each row is
     # the one-row call at its own level.
     levels = rng.uniform(0.05, 4.0, size=len(shares))
-    potential, dens, mass = amm._potentials(shares, levels, grid.widths)
+    potential, _, _ = amm._step(shares, levels, grid.widths)
+    top, e, total = amm._normalizer(shares, levels, grid.widths)
     for i, (row, level) in enumerate(zip(shares, levels)):
-        want = amm._potentials(row[None, :], float(level), grid.widths)
-        assert potential[i] == want[0][0]
-        assert dens[i].tobytes() == want[1][0].tobytes()
-        assert mass[i] == want[2][0]
+        assert potential[i] == amm._step(row[None, :], float(level), grid.widths)[0][0]
+        want_top, want_e, want_total = amm._normalizer(row[None, :], float(level), grid.widths)
+        assert (top[i], total[i]) == (want_top[0], want_total[0])
+        assert e[i].tobytes() == want_e[0].tobytes()
+
+
+def mass_check_flags(post, k, widths):
+    """The reference for the market step's flags: finite shares, and the
+    width-weighted price mass sum_j (e_j / total) w_j, computed in full,
+    within 1e-10 of 1."""
+    with np.errstate(all="ignore"):
+        z = post / k
+        e = np.exp(z - z.max(axis=1)[:, None])
+        total = np.sum(widths * e, axis=1)
+        mass = np.sum(e / total[:, None] * widths, axis=1)
+    return np.isfinite(post).all(axis=1), np.abs(mass - 1.0) <= 1e-10
+
+
+def mass_check_message(post, k, widths):
+    """The message ``cost_function`` raises on the one-row ``post`` by the
+    reference flags and the potential formula, or None."""
+    finite, unit_mass = mass_check_flags(post[None, :], k, widths)
+    if not finite[0]:
+        return "shares must be finite"
+    if not unit_mass[0]:
+        return "width-weighted prices failed to sum to 1"
+    with np.errstate(all="ignore"):
+        z = post / k
+        total = float(np.sum(widths * np.exp(z - z.max())))
+        if not np.isfinite(k * (z.max() + math.log(total))):
+            return "the potential C(post, t) overflows"
+    return None
+
+
+def raised_message(call, *args):
+    """The message of the error ``call(*args)`` raises, or None; a warning
+    is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(*args)
+        except (ValidationError, NumericError) as exc:
+            return str(exc)
+    return None
+
+
+def step_rows(rng, n):
+    """Finite inventories from flat to far apart, whose exponentials
+    underflow, then rows whose s / k overflows to +inf or -inf in one bin
+    or in all, and a NaN row."""
+    rows = rng.normal(size=(60, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(60, 1))
+    special = np.zeros((5, n))
+    special[0, 0] = OVERFLOWING
+    special[1] = OVERFLOWING
+    special[2, -1] = -OVERFLOWING
+    special[3] = -OVERFLOWING
+    special[4, n // 2] = math.nan
+    return np.concatenate([rows, special])
+
+
+def zero_width_grid():
+    """A grid whose edges repeat in float64, so some bins have zero width."""
+    grid = OutcomeGrid(lo=1.0, hi=1.0 + 8 * 2.0**-52, n=16)
+    assert (grid.widths == 0.0).any() and (grid.widths > 0.0).any()
+    return grid
+
+
+def overflowing_span_grid():
+    """lo = -1e308, hi = 1e308: hi - lo overflows, so the widths are not
+    finite. They are computed, and cached, here without warning."""
+    grid = OutcomeGrid(lo=-1e308, hi=1e308, n=4)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(grid.widths).all()
+    return grid
+
+
+@pytest.mark.parametrize("grid", (
+    OutcomeGrid.from_prior(STD, 2), OutcomeGrid.from_prior(STD, 128),
+    OutcomeGrid.from_prior(STD, 4096), zero_width_grid(), overflowing_span_grid(),
+), ids=("n2", "n128", "n4096", "zero_width_bins", "overflowing_span"))
+def test_the_step_flags_what_the_price_mass_check_flagged(grid):
+    # The mass is 1 by construction, so the step checks that the normalizer
+    # and its reciprocal are finite: the same verdict as the mass check.
+    rng = np.random.default_rng(grid.n)
+    rows = step_rows(rng, grid.n)
+    for schedule in (DiscountSchedule(kind="constant", k0=1e-3), HALF, FLAT):
+        k = schedule_eval(schedule, 0)
+        _, finite, unit_mass = amm._step(rows, k, grid.widths)
+        want_finite, want_mass = mass_check_flags(rows, k, grid.widths)
+        assert finite.tolist() == want_finite.tolist()
+        assert unit_mass.tolist() == want_mass.tolist()
+        regular = grid.n in (2, 128, 4096)
+        if regular and k < 1.0:
+            # Every special row fails but the one with -inf in a single
+            # bin, whose prices are still a distribution.
+            assert unit_mass.tolist()[-5:] == [False, False, True, False, False]
+        for row in rows:
+            want = mass_check_message(row, k, grid.widths)
+            assert raised_message(cost_function, row, 0, schedule, grid) == want
+            if regular and np.isfinite(row).all():
+                state = MarketState(grid=grid, shares=np.zeros(grid.n), t=0,
+                                    schedule=schedule, prior=STD)
+                assert raised_message(trade, state, row) == want
+
+
+@pytest.mark.parametrize("shares", ((0.0, 0.0), (0.0, -1000.0)))
+def test_a_denormal_width_grid_fails_its_price_mass(shares):
+    # Widths of 5e-321: the normalizer is finite but its reciprocal is not.
+    grid = OutcomeGrid(lo=0.0, hi=1e-320, n=2)
+    _, e, total = amm._normalizer(np.array([shares]), 1.0, grid.widths)
+    with np.errstate(over="ignore"):
+        assert math.isfinite(total[0]) and math.isinf(1.0 / total[0])
+    assert mass_check_message(np.array(shares), 1.0, grid.widths) == (
+        "width-weighted prices failed to sum to 1")
+    raises_without_warning(NumericError, "sum to 1", cost_function, shares, 0, FLAT, grid)
+
+
+def test_a_subnormal_normalizer_is_where_the_two_checks_part():
+    # Where the flags part: 2**19 bins of width 1e-308, one share at 0 and
+    # every other exponential such that w_j e_j rounds down to 0, losing
+    # just under half a denormal each. The mass computed in full reads
+    # 1 + 1.3e-10; the normalizer and its reciprocal are finite, and the
+    # potential is log(1e-308), off by those lost terms.
+    n = 2**19
+    grid = OutcomeGrid(lo=0.0, hi=1e-308 * n, n=n)
+    row = np.log(0.49 * (2.0**-1074 / grid.widths))
+    row[0] = 0.0
+    assert mass_check_flags(row[None, :], 1.0, grid.widths)[1].tolist() == [False]
+    potential, finite, unit_mass = amm._step(row[None, :], 1.0, grid.widths)
+    assert finite.tolist() == unit_mass.tolist() == [True]
+    assert potential[0] == math.log(1e-308)
 
 
 def test_prices_worked_values():
@@ -383,7 +517,7 @@ def test_trade_validation():
 @pytest.mark.parametrize("target", ("belief", "delta"))
 def test_a_trade_prices_its_inventory_once(target, monkeypatch):
     state = open_market(STD, HALF)
-    priced = counting_potentials(monkeypatch)
+    priced = counting_steps(monkeypatch)
     post_init = MarketState.__post_init__
     states = []
 
@@ -1036,18 +1170,13 @@ def test_replay_verifies_a_long_log_in_blocks(long_log, monkeypatch):
     assert amm._BLOCK_ELEMENTS // 64 == 256
     levels = {schedule_eval(LONG_SCHEDULE, r.t) for r in records}
     assert len(levels) == LONG_TRADES
-    priced, states = [], []
-    potentials, post_init = amm._potentials, MarketState.__post_init__
-
-    def counting_potentials(shares, k, widths):
-        priced.append((len(shares), np.ndim(k)))
-        return potentials(shares, k, widths)
+    priced, states = counting_steps(monkeypatch), []
+    post_init = MarketState.__post_init__
 
     def counting_post_init(state):
         states.append(state.t)
         post_init(state)
 
-    monkeypatch.setattr(amm, "_potentials", counting_potentials)
     monkeypatch.setattr(MarketState, "__post_init__", counting_post_init)
     final, replayed, report = replay(lines)
     # The header's state and one call per block with a level per row: no
@@ -1148,6 +1277,61 @@ def test_settlement_amounts_compare_within_the_cost_tolerance(key):
         refused = replay_moved(move)
         assert refused[0] == "refused" and refused[2] == 2
         assert refused[1].startswith(f"record 2: line 4: settlement {key} ")
+
+
+def test_settlement_fields_are_the_ones_written_type_and_all(monkeypatch):
+    # A field write_log never writes is refused whatever it holds, null
+    # included. The exact fields compare by type and repr: an outcome bin
+    # of 3.0 is not 3, an out-of-range flag of 0 is not false, and an
+    # outcome of -0.0 is not 0.0.
+    opening, lines, records, _ = short_session()
+    final = replay(lines)[0]
+    report = settle(final, 0.0, records)
+    at_zero = reference_log_lines(opening, records, report)
+
+    def refused(edit):
+        obj = json.loads(at_zero[3])
+        edit(obj["settlement"])
+        got = replay_outcome([*at_zero[:3], json.dumps(obj, sort_keys=True)])
+        assert got[0] == "refused" and got[2] == 2
+        return got[1].removeprefix("record 2: line 4: ")
+
+    for value in (None, 1, {}):
+        assert refused(lambda logged: logged.update(note=value)) == (
+            "field 'settlement' holds an unknown field 'note'")
+    bin_ = report.outcome_bin
+    assert refused(lambda logged: logged.update(outcome_bin=float(bin_))) == (
+        f"settlement outcome_bin {float(bin_)!r} differs from recomputed {bin_!r}")
+    assert refused(lambda logged: logged.update(out_of_range=0)) == (
+        "settlement out_of_range 0 differs from recomputed False")
+    # settle reports the outcome it is given, so a recomputed 0.0 against a
+    # logged -0.0 takes a settle that drops the sign.
+    settle_at = amm.settle
+    monkeypatch.setattr(amm, "settle", lambda state, outcome, records: settle_at(
+        state, abs(outcome), records))
+    assert replay_outcome(at_zero)[0] == "accepted"
+    assert refused(lambda logged: logged.update(outcome=-0.0)) == (
+        "settlement outcome -0.0 differs from recomputed 0.0")
+
+
+def test_replay_refuses_prices_on_zero_width_bins_alone():
+    # The grid's edges repeat, so some bins have zero width. A logged
+    # inventory whose largest share sits in one of them, with every other
+    # exponential underflowing, has a zero normalizer: its prices have no
+    # mass, and replay refuses it with the mass message.
+    grid = zero_width_grid()
+    opening = MarketState(grid=grid, shares=np.zeros(grid.n), t=0, schedule=FLAT,
+                          prior=NormalBelief(1.0, 1e34))
+    post = np.full(grid.n, -1000.0)
+    post[0] = 0.0
+    assert grid.widths[0] == 0.0
+    record = {"i": 0, "t": 1, "trader": "m", "cost": 0.0, "clipped_bins": 0,
+              "post": amm._encode_shares(post)}
+    lines = [json.dumps(amm.log_header(opening), sort_keys=True),
+             json.dumps(record, sort_keys=True)]
+    assert replay_outcome(lines) == (
+        "refused", "record 0: line 2: width-weighted prices failed to sum to 1", 0)
+    raises_without_warning(NumericError, "sum to 1", cost_function, post, 0, FLAT, grid)
 
 
 def test_an_infinite_loss_bound_replays():
@@ -1273,15 +1457,15 @@ def test_version_3_replay_rebuilds_the_written_records_bit_for_bit(session, data
             assert f"record {index}: line {index + 2}: " in got[1]
 
 
-def counting_potentials(monkeypatch):
-    """Record (rows, ndim of the level) of every ``amm._potentials`` call."""
-    priced, potentials = [], amm._potentials
+def counting_steps(monkeypatch):
+    """Record (rows, ndim of the level) of every ``amm._step`` call."""
+    priced, step = [], amm._step
 
-    def counting(shares, k, widths):
-        priced.append((len(shares), np.ndim(k)))
-        return potentials(shares, k, widths)
+    def counting(post, k, widths):
+        priced.append((len(post), np.ndim(k)))
+        return step(post, k, widths)
 
-    monkeypatch.setattr(amm, "_potentials", counting)
+    monkeypatch.setattr(amm, "_step", counting)
     return priced
 
 
@@ -1289,7 +1473,7 @@ def test_verified_states_are_not_priced_again(monkeypatch, tmp_path):
     model, shift = SESSION_MODELS[1]
     opening = open_market(NormalBelief(model.c0, model.tau_c), SESSION_SCHEDULES[2],
                           n_bins=4096, affine_shift=shift)
-    priced = counting_potentials(monkeypatch)
+    priced = counting_steps(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         batch = simulate_sessions(opening, model, draw_worlds(model, 3, 6))
@@ -1337,7 +1521,7 @@ def test_replay_rebuilds_beliefs_exactly_when_the_costs_do_not_add_up(monkeypatc
     lines = path.read_text().splitlines()
     for index in range(len(records)):
         lines = with_cost_moved(lines, index, 1e-13)
-    priced = counting_potentials(monkeypatch)
+    priced = counting_steps(monkeypatch)
     final, replayed, _ = replay(lines)
     # Rebuilt rows 2, 3 and 5 follow a wrong guess, so the calls start at
     # rows 0, 2, 3 and 5.
