@@ -65,8 +65,8 @@ _DEFAULT_C_GRID = (-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0)
 _MAX_BINS = 2**20
 
 # Most worlds or sessions one run may sample. Every per-sample array grows
-# with it: about 120 B per sample for simulate and 150 B per session for
-# market simulate, so the cap keeps a run near 200 MiB.
+# with it: about 104 B per sample for simulate, so at the cap a run peaks
+# near 158 MiB for simulate and 178 MiB for market simulate (see README).
 _MAX_SAMPLES = 2**20
 
 # Most values one classify grid dimension may hold, and most models a grid

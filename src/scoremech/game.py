@@ -20,6 +20,7 @@ the same worlds across arms.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -52,10 +53,13 @@ __all__ = [
 _SEED_LIMIT = 1 << 64
 _U52 = 2.0**-52
 
-# Slot counters of the scored timeline (0 is the prior / market open).
-_T_PRIOR, _T_FIRST, _T_POOL, _T_CORRECT = 0, 1, 2, 3
+# Slot counters of Alice's first report and Bob's pooled one.
+_T_FIRST, _T_POOL = 1, 2
 
 _MECHANISMS = ("discounted_msr", "group", "single")
+
+# The experts of every play; a scenario's freeloader is paid after them.
+_EXPERTS = ("alice", "bob")
 
 # Worlds the simulate report's mechanism comparison averages over.
 _MECHANISM_WORLDS = 2000
@@ -159,8 +163,29 @@ def _block_normals(seed: int, n: int, start_index: int) -> np.ndarray:
 
     # An int counter is the 256-bit value [start_index, 0, 0, 0] without the
     # float cast numpy applies to list entries of 2^63 and above.
-    raw = Philox(key=seed, counter=start_index).random_raw(4 * n)
+    raw = Philox(_seed_key_type()(seed), counter=start_index).random_raw(4 * n)
     return _normals_from_words(raw.reshape(-1, 4)[:, :3])
+
+
+@functools.cache
+def _seed_key_type() -> type:
+    """numpy's ``ISeedSequence`` whose state is a seed's Philox key.
+
+    Philox keys itself from ``generate_state(2, np.uint64)``, which returns
+    [seed, 0], the key words of ``Philox(key=seed)``. That form first builds
+    ``SeedSequence(None)`` from 128 bits of OS entropy and discards it.
+    """
+    # Imported here so that the analytic commands never load numpy.random.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedKey(ISeedSequence):
+        def __init__(self, seed: int) -> None:
+            self.words = np.array([seed, 0], dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedKey
 
 
 def _normals_from_words(words: np.ndarray) -> np.ndarray:
@@ -241,46 +266,36 @@ def _fixed_scores(model, rule, lam, a0, b0, correct_at_end=True):
     return s_prior, _score(rule, model.pair_mean(a0, b0), model.tau_pool, lam)
 
 
-def _scored_sequence(model, rule, c, lam, a0, b0, fixed, freeloader=False):
-    """The realized predictions as [(counter, expert, score array), ...],
-    starting from the prior at counter 0; the deviation enters only
-    through Alice's pretended signal a0 + c. ``fixed`` is
-    ``_fixed_scores`` of the same worlds. A column c of shape (arms, 1)
-    scores the first and pooled reports of every arm as (arms, n) rows,
-    which the c-free scores broadcast against."""
+def _slot_scores(model, rule, c, lam, a0, b0, fixed):
+    """The scores (prior, first, pool, final) of the predictions at counters
+    0 to 3: the prior, Alice's first report, Bob's pooled one and the final
+    prediction, which is Alice's correction or, without it, Bob's report.
+    The deviation enters only through Alice's pretended signal a0 + c.
+    ``fixed`` is ``_fixed_scores`` of the same worlds. A column c of shape
+    (arms, 1) scores the first and pooled reports of every arm as (arms, n)
+    rows, which the c-free scores broadcast against."""
     s_prior, s_correct = fixed
     a_hat = a0 + c
     s_first = _score(rule, model.single_mean(a_hat), model.tau_single, lam)
     s_pool = _score(rule, model.pair_mean(a_hat, b0), model.tau_pool, lam)
-    s_final = s_pool if s_correct is None else s_correct
-    seq = [
-        (_T_PRIOR, None, s_prior),
-        (_T_FIRST, "alice", s_first),
-        (_T_POOL, "bob", s_pool),
-        (_T_CORRECT, "alice", s_final),
-    ]
-    if freeloader:
-        seq.append((_T_CORRECT + 1, "freeloader", s_final))
-    return seq
+    return s_prior, s_first, s_pool, s_pool if s_correct is None else s_correct
 
 
-def _payoffs(mechanism: str, seq, schedule: DiscountSchedule) -> dict[str, np.ndarray]:
-    """Per-expert payoff arrays of a scored sequence; see ``run_mechanism``."""
+def _payoff(mechanism: str, expert: str, k, scores) -> np.ndarray:
+    """``expert``'s payoff array under ``mechanism`` (see ``run_mechanism``)
+    from the ``_slot_scores`` of her slots: Alice speaks at counters 1 and
+    3, Bob at 2, and the freeloader repeats the final prediction at 4.
+    ``k`` holds k(0), k(1), ... and only discounted_msr reads it."""
+    prior, first, pool, final = scores
     if mechanism == "group":
-        final = seq[-1][2]
-        return {e: final for _, e, _ in seq[1:]}
-    k = None
-    if mechanism == "discounted_msr":
-        k = {t: schedule_eval(schedule, t) for t, _, _ in seq}
-    payoffs: dict[str, np.ndarray] = {}
-    for (t_prev, _, s_prev), (t, e, s) in zip(seq, seq[1:]):
-        if k is None:
-            inc = s - s_prev
-            payoffs[e] = np.minimum(payoffs[e], inc) if e in payoffs else inc
-        else:
-            inc = k[t] * s - k[t_prev] * s_prev
-            payoffs[e] = payoffs[e] + inc if e in payoffs else inc
-    return payoffs
+        return final
+    if mechanism == "single":
+        if expert == "alice":
+            return np.minimum(first - prior, final - pool)
+        return pool - first if expert == "bob" else final - final
+    if expert == "alice":
+        return (k[1] * first - k[0] * prior) + (k[3] * final - k[2] * pool)
+    return k[2] * pool - k[1] * first if expert == "bob" else k[4] * final - k[3] * final
 
 
 def analytic_gain(
@@ -405,13 +420,23 @@ def reduce_schedule(schedule: ForumSchedule) -> tuple[ABASubgame, ...]:
     return tuple(out)
 
 
-def _scenario_sequence(scenario: Scenario, worlds):
+def _scenario_payoffs(mechanisms, scenario: Scenario, worlds):
+    """{mechanism: {expert: payoff array}} of ``scenario`` on ``worlds``,
+    which are scored once for all ``mechanisms``."""
     lam, a0, b0 = _as_worlds(worlds)
     model, rule = scenario.model, scenario.rule
     fixed = _fixed_scores(model, rule, lam, a0, b0, scenario.correct_at_end)
-    return _scored_sequence(
-        model, rule, scenario.deviation_c, lam, a0, b0, fixed, scenario.freeloader
-    )
+    scores = _slot_scores(model, rule, scenario.deviation_c, lam, a0, b0, fixed)
+    experts = (*_EXPERTS, "freeloader") if scenario.freeloader else _EXPERTS
+    counters = range(5 if scenario.freeloader else 4)
+    paid = {}
+    for mech in mechanisms:
+        # The other rules pay plain scores, also where the level underflows.
+        k = None
+        if mech == "discounted_msr":
+            k = [schedule_eval(scenario.schedule, t) for t in counters]
+        paid[mech] = {e: _payoff(mech, e, k, scores) for e in experts}
+    return paid
 
 
 def run_mechanism_batch(
@@ -426,20 +451,19 @@ def run_mechanism_batch(
     """
     if mechanism not in _MECHANISMS:
         raise ValidationError(f"unknown mechanism {mechanism!r}")
-    return _payoffs(mechanism, _scenario_sequence(scenario, worlds), scenario.schedule)
+    return _scenario_payoffs((mechanism,), scenario, worlds)[mechanism]
 
 
 def compare_mechanisms(scenario: Scenario, worlds) -> dict[str, dict[str, np.ndarray]]:
     """``run_mechanism_batch`` of every mechanism, keyed by its name, paid
-    from one scored sequence of ``worlds``.
+    from one scoring of ``worlds``.
 
     The simulate report's mechanism comparison is these payoffs of the
     truthful scenario (no shift, with the correction, no freeloader) on the
     first min(samples, ``_MECHANISM_WORLDS``) worlds, averaged, which
     ``_curve_and_mechanisms`` pays from its c = 0 arm's scores.
     """
-    seq = _scenario_sequence(scenario, worlds)
-    return {mech: _payoffs(mech, seq, scenario.schedule) for mech in _MECHANISMS}
+    return _scenario_payoffs(_MECHANISMS, scenario, worlds)
 
 
 def _curve_and_mechanisms(model, rule, schedule, c_grid, worlds):
@@ -455,23 +479,18 @@ def _curve_and_mechanisms(model, rule, schedule, c_grid, worlds):
     if n < 2:
         raise ValidationError("a deviation curve needs at least 2 worlds")
     fixed = _fixed_scores(model, rule, lam, a0, b0)
-    k = [schedule_eval(schedule, t) for t in (_T_PRIOR, _T_FIRST, _T_POOL, _T_CORRECT)]
+    k = [schedule_eval(schedule, t) for t in range(4)]
     arms = np.array([0.0, *c_grid], dtype=float)[:, None]
     block = max(1, _BLOCK_ELEMENTS // n)
-    mechanisms = None
     means, errors = [], []
     for start in range(0, len(arms), block):
-        seq = _scored_sequence(model, rule, arms[start : start + block], lam, a0, b0, fixed)
-        s_prior, s_first, s_pool, s_final = (s for _, _, s in seq)
-        # (k1 s_first - k0 s_prior) + (k3 s_final - k2 s_pool) in _payoffs' order, bit for bit.
-        diff = k[1] * s_first
-        diff -= k[0] * s_prior
-        diff += k[3] * s_final - k[2] * s_pool
-        if mechanisms is None:
+        scores = _slot_scores(model, rule, arms[start : start + block], lam, a0, b0, fixed)
+        diff = _payoff("discounted_msr", "alice", k, scores)
+        if start == 0:
             # Row 0 is the c = 0 arm that every other arm is paired with.
-            mechanisms = _mechanism_means(k, diff[0], s_prior, s_first[0], s_pool[0], s_final)
+            mechanisms = _truthful_means(k, scores)
             base, diff = diff[0], diff[1:]
-        del seq, s_first, s_pool  # so that the next block is scored without this one alive
+        del scores  # so that the next block is scored without this one alive
         diff -= base
         # numpy's mean and std(ddof=1) of each row, from one row sum.
         mean = diff.sum(axis=1, keepdims=True) / n
@@ -482,14 +501,15 @@ def _curve_and_mechanisms(model, rule, schedule, c_grid, worlds):
     return list(zip(means, errors)), mechanisms
 
 
-def _mechanism_means(k, alice, s_prior, s_first, s_pool, s_final):
-    """Each expert's mean payoff under each mechanism, as ``_payoffs`` pays
-    the truthful scores; ``alice`` is her discounted payoff, already paid."""
-    a, p, f, q, final = (s[:_MECHANISM_WORLDS] for s in (alice, s_prior, s_first, s_pool, s_final))
-    rows = (a, k[2] * q - k[1] * f, final, final, np.minimum(f - p, final - q), q - f)
+def _truthful_means(k, scores):
+    """Each expert's mean payoff under each mechanism on the first
+    ``_MECHANISM_WORLDS`` worlds of the c = 0 row of an arm block's
+    ``scores``; ``k`` holds k(0) to k(3)."""
+    truthful = [np.atleast_2d(s)[0, :_MECHANISM_WORLDS] for s in scores]
+    rows = np.array([_payoff(m, e, k, truthful) for m in _MECHANISMS for e in _EXPERTS])
     # One row sum over the stacked rows gives each row's own mean exactly.
-    pairs = (np.array(rows).sum(axis=1) / len(a)).reshape(len(_MECHANISMS), 2).tolist()
-    return {mech: dict(zip(("alice", "bob"), pair)) for mech, pair in zip(_MECHANISMS, pairs)}
+    pairs = (rows.sum(axis=1) / rows.shape[1]).reshape(len(_MECHANISMS), 2).tolist()
+    return {mech: dict(zip(_EXPERTS, pair)) for mech, pair in zip(_MECHANISMS, pairs)}
 
 
 def run_mechanism(

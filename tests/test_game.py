@@ -3,6 +3,7 @@ forum reduction."""
 
 import hashlib
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from scoremech import (
     ForumSchedule,
     NormalBelief,
     Scenario,
+    NumericError,
     ScoringRule,
     SignalModel,
     ValidationError,
@@ -116,6 +118,18 @@ def test_batched_worlds_keep_their_bits(n, start):
     worlds = draw_worlds(WORLD_BITS_MODEL, 2**63 + 11, n, start)
     digest = hashlib.sha256(np.stack(worlds).tobytes()).hexdigest()
     assert digest == WORLD_BITS[n, start]
+
+
+def test_seeded_worlds_read_no_os_entropy(monkeypatch):
+    # The seed is the Philox key, so drawing worlds needs no entropy from
+    # the OS, which numpy's SeedSequence(None) would read and discard.
+    def no_entropy(n):
+        raise AssertionError("the OS entropy source was read")
+
+    want = draw_worlds(WORLD_BITS_MODEL, 2**63 + 11, 5, 7)
+    monkeypatch.setattr(random, "_urandom", no_entropy)
+    got = draw_worlds(WORLD_BITS_MODEL, 2**63 + 11, 5, 7)
+    assert np.array_equal(np.stack(got), np.stack(want))
 
 
 def test_draw_worlds_peak_memory_is_its_result_and_one_batch():
@@ -473,6 +487,45 @@ def test_msr_mechanism_matches_rollout_rewards():
         bob = k[2] * s[2] - k[1] * s[1]
         assert payoffs["alice"] == pytest.approx(alice, rel=1e-12, abs=1e-12)
         assert payoffs["bob"] == pytest.approx(bob, rel=1e-12, abs=1e-12)
+
+
+def test_freeloader_is_paid_the_increment_of_repeating_the_final_report():
+    # The freeloader repeats the standing final prediction at counter 4:
+    # k(4) S_final - k(3) S_final under the discounted rule, S_final under
+    # the group rule and S_final - S_final under the single rule.
+    sched = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.8)
+    k3, k4 = schedule_eval(sched, 3), schedule_eval(sched, 4)
+    lam, a0, b0 = draw_world(MODEL, seed=35, index=4)
+    for rule in (LOG, QUAD):
+        for correct in (True, False):
+            scenario = Scenario(model=MODEL, rule=rule, schedule=sched,
+                                deviation_c=0.7, correct_at_end=correct,
+                                freeloader=True)
+            final = posterior_pair(MODEL, a0 if correct else a0 + 0.7, b0)
+            s_final = score(rule, final, lam)
+            want = {
+                "discounted_msr": k4 * s_final - k3 * s_final,
+                "group": s_final,
+                "single": s_final - s_final,
+            }
+            for mech, increment in want.items():
+                payoffs = run_mechanism(mech, scenario, seed=35, index=4)
+                assert payoffs["freeloader"] == pytest.approx(
+                    increment, rel=1e-12, abs=1e-12)
+
+
+def test_only_the_discounted_rule_evaluates_the_schedule():
+    # k(2) underflows to 0: the group and single rules pay plain scores and
+    # never read k, while the discounted rule cannot price counter 2.
+    sched = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=1e-200)
+    worlds = draw_worlds(MODEL, seed=36, n=8)
+    scenario = Scenario(model=MODEL, rule=LOG, schedule=sched, freeloader=True)
+    for mech in ("group", "single"):
+        payoffs = run_mechanism_batch(mech, scenario, worlds)
+        assert set(payoffs) == {"alice", "bob", "freeloader"}
+        assert all(np.all(np.isfinite(v)) for v in payoffs.values())
+    with pytest.raises(NumericError, match="underflows to 0 at counter 2"):
+        run_mechanism_batch("discounted_msr", scenario, worlds)
 
 
 def test_mechanism_batch_rows_equal_scalar_plays():
