@@ -274,8 +274,9 @@ def _log_densities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """log of the binned densities floored at ``_DENSITY_FLOOR``, and the
     number of floored bins of each row; ``precision`` as for
-    ``_binned_densities``. ``trade``, ``open_market``,
-    ``simulate_sessions`` and ``replay`` all bin beliefs here."""
+    ``_binned_densities``. ``trade``, ``simulate_sessions`` and ``replay``
+    bin beliefs here; ``open_market`` bins its prior through
+    ``_log_density_and_self_score``, since it needs the self score too."""
     dens = _binned_densities(means, precision, grid)
     clipped = np.count_nonzero(dens < _DENSITY_FLOOR, axis=1)
     return np.log(np.maximum(dens, _DENSITY_FLOOR, out=dens), out=dens), clipped
@@ -287,19 +288,44 @@ def binned_density(belief: NormalBelief, grid: OutcomeGrid) -> np.ndarray:
     return _binned_densities(np.array([belief.mean]), belief.precision, grid)[0]
 
 
+def _log_density_and_self_score(belief: NormalBelief, grid: OutcomeGrid):
+    """log of the belief's binned density floored at ``_DENSITY_FLOOR``, and
+    its binned self score sum_j (density_j w_j) log density_j, from one
+    binning."""
+    dens = np.maximum(binned_density(belief, grid), _DENSITY_FLOOR)
+    log_dens = np.log(dens)
+    return log_dens, float(np.sum(dens * grid.widths * log_dens))
+
+
 def binned_self_score(belief: NormalBelief, grid: OutcomeGrid) -> float:
     """Expected binned log score sum_j mass_j log density_j of the belief
     against itself; the binned analogue of the negative entropy."""
-    dens = np.maximum(binned_density(belief, grid), _DENSITY_FLOOR)
-    mass = dens * grid.widths
-    return float(np.sum(mass * np.log(dens)))
+    return _log_density_and_self_score(belief, grid)[1]
 
 
-@functools.lru_cache(maxsize=64)
-def _prior_self_score(prior: NormalBelief, lo: float, hi: float, n: int) -> float:
-    """``binned_self_score`` of a market's prior, computed once per market
-    configuration; keyed by the grid's fields so no grid arrays are kept."""
-    return binned_self_score(prior, OutcomeGrid(lo, hi, n))
+# binned_self_score of market priors, keyed by (prior, lo, hi, n) so that no
+# grid arrays are kept: ``open_market`` stores the score of the prior it has
+# just binned, and ``settle`` computes any other, as for a replayed log, once.
+# A full store starts again empty. A score depends on its key alone, so an
+# entry lost to a race between threads costs only its recomputation.
+_PRIOR_SCORES: dict[tuple, float] = {}
+_PRIOR_SCORES_KEPT = 64
+
+
+def _store_prior_score(prior: NormalBelief, grid: OutcomeGrid, score: float) -> float:
+    if len(_PRIOR_SCORES) >= _PRIOR_SCORES_KEPT:
+        _PRIOR_SCORES.clear()
+    _PRIOR_SCORES[prior, grid.lo, grid.hi, grid.n] = score
+    return score
+
+
+def _prior_self_score(prior: NormalBelief, grid: OutcomeGrid) -> float:
+    """``binned_self_score(prior, grid)``, binned at most once per market
+    configuration: read from the store that ``open_market`` fills."""
+    score = _PRIOR_SCORES.get((prior, grid.lo, grid.hi, grid.n))
+    if score is None:
+        score = _store_prior_score(prior, grid, binned_self_score(prior, grid))
+    return score
 
 
 def _normalizer(shares: np.ndarray, k, widths: np.ndarray):
@@ -394,13 +420,16 @@ def open_market(
     The opening inventory k(0) log(prior density) gives C(s0, 0) = 0, so
     collected costs telescope against the prior from the first trade on.
     The returned state is immutable: any number of sessions may trade from
-    it, and ``potential`` is computed once for all of them.
+    it, and ``potential`` is computed once for all of them. The prior is
+    binned once, for the inventory and for the prior's binned self score,
+    which is stored for ``settle``.
     """
     grid = OutcomeGrid.from_prior(prior, n=n_bins)
-    log_dens, _ = _log_densities(np.array([prior.mean]), prior.precision, grid)
+    log_dens, score = _log_density_and_self_score(prior, grid)
+    _store_prior_score(prior, grid, score)
     return MarketState(
         grid=grid,
-        shares=_belief_inventories(schedule_eval(schedule, 0), log_dens[0], 0.0),
+        shares=_belief_inventories(schedule_eval(schedule, 0), log_dens, 0.0),
         t=0,
         schedule=schedule,
         prior=prior,
@@ -471,8 +500,10 @@ def settle(
     density, m_0 the prior's, T = ``state.t``), so when every traded
     belief's binned log density is at most ``affine_shift`` the expected
     loss under the prior is at most the reported bound
-    k(T) affine_shift - k(0) binned_self_score(prior, grid); the self score
-    is computed once per (prior, grid).
+    k(T) affine_shift - k(0) binned_self_score(prior, grid). The self score
+    of a market from ``open_market`` is the one it stored when it binned the
+    prior; any other (prior, grid), as a replayed log's, is binned here once
+    and stored.
     """
     idx, out_of_range = state.grid.locate(outcome)
     payouts, collected, maker_loss = _account(
@@ -483,9 +514,8 @@ def settle(
     k0 = schedule_eval(state.schedule, 0)
     k_final = schedule_eval(state.schedule, state.t)
     shift = state.affine_shift
-    grid = state.grid
     # Grouped so that k(T) = k(0) rounds exactly like -k(0) (S - shift).
-    bound = -k0 * (_prior_self_score(state.prior, grid.lo, grid.hi, grid.n) - shift)
+    bound = -k0 * (_prior_self_score(state.prior, state.grid) - shift)
     bound += (k_final - k0) * shift
     return SettlementReport(
         outcome=float(outcome),
@@ -545,9 +575,10 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
     whatever the number of sessions, with the same floating-point
     operations in the same order, so each row equals its chain exactly.
     Every row passes the market step's checks (finite shares, unit price
-    mass). The pooled belief is binned once for both of its trades.
-    Clipped belief bins are counted per trade, and one RuntimeWarning
-    reports their total.
+    mass). A block's single and pooled beliefs are binned in one
+    ``_log_densities`` call, one precision per row, and the pooled belief
+    once for both of its trades. Clipped belief bins are counted per trade,
+    and one RuntimeWarning reports their total.
     """
     outcomes, a0, b0 = _as_worlds(worlds)
     # The check below refuses the means that overflow here.
@@ -571,10 +602,16 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
     block = max(1, _BLOCK_ELEMENTS // grid.n)
     for start in range(0, count, block):
         rows = slice(start, start + block)
-        log_single, clip_single = _log_densities(single[rows], model.tau_single, grid)
-        log_pooled, clip_pooled = _log_densities(pooled[rows], model.tau_pool, grid)
-        clipped[rows] = np.stack([clip_single, clip_pooled, clip_pooled], axis=1)
         at = index[rows]
+        # The block's single beliefs, then its pooled ones.
+        log_dens, clips = _log_densities(
+            np.concatenate((single[rows], pooled[rows])),
+            np.repeat([model.tau_single, model.tau_pool], at.size),
+            grid,
+        )
+        log_single, log_pooled = log_dens[: at.size], log_dens[at.size :]
+        clip_single, clip_pooled = clips[: at.size], clips[at.size :]
+        clipped[rows] = np.stack([clip_single, clip_pooled, clip_pooled], axis=1)
         held = opening.shares[at]
         potential = np.full(at.size, opening.potential)
         nets = []
@@ -716,13 +753,30 @@ def write_log(
 ) -> None:
     """Write a version-3 log: the header, one line per record and the
     settlement, if any. Each line is ``json.dumps`` of ``log_header``,
-    ``record_to_json`` or ``settlement_to_json`` with sorted keys."""
+    ``record_to_json`` or ``settlement_to_json`` with sorted keys. The
+    inventory text (the header's ``s0`` and a record's ``post``) is not
+    re-encoded: see ``_log_line``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(log_header(opening), sort_keys=True) + "\n")
+        fh.write(_log_line(log_header(opening), "s0"))
         for i, rec in enumerate(records):
-            fh.write(json.dumps(record_to_json(i, rec), sort_keys=True) + "\n")
+            fh.write(_log_line(record_to_json(i, rec), "post"))
         if report is not None:
             fh.write(json.dumps(settlement_to_json(report), sort_keys=True) + "\n")
+
+
+def _log_line(obj: dict, inventory: str) -> str:
+    """``json.dumps(obj, sort_keys=True)`` and a newline, where field
+    ``inventory`` of ``obj``, if present, is base64 text. JSON writes base64
+    text as it is, so the text is spliced into the line instead of passing
+    through the string encoder. The fields that sort before it in a header
+    or a record are numbers and fixed text, so the first ``"<inventory>": ""``
+    of the line dumped with an empty inventory is that field."""
+    text = obj.get(inventory)
+    if text is None:
+        return json.dumps(obj, sort_keys=True) + "\n"
+    empty = f'"{inventory}": ""'
+    head, tail = json.dumps({**obj, inventory: ""}, sort_keys=True).split(empty, 1)
+    return f'{head}"{inventory}": "{text}"{tail}\n'
 
 
 def _opening_state(header: dict) -> tuple[MarketState, int]:

@@ -398,22 +398,33 @@ def test_binned_density_equals_the_two_sided_formula_bit_for_bit():
         rows = amm._binned_densities(means, 16.0, grid)
         want = [two_sided_density(NormalBelief(m, 16.0), grid) for m in means]
         assert rows.tobytes() == np.array(want).tobytes()
+        # One precision per row, as replay and simulate_sessions bin them:
+        # sharp and broad beliefs in one call, each row its own belief's.
+        precisions = np.array([b.precision for b in beliefs])
+        rows = amm._binned_densities(means, precisions, grid)
+        want = [two_sided_density(belief, grid) for belief in beliefs]
+        assert rows.tobytes() == np.array(want).tobytes()
 
 
 def test_settle_bins_the_prior_once_per_market(monkeypatch):
-    calls = []
+    # Every binned row at the prior's mean and precision, whichever of
+    # open_market, settle or binned_self_score asked for it.
+    prior_rows = []
+    binned = amm._binned_densities
 
-    def counting(belief, grid):
-        calls.append(grid.n)
-        return binned_self_score(belief, grid)
+    def counting(means, precision, grid):
+        precisions = np.broadcast_to(precision, np.shape(means))
+        prior_rows.extend(grid.n for mean, tau in zip(means.tolist(), precisions.tolist())
+                          if (mean, tau) == (STD.mean, STD.precision))
+        return binned(means, precision, grid)
 
-    monkeypatch.setattr(amm, "binned_self_score", counting)
-    amm._prior_self_score.cache_clear()
+    monkeypatch.setattr(amm, "_binned_densities", counting)
+    monkeypatch.setattr(amm, "_PRIOR_SCORES", {})
     decay = DiscountSchedule(kind="geometric_by_count", k0=1.0, decay=0.9)
     state = open_market(STD, decay, n_bins=300, affine_shift=0.25)
     moved, rec = trade(state, NormalBelief(0.2, 3.0))
     reports = [settle(moved, x, [rec]) for x in (-1.0, 0.0, 0.5, 2.0)]
-    assert calls == [300]
+    assert prior_rows == [300]
     k0, k1 = schedule_eval(decay, 0), schedule_eval(decay, 1)
     want = -k0 * (binned_self_score(STD, state.grid) - 0.25) + (k1 - k0) * 0.25
     assert all(r.loss_bound == want for r in reports)

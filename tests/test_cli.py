@@ -32,11 +32,13 @@ from scoremech import (
     game,
     nonpositivity_shift,
     open_market,
+    replay,
     required_ratio_log,
     settle,
     trade,
     write_log,
 )
+from scoremech.amm import settlement_to_json
 from scoremech.cli import _DEFAULT_C_GRID, _MAX_SAMPLES, cmd_discount, cmd_simulate, main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -655,6 +657,7 @@ def multi_trader_session():
     return opening, records, settle(state, outcome, records)
 
 
+@pytest.mark.avx512_bytes
 def test_market_replay_of_the_version_2_log_is_unchanged(tmp_path, capsys):
     log = FIXTURES / f"{V2_LOG}.jsonl"
     written = tmp_path / "session.jsonl"
@@ -675,6 +678,7 @@ def test_market_replay_of_the_version_2_log_is_unchanged(tmp_path, capsys):
     assert err.startswith("consistency error: record 29: line 31: logged cost")
 
 
+@pytest.mark.avx512_bytes
 def test_market_replay_of_the_version_3_log_is_unchanged(tmp_path, capsys):
     log = FIXTURES / f"{V3_LOG}.jsonl"
     written = tmp_path / "session.jsonl"
@@ -861,7 +865,10 @@ MARKET_SIMULATE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MARKET_SIMULATE_CASES))
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.avx512_bytes) if name == "constant_128" else name
+    for name in sorted(MARKET_SIMULATE_CASES)
+])
 def test_market_simulate_report_and_log_are_unchanged(name, tmp_path, capsys):
     config, sessions, warning = MARKET_SIMULATE_CASES[name]
     cfg = write_config(tmp_path, config)
@@ -876,6 +883,77 @@ def test_market_simulate_report_and_log_are_unchanged(name, tmp_path, capsys):
     want = FIXTURES / f"market_simulate_{name}"
     assert out.read_bytes() == want.with_suffix(".json").read_bytes()
     assert log.read_bytes() == want.with_suffix(".jsonl").read_bytes()
+
+
+# Writes a settled market simulate log per (config, sessions, seed, log) of
+# sys.argv[1], then replays each log of sys.argv[2] and prints, per log, the
+# exit code, the trade count and the settlement.
+WRITE_AND_REPLAY = (
+    "import contextlib, io, json, sys\n"
+    "from scoremech.amm import replay, settlement_to_json\n"
+    "from scoremech.cli import main\n"
+    "for cfg, sessions, seed, log in json.loads(sys.argv[1]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "        assert main(['market', 'simulate', '--config', cfg, '--samples', str(sessions),\n"
+    "                     '--seed', str(seed), '--log', log]) == 0\n"
+    "results = []\n"
+    "for log in json.loads(sys.argv[2]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = main(['market', 'replay', '--log', log])\n"
+    "    with open(log, encoding='utf-8') as fh:\n"
+    "        _, records, report = replay(fh)\n"
+    "    results.append([code, len(records), settlement_to_json(report)['settlement']])\n"
+    "print(json.dumps(results))\n"
+)
+
+
+def test_fresh_market_logs_replay_alike_on_both_numpy_paths(tmp_path, capsys):
+    # Settled market simulate logs at 128, 512 and 4,096 bins, the last
+    # with beliefs that clip, written here and on numpy's AVX2 path, and
+    # each replayed on both paths: exit 0, the same trade count, settlement
+    # amounts within 1e-10 and the other fields equal. On a host without
+    # AVX-512 both runs take one path. At these seeds the two paths write
+    # logs that differ in their costs or settlement on a CPU with AVX-512
+    # (numpy 2.4.6, scipy 1.17.1), so each replay of the other path's log
+    # recomputes other bits.
+    writes = {"here": [], "avx2": []}
+    for name, seed in (("constant_128", 13), ("reset_512", 2), ("clipped_4096", 3)):
+        config, sessions, _ = MARKET_SIMULATE_CASES[name]
+        cfg = write_config(tmp_path, config, name=f"{name}.json")
+        for side, listed in writes.items():
+            listed.append([cfg, sessions, seed, str(tmp_path / f"{side}_{name}.jsonl")])
+    for cfg, sessions, seed, log in writes["here"]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            argv = ["market", "simulate", "--config", cfg, "--samples", str(sessions),
+                    "--seed", str(seed), "--log", log]
+            assert run(argv, capsys)[0] == 0
+    logs = [log for listed in writes.values() for *_, log in listed]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", WRITE_AND_REPLAY, json.dumps(writes["avx2"]), json.dumps(logs)],
+        env=dict(os.environ, PYTHONPATH=str(src), **AVX2_PATH), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    theirs = json.loads(done.stdout)
+    ours = []
+    for log in logs:
+        code = run(["market", "replay", "--log", log], capsys)[0]
+        with open(log, encoding="utf-8") as fh:
+            _, records, report = replay(fh)
+        ours.append([code, len(records), settlement_to_json(report)["settlement"]])
+    assert [result[:2] for result in ours] == [[0, 3]] * 6
+    assert [result[:2] for result in theirs] == [[0, 3]] * 6
+    amounts = ("collected", "maker_loss", "loss_bound")
+    for (_, _, here), (_, _, there) in zip(ours, theirs):
+        assert here.keys() == there.keys() and here["payouts"].keys() == there["payouts"].keys()
+        for trader, paid in here["payouts"].items():
+            assert abs(paid - there["payouts"][trader]) <= 1e-10
+        for key in amounts:
+            assert abs(here[key] - there[key]) <= 1e-10
+        for key in here.keys() - {"payouts", *amounts}:
+            assert here[key] == there[key]
 
 
 def test_market_simulate_determinism(tmp_path, capsys):
