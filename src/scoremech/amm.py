@@ -61,7 +61,7 @@ import numpy as np
 from .beliefs import SignalModel
 from .discounting import DiscountSchedule, schedule_eval
 from .errors import LogConsistencyError, NumericError, ValidationError
-from .errors import _field, _is_real, _json_int, _object, _real, _text
+from .errors import _field, _json_int, _object, _real, _text
 from .game import _BLOCK_ELEMENTS, _as_worlds
 from .scoring import NormalBelief
 
@@ -664,10 +664,8 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
 # ``post``) are base64 text of their little-endian float64 bytes: the exact
 # bit pattern. Every other float is a JSON number, which Python writes by
 # repr and reads back exactly, so replaying a file on the writer's numpy
-# code path reproduces every cost check and report byte for byte. Versions
-# 1 and 2, which logged each record's ``pre`` and ``post`` inventories
-# (version 1 as JSON lists of numbers, version 2 as base64 text), are still
-# replayed.
+# code path reproduces every cost check and report byte for byte. Replay
+# reads this format only: a header of any other version is refused.
 
 
 def _encode_shares(shares: np.ndarray) -> str:
@@ -675,26 +673,18 @@ def _encode_shares(shares: np.ndarray) -> str:
     return base64.b64encode(shares.astype("<f8", copy=False).tobytes()).decode("ascii")
 
 
-def _decode_shares(value, key: str, n: int, version: int) -> np.ndarray:
-    """Logged inventory ``value`` of field ``key`` as a read-only array of n
-    finite floats: a JSON list of numbers in version 1, base64 float64 text
-    in versions 2 and 3."""
-    if version == 1:
-        if not (isinstance(value, list) and all(map(_is_real, value))):
-            raise TypeError(f"field {key!r} must be a list of finite JSON numbers")
-        shares = _read_only(np.array(value, dtype=float))
-        if shares.shape != (n,):
-            raise ValueError(f"field {key!r} must hold {n} values")
-    elif not isinstance(value, str):
+def _decode_shares(value, key: str, n: int) -> np.ndarray:
+    """Logged inventory ``value`` of field ``key``, base64 float64 text, as
+    a read-only array of n finite floats."""
+    if not isinstance(value, str):
         raise TypeError(f"field {key!r} must be base64 text, not {type(value).__name__}")
-    else:
-        try:
-            raw = base64.b64decode(value, validate=True)
-        except binascii.Error as exc:
-            raise ValueError(f"field {key!r} is not valid base64: {exc}") from None
-        if len(raw) != 8 * n:
-            raise ValueError(f"field {key!r} holds {len(raw)} bytes, not 8 * {n}")
-        shares = np.frombuffer(raw, dtype="<f8")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"field {key!r} is not valid base64: {exc}") from None
+    if len(raw) != 8 * n:
+        raise ValueError(f"field {key!r} holds {len(raw)} bytes, not 8 * {n}")
+    shares = np.frombuffer(raw, dtype="<f8")
     if not np.isfinite(shares).all():
         raise ValueError(f"field {key!r} holds a non-finite value")
     return shares
@@ -779,35 +769,35 @@ def _log_line(obj: dict, inventory: str) -> str:
     return f'{head}"{inventory}": "{text}"{tail}\n'
 
 
-def _opening_state(header: dict) -> tuple[MarketState, int]:
-    """The header's opening state and the log's format version."""
+def _opening_state(header: dict) -> MarketState:
+    """The opening state of a version-3 header."""
     if header.get("format") != _LOG_FORMAT:
         raise ValueError(f"missing market header: field 'format' must be {_LOG_FORMAT!r}")
     version = _field(header, "version", "", _json_int)
-    if not 1 <= version <= _LOG_VERSION:
-        raise ValueError(f"unsupported log version {version!r}")
+    if version != _LOG_VERSION:
+        raise ValueError(f"unsupported log version {version!r}: replay reads version "
+                         f"{_LOG_VERSION} only")
     grid_rec = _field(header, "grid", "", _object)
     unknown = sorted(set(grid_rec) - {"lo", "hi", "n"})
     if unknown:
         raise ValueError(f"field 'grid' holds an unknown field {unknown[0]!r}")
     grid = OutcomeGrid(_field(grid_rec, "lo", "", _real), _field(grid_rec, "hi", "", _real),
                        _field(grid_rec, "n", "", _json_int))
-    state = MarketState(
+    return MarketState(
         grid=grid,
-        shares=_decode_shares(header["s0"], "s0", grid.n, version),
+        shares=_decode_shares(header["s0"], "s0", grid.n),
         t=_field(header, "t0", "", _json_int),
         schedule=DiscountSchedule.from_config(_field(header, "schedule", "", _object), ""),
         prior=_logged_belief(_field(header, "prior", "", _object)),
         affine_shift=float(_field(header, "affine_shift", "", _real)),
     )
-    return state, version
 
 
 class _Logged(NamedTuple):
     """A trade as read from line ``lineno``, before it is verified. ``k`` is
     the level k(t) at its counter. ``post`` is its logged post-trade
-    inventory, or None for a version-3 belief trade, whose inventory replay
-    rebuilds from ``belief``."""
+    inventory, or None for a belief trade, whose inventory replay rebuilds
+    from ``belief``."""
 
     lineno: int
     t: int
@@ -830,15 +820,12 @@ def _logged_belief(value: dict) -> NormalBelief:
 
 
 def _logged_trade(
-    obj: dict, lineno: int, opening: MarketState, version: int, before: Sequence[_Logged]
+    obj: dict, lineno: int, opening: MarketState, before: Sequence[_Logged]
 ) -> _Logged:
     """The logged trade read from line ``lineno`` of a log opening at
     ``opening``, after the trades ``before``, checked field by field. Its
-    cost, and a belief trade's clipped bins, are left to ``_verify_block``.
-
-    In versions 1 and 2 both the ``pre`` and the ``post`` inventory are
-    decoded, and ``pre`` must equal the inventory before it by value."""
-    shares, t_pre = (before[-1].post, before[-1].t) if before else (opening.shares, opening.t)
+    cost, and a belief trade's clipped bins, are left to ``_verify_block``."""
+    t_pre = before[-1].t if before else opening.t
     number = _field(obj, "i", "", _json_int)
     if number != len(before):
         raise ValueError(f"record number {number} is out of sequence")
@@ -846,17 +833,13 @@ def _logged_trade(
     if t_new < t_pre:
         raise ValueError("counter regressed")
     k = schedule_eval(opening.schedule, t_new)
-    n, belief = opening.grid.n, None
-    if version < 3:
-        if not np.array_equal(_decode_shares(obj["pre"], "pre", n, version), shares):
-            raise ValueError("pre-trade inventory does not match the running state")
-        post = _decode_shares(obj["post"], "post", n, version)
-    elif "belief" not in obj:
-        post = _decode_shares(obj["post"], "post", n, version)
+    belief, post = None, None
+    if "belief" not in obj:
+        post = _decode_shares(obj["post"], "post", opening.grid.n)
     elif "post" in obj:
         raise ValueError("field 'post' must be absent from a belief trade")
     else:
-        belief, post = _logged_belief(_field(obj, "belief", "", _object)), None
+        belief = _logged_belief(_field(obj, "belief", "", _object))
     cost = float(_field(obj, "cost", "", _real))
     trader = _field(obj, "trader", "", _text)
     clipped = _field(obj, "clipped_bins", "", _json_int, 0)
@@ -1003,32 +986,31 @@ def replay(
 ) -> tuple[MarketState, list[TradeRecord], SettlementReport | None]:
     """Re-execute a trade log, verifying it is self-consistent.
 
-    Reads log format versions 1, 2 and 3, as the header's ``version`` says;
-    each line is parsed by one ``json.loads``. Checks per record that its
-    number ``i`` is its position, the counter does not regress, in versions
-    1 and 2 the pre-inventory equals the inventory before it by value, in
-    version 3 a belief trade's clipped-bin count equals the one its belief
-    gives, and the logged cost matches the recomputed C(post, t) -
-    C(pre, t_pre) within 1e-10; and that a settlement, if any, is the last
-    non-blank line and agrees with the settlement recomputed at its outcome:
-    each amount within 1e-10, every other field exactly, with no field the
-    writer never writes. A version-3 belief trade's post-trade inventory is
-    rebuilt from its belief with ``trade``'s arithmetic, bit for bit on the
-    writer's numpy code path.
+    Reads log format version 3, the one ``write_log`` writes, and refuses a
+    header of any other ``version``; each line is parsed by one
+    ``json.loads``. Checks per record that its number ``i`` is its
+    position, the counter does not regress, a belief trade's clipped-bin
+    count equals the one its belief gives, and the logged cost matches the
+    recomputed C(post, t) - C(pre, t_pre) within 1e-10; and that a
+    settlement, if any, is the last non-blank line and agrees with the
+    settlement recomputed at its outcome: each amount within 1e-10, every
+    other field exactly, with no field the writer never writes. A belief
+    trade's post-trade inventory is rebuilt from its belief with ``trade``'s
+    arithmetic, bit for bit on the writer's numpy code path.
     Counters, record numbers and clipped-bin counts must be JSON integers
     (not booleans; clipped bins at least 0) and traders strings. Costs, the
     grid's ``lo`` and ``hi``, ``affine_shift``, the ``mean`` and
-    ``precision`` of the prior and of a belief (the precision positive), the
-    settlement's outcome and the entries of version-1 inventories must be
-    JSON numbers that a finite float holds, not booleans or strings. A
-    version-3 record holds a ``belief`` object or a ``post`` inventory, not
-    both. Every inventory must hold ``n`` finite values; in versions 2 and 3
-    it must be valid, padded base64 of 8 * ``n`` bytes. Any inconsistent or
-    malformed line (a fractional counter, text nested too deeply to parse or
-    a bytes line that is not UTF-8 included) raises LogConsistencyError
-    naming the line, the number of records verified before it and any
-    missing or mistyped field (read by ``errors._field``). Returns the final
-    state, the verified records, and the recomputed settlement if logged.
+    ``precision`` of the prior and of a belief (the precision positive) and
+    the settlement's outcome must be JSON numbers that a finite float
+    holds, not booleans or strings. A record holds a ``belief`` object or a
+    ``post`` inventory, not both. Every inventory (``s0`` and each ``post``)
+    must be valid, padded base64 of 8 * ``n`` bytes holding ``n`` finite
+    values. Any inconsistent or malformed line (a fractional counter, text
+    nested too deeply to parse or a bytes line that is not UTF-8 included)
+    raises LogConsistencyError naming the line, the number of records
+    verified before it and any missing or mistyped field (read by
+    ``errors._field``). Returns the final state, the verified records, and
+    the recomputed settlement if logged.
 
     Replay proves that a log agrees with itself: each line's fields, the
     counters and the record order; every cost and settlement amount to
@@ -1040,17 +1022,15 @@ def replay(
     settlement line.
 
     Replay works in three steps. It parses every line up to the first
-    faulty one, checking each line's fields and evaluating each record's
-    level k(t), which must not round to 0. It then verifies the parsed
-    records in blocks of at most ``_BLOCK_ELEMENTS`` inventory elements
-    (see ``_verify_block``), with the floating-point operations of one
-    MarketState per record, and then settles. Only then does it raise the
-    fault of the line that failed to parse, so an earlier faulty record or
-    settlement is the one named, with the number of records verified
-    before it. In versions 1 and 2 every ``pre`` and ``post`` is decoded,
-    and each ``pre`` is compared by value with the inventory before it, so
-    an equal inventory spelled differently is accepted. The final state
-    reuses the potential verified in the last block.
+    faulty one, checking each line's fields, decoding each inventory once
+    and evaluating each record's level k(t), which must not round to 0. It
+    then verifies the parsed records in blocks of at most
+    ``_BLOCK_ELEMENTS`` inventory elements (see ``_verify_block``), with the
+    floating-point operations of one MarketState per record, and then
+    settles. Only then does it raise the fault of the line that failed to
+    parse, so an earlier faulty record or settlement is the one named, with
+    the number of records verified before it. The final state reuses the
+    potential verified in the last block.
     """
     opening, entries, settlement, fault = None, [], None, None
     for lineno, line in enumerate(lines, 1):
@@ -1061,13 +1041,13 @@ def replay(
                 continue
             obj = _object(json.loads(line))
             if opening is None:
-                opening, version = _opening_state(obj)
+                opening = _opening_state(obj)
             elif settlement is not None:
                 raise ValueError("the settlement must be the last line")
             elif "settlement" in obj:
                 settlement = lineno, _field(obj, "settlement", "", _object)
             else:
-                entries.append(_logged_trade(obj, lineno, opening, version, entries))
+                entries.append(_logged_trade(obj, lineno, opening, entries))
         except _LINE_FAULTS as exc:
             fault = lineno, exc
             break
