@@ -23,32 +23,30 @@ Markets open at the prior: the initial inventory is k(0) log(binned prior
 density), which makes the opening potential zero and the maker's total
 outlay telescope to the discounted final-vs-prior score difference.
 
-One market step prices and checks every inventory on (rows, bins) arrays:
+A trade to a belief moves the market to that belief, as in Hanson's market
+scoring rule: the post-trade inventory is k(t) log d + C, with d the belief's
+binned density floored at 1e-300 and C the potential before the trade. Its
+potential is C + k(t) log M, M = sum_j w_j d_j, so the trade costs exactly
+k(t) log M; ``trade``, ``simulate_sessions`` and ``replay`` take that closed
+form and check the inventory at its largest and smallest log density.
+
+The market step prices and checks every other inventory (a share-delta
+trade's, ``cost_function``'s, a ``MarketState``'s) on (rows, bins) arrays:
 finite shares, and a unit width-weighted price mass. The prices are the
 exponentials over their width-weighted sum, the normalizer, so the mass is
 1 by construction; the step checks that the normalizer and its reciprocal
-are finite, which a NaN or an overflow fails. ``simulate_sessions`` runs it
-on blocks of sessions and ``replay`` on blocks of records; ``trade``,
-``cost_function`` and ``MarketState`` are its one-row case.
+are finite, which a NaN or an overflow fails.
 
-A trade to a belief moves the market to that belief, as in Hanson's market
-scoring rule: the post-trade inventory is k(t) log(binned density) plus the
-potential before the trade. So the trade log (format version 3) records a
-belief trade by its belief (mean, precision) and only any other trade by its
-post-trade inventory. ``replay`` parses a whole log, then verifies it in
-blocks, then settles. A block's beliefs are binned in one density call,
-their inventories rebuilt with ``trade``'s arithmetic bit for bit, and the
-block's inventories priced in one step, with one level k(t) per row and
-the potential before each rebuilt inventory guessed from the logged costs.
-It still names the first faulty line. Every number it reads must be
-a JSON number; it takes no boolean or string for one.
+``replay`` verifies a trade log (see "Trade log serialization and replay"
+below) in blocks: a block's beliefs are binned in one call and its ``post``
+records priced in one step, one level k(t) per row, and one running sum of
+the costs gives each potential. It names the first faulty line.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
-import bisect
 import functools
 import json
 import math
@@ -168,8 +166,8 @@ class MarketState:
     ``affine_shift`` is the constant subtracted from scores in loss
     reports so the effective rule is non-positive; it is part of the
     market configuration, not of pricing. ``potential`` is C(shares, t),
-    computed with the price-mass check; a trade to ``next`` costs
-    next.potential - potential.
+    priced with the price-mass check or, after a belief trade, the one
+    before plus its cost. A trade to ``next`` costs next.potential - potential.
     """
 
     grid: OutcomeGrid
@@ -196,14 +194,14 @@ class MarketState:
                 f"grid must span the prior mean +/- {_COVER_SIGMAS:g} standard deviations"
             )
         k = schedule_eval(self.schedule, self.t)
-        potential = _checked_step(shares[None, :], k, self.grid.widths)
+        potential = _checked(*_step(shares[None, :], k, self.grid.widths))
         object.__setattr__(self, "potential", float(potential[0]))
 
 
 def _priced(state: MarketState, shares: np.ndarray, t: int, potential: float) -> MarketState:
     """``state`` moved to the read-only float64 inventory ``shares`` at
     counter t, whose potential C(shares, t) the caller has computed and
-    checked with ``_step``, so it is not priced a second time."""
+    checked, with ``_step`` or in closed form, so it is not priced again."""
     moved = object.__new__(MarketState)
     moved.__dict__.update(vars(state), shares=shares, t=t, potential=potential)
     return moved
@@ -211,12 +209,13 @@ def _priced(state: MarketState, shares: np.ndarray, t: int, potential: float) ->
 
 @dataclass(frozen=True, eq=False)
 class TradeRecord:
-    """One executed trade. ``cost`` always equals
-    cost_function(post, t) - cost_function(pre, t_pre) with t_pre the
-    counter of the preceding record (the opening counter for the first).
-    The share vectors are the read-only arrays of the two states.
-    ``belief`` is the belief a belief trade moved the market to, and None
-    for a share-delta trade."""
+    """One executed trade. ``cost`` is cost_function(post, t) -
+    cost_function(pre, t_pre), t_pre the counter of the preceding record
+    (the opening counter for the first); a belief trade's is k(t) log M,
+    equal to that to rounding (see the module docstring). The share
+    vectors are the read-only arrays of the two states. ``belief`` is the
+    belief a belief trade moved the market to, and None for a share-delta
+    trade."""
 
     t: int
     pre_shares: np.ndarray
@@ -269,17 +268,18 @@ def _binned_densities(means: np.ndarray, precision, grid: OutcomeGrid) -> np.nda
     return mass
 
 
-def _log_densities(
-    means: np.ndarray, precision, grid: OutcomeGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """log of the binned densities floored at ``_DENSITY_FLOOR``, and the
-    number of floored bins of each row; ``precision`` as for
-    ``_binned_densities``. ``trade``, ``simulate_sessions`` and ``replay``
-    bin beliefs here; ``open_market`` bins its prior through
-    ``_log_density_and_self_score``, since it needs the self score too."""
+def _belief_densities(means: np.ndarray, precision, grid: OutcomeGrid):
+    """Beliefs binned for ``trade``, ``simulate_sessions`` and ``replay``:
+    densities d floored at ``_DENSITY_FLOOR``, each row's count of floored
+    bins, and its masses: ``_log_and_unit_mass`` of M = sum_j w_j d_j (the
+    row sum of ``_normalizer``; k(t) log M is the row's cost), and the logs
+    of its largest and smallest d, for ``_belief_flags``."""
     dens = _binned_densities(means, precision, grid)
     clipped = np.count_nonzero(dens < _DENSITY_FLOOR, axis=1)
-    return np.log(np.maximum(dens, _DENSITY_FLOOR, out=dens), out=dens), clipped
+    np.maximum(dens, _DENSITY_FLOOR, out=dens)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        extremes = np.log(np.stack((dens.max(axis=1), dens.min(axis=1)), axis=1))
+        return dens, clipped, (*_log_and_unit_mass(np.sum(grid.widths * dens, axis=1)), extremes)
 
 
 def binned_density(belief: NormalBelief, grid: OutcomeGrid) -> np.ndarray:
@@ -341,32 +341,36 @@ def _normalizer(shares: np.ndarray, k, widths: np.ndarray):
     return top, e, np.sum(widths * e, axis=1)
 
 
+def _log_and_unit_mass(total: np.ndarray):
+    """``math.log`` of each normalizer of ``total`` (0 gives -inf; np.log can
+    differ in the last bit), and the unit-mass flag: prices over ``total``
+    have mass 1 by construction when it and 1 / total are finite."""
+    log_total = np.array([math.log(v) if v else -math.inf for v in total.tolist()])
+    return log_total, np.isfinite(total) & np.isfinite(1.0 / total)
+
+
 def _step(post: np.ndarray, k, widths: np.ndarray):
     """The market step: C(post, t) = k (top + log total) of each row of
     ``post`` (rows, n) at level k = k(t), one scalar or one per row,
     evaluated stably, and a MarketState's checks as two flags per row:
-    finite shares, and a unit price mass. The mass is 1 by construction
-    whenever the normalizer and its reciprocal are both finite, so that is
-    the flag; a NaN or an overflow, as from an s / k that overflows, fails
-    it. Nothing warns. (Only terms w_j e_j that round to subnormals move the
-    computed mass sum_j (e_j / total) w_j by more than a few ulps, and by
-    more than 1e-10 only when the normalizer is below n * 2.5e-314.)"""
+    finite shares, and ``_log_and_unit_mass``'s unit price mass, which a NaN
+    or an overflow, as from an s / k that overflows, fails. Nothing warns.
+    (Only terms w_j e_j that round to subnormals move the computed mass
+    sum_j (e_j / total) w_j by more than a few ulps, and by more than 1e-10
+    only when the normalizer is below n * 2.5e-314.)"""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         top, _, total = _normalizer(post, k, widths)
-        # math.log, not np.log: the two can differ in the last bit. A zero
-        # normalizer, from a grid whose zero-width bins hold every price
-        # that does not underflow, fails the mass flag.
-        log_total = np.array([math.log(v) if v else -math.inf for v in total.tolist()])
-        unit_mass = np.isfinite(total) & np.isfinite(1.0 / total)
+        # A grid whose zero-width bins hold every price that does not
+        # underflow has a zero normalizer.
+        log_total, unit_mass = _log_and_unit_mass(total)
         return k * (top + log_total), np.isfinite(post).all(axis=1), unit_mass
 
 
-def _checked_step(post: np.ndarray, k, widths: np.ndarray) -> np.ndarray:
-    """``_step``'s potentials, raising ValidationError when a row's shares
-    are not finite and NumericError when its normalizer or the normalizer's
-    reciprocal is not finite (the prices have no unit mass) or its
-    potential overflows."""
-    potential, finite, unit_mass = _step(post, k, widths)
+def _checked(potential, finite, unit_mass) -> np.ndarray:
+    """``potential`` with the flags of ``_step`` or ``_belief_flags``,
+    raising ValidationError when a row's shares are not finite and
+    NumericError when its prices have no unit mass or its potential
+    overflows."""
     if not finite.all():
         raise ValidationError("shares must be finite")
     if not unit_mass.all():
@@ -379,9 +383,22 @@ def _checked_step(post: np.ndarray, k, widths: np.ndarray) -> np.ndarray:
 def _belief_inventories(k, log_dens: np.ndarray, before) -> np.ndarray:
     """Hanson's rule: k(t) log(binned density) + C before the trade moves
     the prices to the belief of each row of ``log_dens`` at the pure
-    re-pricing cost. An overflow is left for ``_step`` to flag."""
+    re-pricing cost. An overflow is left for ``_belief_flags`` to flag."""
     with np.errstate(over="ignore"):
         return k * log_dens + before
+
+
+def _belief_flags(masses, k, before):
+    """``_step``'s two flags of the inventories k log d + C, C = ``before``,
+    of the beliefs of ``masses`` at level k = k(t), not built; k, C and the
+    masses share leading axes. Rounding is monotone, so k log d + C and its
+    quotient by k are finite over a row exactly when they are at its
+    extremes; prices d / M then have unit mass if M's do."""
+    _, unit_mass, extremes = masses
+    k, before = np.expand_dims(k, -1), np.expand_dims(before, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        post = _belief_inventories(k, extremes, before)
+        return np.isfinite(post).all(axis=-1), unit_mass & np.isfinite(post / k).all(axis=-1)
 
 
 def cost_function(
@@ -391,7 +408,7 @@ def cost_function(
     s = np.asarray(shares, dtype=float)
     if s.shape != (grid.n,):
         raise ValidationError("share vector length must match the grid")
-    return float(_checked_step(s[None, :], schedule_eval(schedule, t), grid.widths)[0])
+    return float(_checked(*_step(s[None, :], schedule_eval(schedule, t), grid.widths))[0])
 
 
 def prices(state: MarketState) -> np.ndarray:
@@ -447,8 +464,8 @@ def trade(
 
     ``target`` is either a share-delta vector added to the inventory or a
     NormalBelief the market is moved to. The trade executes at counter
-    ``t`` (default: the next counter); the counter never regresses. The
-    cost charged is C(post, t) - C(pre, t_pre) with t_pre = state.t.
+    ``t`` (default: the next counter); the counter never regresses. It costs
+    C(post, t) - C(pre, t_pre), t_pre = state.t: for a belief, k(t) log M.
     """
     t_new = state.t + 1 if t is None else t
     if not isinstance(t_new, int) or isinstance(t_new, bool):
@@ -459,12 +476,16 @@ def trade(
     k_new = schedule_eval(state.schedule, t_new)
     clipped, belief = 0, None
     if isinstance(target, NormalBelief):
-        log_dens, clips = _log_densities(np.array([target.mean]), target.precision, state.grid)
+        dens, clips, masses = _belief_densities(np.array([target.mean]), target.precision,
+                                                state.grid)
         clipped = int(clips[0])
         if clipped:
             warnings.warn(f"belief density clipped to {_DENSITY_FLOOR:g} on {clipped} bins",
                           RuntimeWarning, stacklevel=2)
-        post = _belief_inventories(k_new, log_dens[0], state.potential)
+        cost = k_new * masses[0].item()  # Python floats overflow without a warning.
+        potential = state.potential + cost
+        _checked(np.array(potential), *_belief_flags(masses, k_new, state.potential))
+        post = _belief_inventories(k_new, np.log(dens[0]), state.potential)
         belief = target
     else:
         delta = np.asarray(target, dtype=float)
@@ -473,14 +494,15 @@ def trade(
         if not np.all(np.isfinite(delta)):
             raise ValidationError("share delta must be finite")
         post = state.shares + delta
+        potential = _checked(*_step(post[None, :], k_new, state.grid.widths)).item()
+        cost = potential - state.potential
 
-    potential = float(_checked_step(post[None, :], k_new, state.grid.widths)[0])
     new_state = _priced(state, _read_only(post), t_new, potential)
     record = TradeRecord(
         t=t_new,
         pre_shares=state.shares,
         post_shares=new_state.shares,
-        cost=float(potential - state.potential),
+        cost=cost,
         trader=str(trader),
         clipped_bins=clipped,
         belief=belief,
@@ -574,11 +596,12 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
     evaluated on (block, n) arrays of at most ``_BLOCK_ELEMENTS`` elements,
     whatever the number of sessions, with the same floating-point
     operations in the same order, so each row equals its chain exactly.
-    Every row passes the market step's checks (finite shares, unit price
-    mass). A block's single and pooled beliefs are binned in one
-    ``_log_densities`` call, one precision per row, and the pooled belief
-    once for both of its trades. Clipped belief bins are counted per trade,
-    and one RuntimeWarning reports their total.
+    Every row passes ``trade``'s checks. A block's single and pooled
+    beliefs are binned in one ``_belief_densities`` call, one precision per
+    row, and the pooled belief once for both of its trades. Each trade's
+    cost is k(t) log M, and of a session's inventories only the outcome bin
+    is built, but for the last session's records. Clipped belief bins are
+    counted per trade, and one RuntimeWarning reports their total.
     """
     outcomes, a0, b0 = _as_worlds(worlds)
     # The check below refuses the means that overflow here.
@@ -590,7 +613,7 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
     grid, count = opening.grid, outcomes.size
     index, _ = grid.locate_all(outcomes)
     counters = tuple(opening.t + j for j in (1, 2, 3))
-    levels = [schedule_eval(opening.schedule, t) for t in counters]
+    levels = np.array([schedule_eval(opening.schedule, t) for t in counters])
 
     maker_loss = np.empty(count)
     costs = np.empty((count, 3))
@@ -603,35 +626,31 @@ def simulate_sessions(opening: MarketState, model: SignalModel, worlds) -> Sessi
     for start in range(0, count, block):
         rows = slice(start, start + block)
         at = index[rows]
-        # The block's single beliefs, then its pooled ones.
-        log_dens, clips = _log_densities(
+        # The block's single beliefs, then its pooled ones, and the row of
+        # each session's three trades.
+        dens, clips, masses = _belief_densities(
             np.concatenate((single[rows], pooled[rows])),
-            np.repeat([model.tau_single, model.tau_pool], at.size),
-            grid,
-        )
-        log_single, log_pooled = log_dens[: at.size], log_dens[at.size :]
-        clip_single, clip_pooled = clips[: at.size], clips[at.size :]
-        clipped[rows] = np.stack([clip_single, clip_pooled, clip_pooled], axis=1)
-        held = opening.shares[at]
-        potential = np.full(at.size, opening.potential)
-        nets = []
-        for j, (t, k, log_dens, belief) in enumerate(zip(
-            counters, levels, (log_single, log_pooled, log_pooled), beliefs
-        )):
-            post = _belief_inventories(k, log_dens, potential[:, None])
-            post_potential = _checked_step(post, k, grid.widths)
-            costs[rows, j] = post_potential - potential
-            post_held = post[np.arange(at.size), at]
-            nets.append(post_held - held)
-            held, potential = post_held, post_potential
-            if start + block >= count:
-                moved = _priced(state, _read_only(post[-1].copy()), t, float(potential[-1]))
+            np.repeat([model.tau_single, model.tau_pool], at.size), grid)
+        trades = np.arange(at.size)[:, None] + [0, at.size, at.size]
+        clipped[rows] = clips[trades]
+        with np.errstate(over="ignore", invalid="ignore"):
+            costs[rows] = levels * masses[0][trades]
+            # The potential before each trade and after the last, in trade order.
+            chain = np.cumsum(np.column_stack((np.full(at.size, opening.potential), costs[rows])),
+                              axis=1)
+        _checked(chain[:, 1:], *_belief_flags([m[trades] for m in masses], levels, chain[:, :-1]))
+        held = _belief_inventories(levels, np.log(dens[trades, at[:, None]]), chain[:, :-1])
+        nets = np.diff(held, axis=1, prepend=opening.shares[at][:, None])
+        if start + block >= count:
+            for j, (t, row, belief) in enumerate(zip(counters, trades[-1], beliefs)):
+                post = _belief_inventories(levels[j], np.log(dens[row]), chain[-1, j])
+                moved = _priced(state, _read_only(post), t, chain[-1, j + 1].item())
                 records.append(TradeRecord(
                     t=t, pre_shares=state.shares, post_shares=moved.shares,
-                    cost=float(costs[-1, j]), trader=_TRADERS[j],
+                    cost=costs[-1, j].item(), trader=_TRADERS[j],
                     clipped_bins=int(clipped[-1, j]), belief=belief))
                 state = moved
-        maker_loss[rows] = _account(_TRADERS, nets, costs[rows].T)[2]
+        maker_loss[rows] = _account(_TRADERS, nets.T, costs[rows].T)[2]
 
     total = int(clipped.sum())
     if total:
@@ -769,6 +788,16 @@ def _log_line(obj: dict, inventory: str) -> str:
     return f'{head}"{inventory}": "{text}"{tail}\n'
 
 
+_RECORD_FIELDS = frozenset(("i", "t", "trader", "cost", "clipped_bins", "belief", "post"))
+
+
+def _known(obj: dict, fields, where: str) -> dict:
+    """``obj``, refusing a field ``write_log`` never writes: any not in ``fields``."""
+    if not obj.keys() <= fields:
+        raise ValueError(f"{where} holds an unknown field {min(obj.keys() - fields)!r}")
+    return obj
+
+
 def _opening_state(header: dict) -> MarketState:
     """The opening state of a version-3 header."""
     if header.get("format") != _LOG_FORMAT:
@@ -777,18 +806,18 @@ def _opening_state(header: dict) -> MarketState:
     if version != _LOG_VERSION:
         raise ValueError(f"unsupported log version {version!r}: replay reads version "
                          f"{_LOG_VERSION} only")
-    grid_rec = _field(header, "grid", "", _object)
-    unknown = sorted(set(grid_rec) - {"lo", "hi", "n"})
-    if unknown:
-        raise ValueError(f"field 'grid' holds an unknown field {unknown[0]!r}")
+    _known(header, {"format", "version", "grid", "schedule", "prior", "affine_shift", "t0", "s0"},
+           "the header")
+    grid_rec = _known(_field(header, "grid", "", _object), {"lo", "hi", "n"}, "field 'grid'")
     grid = OutcomeGrid(_field(grid_rec, "lo", "", _real), _field(grid_rec, "hi", "", _real),
                        _field(grid_rec, "n", "", _json_int))
     return MarketState(
         grid=grid,
         shares=_decode_shares(header["s0"], "s0", grid.n),
         t=_field(header, "t0", "", _json_int),
-        schedule=DiscountSchedule.from_config(_field(header, "schedule", "", _object), ""),
-        prior=_logged_belief(_field(header, "prior", "", _object)),
+        schedule=DiscountSchedule.from_config(_known(_field(header, "schedule", "", _object), {
+            "kind", "k0", "decay", "resets"}, "field 'schedule'"), ""),
+        prior=_logged_belief(_field(header, "prior", "", _object), "prior"),
         affine_shift=float(_field(header, "affine_shift", "", _real)),
     )
 
@@ -809,9 +838,10 @@ class _Logged(NamedTuple):
     post: np.ndarray | None
 
 
-def _logged_belief(value: dict) -> NormalBelief:
-    """The logged belief object ``value``: a finite mean and a positive,
-    finite precision, as JSON numbers."""
+def _logged_belief(value: dict, key: str) -> NormalBelief:
+    """The logged belief object ``value`` of field ``key``: a finite mean and
+    a positive, finite precision, as JSON numbers, and no other field."""
+    _known(value, {"mean", "precision"}, f"field {key!r}")
     mean = float(_field(value, "mean", "", _real))
     precision = float(_field(value, "precision", "", _real))
     if precision <= 0.0:
@@ -839,12 +869,13 @@ def _logged_trade(
     elif "post" in obj:
         raise ValueError("field 'post' must be absent from a belief trade")
     else:
-        belief = _logged_belief(_field(obj, "belief", "", _object))
+        belief = _logged_belief(_field(obj, "belief", "", _object), "belief")
     cost = float(_field(obj, "cost", "", _real))
     trader = _field(obj, "trader", "", _text)
     clipped = _field(obj, "clipped_bins", "", _json_int, 0)
     if clipped < 0:
         raise ValueError(f"field 'clipped_bins' must be non-negative, not {clipped}")
+    _known(obj, _RECORD_FIELDS, "the record")
     return _Logged(lineno, t_new, k, cost, trader, clipped, belief, post)
 
 
@@ -855,65 +886,43 @@ def _verify_block(
     trade from ``state``. Returns their TradeRecords and the state the last
     of them leaves, priced with the potential computed here.
 
-    The beliefs are binned in one ``_log_densities`` call. A belief
-    trade's inventory is rebuilt as ``trade`` builds it, k(t) log(density)
-    plus C of the inventory before it, so it needs the potential of the row
-    before. Those Cs are guessed as the C before the block plus the logged
-    costs since, and the rows are priced in one ``_step`` call at one
-    level k(t) per row. The rows before the first rebuilt row whose guess
-    differs from the computed C in any bit, found in one comparison of
-    their int64 views, are exact; from that row on they are rebuilt and
-    priced again. ``trade``'s costs nearly always add up
-    bit for bit, so a block takes one call; costs that never do take one
-    call per row.
-
-    Each row gets ``_checked_step``'s checks (finite shares, a finite
-    normalizer and reciprocal, so unit price mass, a finite potential) with
-    its messages, its cost
-    C(post, t) - C(pre, t_pre) is compared with the logged one within
-    1e-10, and a belief trade's clipped bins must equal the logged count.
-    Raises LogConsistencyError naming the first faulty record. A non-finite
-    intermediate value fails a check instead of warning."""
-    grid, rows, potential = state.grid, len(block), state.potential
+    Beliefs cost k(t) log M, as in ``trade``; ``post`` inventories are
+    priced in one ``_step`` call. A running sum of the costs, restarted at
+    each ``post``, gives each row's potential before it, and so each belief
+    inventory, built after ``_checked``'s checks, the costs within 1e-10 and
+    the clipped bins. Raises LogConsistencyError naming the first faulty
+    record, without warning."""
+    grid, rows = state.grid, len(block)
     levels = np.array([entry.k for entry in block])
     logged_costs = [entry.cost for entry in block]
     logged_clips = [entry.clipped_bins for entry in block]
     posts = [entry.post for entry in block]
     rebuilt = [row for row, post in enumerate(posts) if post is None]
-    potentials = np.empty(rows)
-    finite, unit_mass = np.ones(rows, dtype=bool), np.ones(rows, dtype=bool)
-    clips = np.array(logged_clips)
+    priced = [row for row, post in enumerate(posts) if post is not None]
+    finite, unit_mass = np.ones((2, rows), dtype=bool)
+    clips, costs, stepped = np.array(logged_clips), np.empty(rows), np.empty(rows)
     with np.errstate(over="ignore", invalid="ignore"):
         if rebuilt:
-            log_dens, clips[rebuilt] = _log_densities(
+            dens, clips[rebuilt], masses = _belief_densities(
                 np.array([block[row].belief.mean for row in rebuilt]),
-                np.array([block[row].belief.precision for row in rebuilt]),
-                grid,
-            )
-        first, before, end = 0, potential, 0
-        # Rows before ``end`` are final; a non-finite one ends the block.
-        while end < rows and finite[:end].all():
-            # C before each row from ``first`` on, guessed from the logged costs.
-            guess = np.cumsum([before, *logged_costs[first:-1]])
-            j = bisect.bisect_left(rebuilt, first)
-            todo = rebuilt[j:]
-            if todo:
-                built = _read_only(_belief_inventories(
-                    levels[todo, None], log_dens[j:], guess[np.subtract(todo, first), None]))
-                for row, post in zip(todo, built):
-                    posts[row] = post
-            stacked = built if len(todo) == rows - first else np.array(posts[first:])
-            potentials[first:], finite[first:], unit_mass[first:] = _step(
-                stacked, levels[first:], grid.widths)
-            # Row first + 1 + i follows a guess that differs from the
-            # computed C before it in some bit.
-            differs = guess[1:].view(np.int64) != potentials[first:-1].view(np.int64)
-            end = next((row for row in todo if row > first and differs[row - first - 1]), rows)
-            first, before = end, potentials[end - 1]
-        costs = potentials - np.concatenate(([potential], potentials[:-1]))
+                np.array([block[row].belief.precision for row in rebuilt]), grid)
+            costs[rebuilt] = levels[rebuilt] * masses[0]
+        if priced:
+            stepped[priced], finite[priced], unit_mass[priced] = _step(
+                np.array([posts[row] for row in priced]), levels[priced], grid.widths)
+        # The potential after each row, and so before the next.
+        after, potential = [], state.potential
+        for post, cost, at_post in zip(posts, costs.tolist(), stepped.tolist()):
+            potential = potential + cost if post is None else at_post
+            after.append(potential)
+        before, after = np.array([state.potential, *after[:-1]]), np.array(after)
+        costs[priced] = after[priced] - before[priced]
         bad_cost = ~(np.abs(costs - logged_costs) <= _COST_TOL)
+        if rebuilt:
+            finite[rebuilt], unit_mass[rebuilt] = _belief_flags(
+                masses, levels[rebuilt], before[rebuilt])
     misclipped = clips != logged_clips
-    overflows = ~np.isfinite(potentials)
+    overflows = ~np.isfinite(after)
     faulty = misclipped | ~finite | ~unit_mass | overflows | bad_cost
     if faulty.any():
         row = int(faulty.argmax())
@@ -930,6 +939,11 @@ def _verify_block(
             cost = float(costs[row])
             message = f"logged cost {block[row].cost!r} differs from recomputed {cost!r}"
         raise LogConsistencyError(f"line {block[row].lineno}: {message}", start + row)
+    if rebuilt:
+        built = _read_only(_belief_inventories(
+            levels[rebuilt, None], np.log(dens, out=dens), before[rebuilt, None]))
+        for row, post in zip(rebuilt, built):
+            posts[row] = post
     # TradeRecord runs no checks, so its fields are set directly, as
     # ``_priced`` sets a state's, without the frozen dataclass's __init__.
     records = []
@@ -939,7 +953,7 @@ def _verify_block(
                                trader=entry.trader, clipped_bins=entry.clipped_bins,
                                belief=entry.belief)
         records.append(record)
-    return records, _priced(state, posts[-1], block[-1].t, float(potentials[-1]))
+    return records, _priced(state, posts[-1], block[-1].t, float(after[-1]))
 
 
 def _replay_settlement(
@@ -953,9 +967,7 @@ def _replay_settlement(
     ``write_log`` never writes is refused, whatever it holds."""
     report = settle(state, float(_field(logged, "outcome", "", _real)), records)
     want = settlement_to_json(report)["settlement"]
-    for key in sorted(set(logged) | set(want)):
-        if key not in want:
-            raise ValueError(f"field 'settlement' holds an unknown field {key!r}")
+    for key in sorted(_known(logged, want.keys(), "field 'settlement'").keys() | want.keys()):
         got, expected = logged.get(key), want[key]
         if key == "payouts":
             same = (isinstance(got, dict) and got.keys() == expected.keys()
@@ -986,51 +998,39 @@ def replay(
 ) -> tuple[MarketState, list[TradeRecord], SettlementReport | None]:
     """Re-execute a trade log, verifying it is self-consistent.
 
-    Reads log format version 3, the one ``write_log`` writes, and refuses a
-    header of any other ``version``; each line is parsed by one
-    ``json.loads``. Checks per record that its number ``i`` is its
-    position, the counter does not regress, a belief trade's clipped-bin
-    count equals the one its belief gives, and the logged cost matches the
-    recomputed C(post, t) - C(pre, t_pre) within 1e-10; and that a
-    settlement, if any, is the last non-blank line and agrees with the
-    settlement recomputed at its outcome: each amount within 1e-10, every
-    other field exactly, with no field the writer never writes. A belief
-    trade's post-trade inventory is rebuilt from its belief with ``trade``'s
-    arithmetic, bit for bit on the writer's numpy code path.
-    Counters, record numbers and clipped-bin counts must be JSON integers
-    (not booleans; clipped bins at least 0) and traders strings. Costs, the
-    grid's ``lo`` and ``hi``, ``affine_shift``, the ``mean`` and
-    ``precision`` of the prior and of a belief (the precision positive) and
-    the settlement's outcome must be JSON numbers that a finite float
-    holds, not booleans or strings. A record holds a ``belief`` object or a
+    Reads log format version 3, the one ``write_log`` writes, parsing each
+    line by one ``json.loads``, and refuses a header of any other
+    ``version`` and any field ``write_log`` never writes. Checks per record
+    that its number ``i`` is its position, the counter does not regress, a
+    belief trade's clipped-bin count equals the one its belief gives, and
+    the logged cost matches the recomputed one (k(t) log M for a belief
+    trade, C(post, t) - C(pre, t_pre) for any other) within 1e-10; and that
+    a settlement, if any, is the last non-blank line and agrees with the
+    one recomputed at its outcome: each amount within 1e-10, every other
+    field exactly. A belief trade's inventory is rebuilt from its belief
+    with ``trade``'s arithmetic, bit for bit on the writer's numpy path.
+    Counters, record numbers and clipped-bin counts (at least 0) must be
+    JSON integers, traders strings, and every other number (a positive
+    precision) a JSON number that a finite float holds: no boolean or
+    string passes for a number. A record holds a ``belief`` object or a
     ``post`` inventory, not both. Every inventory (``s0`` and each ``post``)
-    must be valid, padded base64 of 8 * ``n`` bytes holding ``n`` finite
-    values. Any inconsistent or malformed line (a fractional counter, text
-    nested too deeply to parse or a bytes line that is not UTF-8 included)
-    raises LogConsistencyError naming the line, the number of records
-    verified before it and any missing or mistyped field (read by
+    must be padded base64 of ``n`` finite float64s. Any inconsistent or
+    malformed line (text that is not UTF-8 or is nested too deeply
+    included) raises LogConsistencyError naming the line, the number of
+    records verified before it and any missing or mistyped field (read by
     ``errors._field``). Returns the final state, the verified records, and
     the recomputed settlement if logged.
 
-    Replay proves that a log agrees with itself: each line's fields, the
-    counters and the record order; every cost and settlement amount to
-    1e-10; and the settlement's other fields exactly. It cannot prove that
-    the log is the one traded: nothing ties the header's ``s0`` to its
-    prior and schedule, and belief trades are cashless whatever k is, so an
-    unsettled log's schedule, or its beliefs moved inside the grid, may not
-    be the ones traded. A settled log shows such an edit only at its
-    settlement line.
+    Replay proves that a log agrees with itself, not that it is the one
+    traded: nothing ties ``s0`` to the prior and schedule, and a belief
+    inside the grid costs k(t) log M, about 0, whatever k is, so an edited
+    schedule or belief shows only at a settlement line, if any.
 
-    Replay works in three steps. It parses every line up to the first
-    faulty one, checking each line's fields, decoding each inventory once
-    and evaluating each record's level k(t), which must not round to 0. It
-    then verifies the parsed records in blocks of at most
-    ``_BLOCK_ELEMENTS`` inventory elements (see ``_verify_block``), with the
-    floating-point operations of one MarketState per record, and then
-    settles. Only then does it raise the fault of the line that failed to
-    parse, so an earlier faulty record or settlement is the one named, with
-    the number of records verified before it. The final state reuses the
-    potential verified in the last block.
+    It parses every line up to the first faulty one, evaluating each
+    record's level k(t), which must not round to 0; verifies the records in
+    blocks of at most ``_BLOCK_ELEMENTS`` inventory elements (see
+    ``_verify_block``); and settles. Only then does it raise the fault of
+    the line that failed to parse, so an earlier fault is the one named.
     """
     opening, entries, settlement, fault = None, [], None, None
     for lineno, line in enumerate(lines, 1):

@@ -537,7 +537,7 @@ def test_trade_validation():
 
 
 @pytest.mark.parametrize("target", ("belief", "delta"))
-def test_a_trade_prices_its_inventory_once(target, monkeypatch):
+def test_a_trade_prices_only_a_share_delta_inventory(target, monkeypatch):
     state = open_market(STD, HALF)
     priced = counting_steps(monkeypatch)
     post_init = MarketState.__post_init__
@@ -550,13 +550,19 @@ def test_a_trade_prices_its_inventory_once(target, monkeypatch):
     monkeypatch.setattr(MarketState, "__post_init__", counting_post_init)
     moved, rec = trade(state, NormalBelief(0.4, 2.5) if target == "belief"
                        else np.full(state.grid.n, 0.1))
-    # One call of the market step on one row, and no MarketState built.
-    assert priced == [(1, 0)]
+    # A belief trade takes its cost k(t) log M in closed form and calls the
+    # market step not at all; a share delta calls it once, on one row.
+    # Neither builds a MarketState.
+    assert priced == ([] if target == "belief" else [(1, 0)])
     assert states == []
-    assert moved.potential == MarketState(
-        grid=moved.grid, shares=moved.shares, t=moved.t, schedule=moved.schedule,
-        prior=moved.prior).potential
-    assert rec.cost == moved.potential - state.potential
+    priced_anew = MarketState(grid=moved.grid, shares=moved.shares, t=moved.t,
+                              schedule=moved.schedule, prior=moved.prior).potential
+    if target == "belief":
+        assert moved.potential == state.potential + rec.cost
+        assert abs(priced_anew - moved.potential) <= 1e-15
+    else:
+        assert moved.potential == priced_anew
+        assert rec.cost == moved.potential - state.potential
 
 
 def test_settlement_accounting():
@@ -612,8 +618,8 @@ def test_loss_bound_holds_for_a_market_not_opened_at_its_prior():
     model = SignalModel(tau_a=2.0, tau_b=0.7, tau_c=0.5, rho=-0.4, c0=0.3)
     prior = NormalBelief(model.c0, model.tau_c)
     grid = OutcomeGrid.from_prior(prior, 128)
-    log_dens, _ = amm._log_densities(np.array([2.5]), 20.0, grid)
-    opening = MarketState(grid=grid, shares=log_dens[0], t=0, schedule=FLAT, prior=prior)
+    log_dens = np.log(np.maximum(binned_density(NormalBelief(2.5, 20.0), grid), 1e-300))
+    opening = MarketState(grid=grid, shares=log_dens, t=0, schedule=FLAT, prior=prior)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         batch = simulate_sessions(opening, model, draw_worlds(model, 7, 4000))
@@ -1001,6 +1007,42 @@ def test_replay_refuses_a_belief_that_rebuilds_a_non_finite_inventory(index, tmp
     assert got[0] == "refused" and got[2] == index
     assert got[1] == (f"record {index}: line {index + 2}: "
                       "field 'belief' rebuilds an inventory that is not finite")
+
+
+@pytest.mark.parametrize("case", ("not_finite", "no_unit_mass"))
+def test_a_belief_trade_is_refused_as_its_inventory_is(case):
+    # trade and replay check a belief's inventory k log d + C at its
+    # extreme log densities without building it. Their verdict and message
+    # are the ones cost_function gives the inventory built in full.
+    if case == "not_finite":
+        # At k = 1e306, k log(1e-300) overflows on the bins a sharp belief clips.
+        state = open_market(STD, DiscountSchedule(kind="constant", k0=1e306), n_bins=64)
+        belief = NormalBelief(0.1, 1e6)
+    else:
+        # A reset to k = 1e-10 at counter 1: (k log d + C) / k overflows.
+        schedule = DiscountSchedule(kind="piecewise", k0=1.0, resets=((1, 1e-10),))
+        state = MarketState(grid=OutcomeGrid.from_prior(STD, 64), shares=np.full(64, 1e300),
+                            t=0, schedule=schedule, prior=STD)
+        belief = NormalBelief(0.1, 2.0)
+    dens = binned_density(belief, state.grid)
+    with np.errstate(over="ignore"):
+        post = schedule_eval(state.schedule, 1) * np.log(np.maximum(dens, 1e-300)) + state.potential
+    want = raised_message(cost_function, post, 1, state.schedule, state.grid)
+    assert want == ("shares must be finite" if case == "not_finite"
+                    else "width-weighted prices failed to sum to 1")
+    with warnings.catch_warnings():
+        # The sharp belief clips bins.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises((ValidationError, NumericError)) as err:
+            trade(state, belief)
+    assert str(err.value) == want
+    record = {"i": 0, "t": 1, "trader": "m", "cost": 0.0, "belief": {
+        "mean": belief.mean, "precision": belief.precision},
+        "clipped_bins": int(np.count_nonzero(dens < 1e-300))}
+    lines = [json.dumps(amm.log_header(state)), json.dumps(record)]
+    if case == "not_finite":
+        want = "field 'belief' rebuilds an inventory that is not finite"
+    assert replay_outcome(lines) == ("refused", f"record 0: line 2: {want}", 0)
 
 
 def test_replay_of_a_zero_delta_trade(tmp_path):
@@ -1440,6 +1482,77 @@ def test_version_3_replay_rebuilds_the_written_records_bit_for_bit(session, data
             assert f"record {index}: line {index + 2}: " in got[1]
 
 
+# A belief trade's cost k(t) log M agrees with C(post, t) - C(pre, t_pre)
+# within BELIEF_COST_ULPS units of 2**-52 times |C(pre, t_pre)| +
+# k(t) max(1, max_j |log d_j|), d the floored binned density: README's
+# stated tolerance.
+BELIEF_COST_ULPS = 16
+
+
+@st.composite
+def hand_built_markets(draw):
+    """A MarketState built by hand: 2 to 1,024 bins on a grid that covers
+    its prior or more, an inventory at any scale and offset, at a counter
+    of a constant, geometric or reset schedule. None when MarketState
+    refuses it."""
+    n_bins = draw(st.integers(2, 1024))
+    prior = NormalBelief(draw(st.floats(-1e3, 1e3)), 10.0 ** draw(st.floats(-6.0, 6.0)))
+    half = 10.0 * prior.sigma
+    grid = OutcomeGrid(prior.mean - half * (1.0 + draw(st.floats(0.0, 3.0))),
+                       prior.mean + half * (1.0 + draw(st.floats(0.0, 3.0))), n_bins)
+    k0 = 10.0 ** draw(st.floats(-300.0, 308.0))
+    schedule = draw(st.sampled_from((
+        DiscountSchedule(kind="constant", k0=k0),
+        DiscountSchedule(kind="geometric_by_count", k0=k0, decay=draw(st.floats(0.5, 1.0))),
+        DiscountSchedule(kind="piecewise", k0=k0,
+                         resets=((draw(st.integers(1, 6)), 10.0 ** draw(st.floats(-3.0, 3.0))),)),
+    )))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shares = (rng.normal(size=n_bins) * 10.0 ** draw(st.floats(-3.0, 300.0))
+              + draw(st.floats(-1e300, 1e300)))
+    try:
+        return MarketState(grid=grid, shares=shares, t=draw(st.integers(0, 8)),
+                           schedule=schedule, prior=prior)
+    except (ValidationError, NumericError):
+        return None
+
+
+@given(state=hand_built_markets(), data=st.data())
+def test_a_belief_trade_costs_what_its_potentials_differ_by(state, data, log_dir):
+    # Beliefs inside the grid and out, the sharpest clipping bins. Where
+    # trade accepts the move, MarketState accepts its inventory, the cost
+    # agrees with the two potentials' difference within the tolerance, and
+    # replay of the trade's log rebuilds it bit for bit.
+    if state is None:
+        return
+    grid = state.grid
+    belief = NormalBelief(
+        data.draw(st.floats(grid.lo - (grid.hi - grid.lo), grid.hi + (grid.hi - grid.lo))),
+        state.prior.precision * 10.0 ** data.draw(st.floats(-2.0, 8.0)))
+    t = state.t + data.draw(st.integers(0, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            moved, rec = trade(state, belief, trader="p", t=t)
+        except (ValidationError, NumericError):
+            return
+    priced = MarketState(grid=grid, shares=rec.post_shares, t=t, schedule=state.schedule,
+                         prior=state.prior)
+    k = schedule_eval(state.schedule, t)
+    log_dens = np.log(np.maximum(binned_density(belief, grid), 1e-300))
+    scale = abs(state.potential) + k * max(1.0, float(np.abs(log_dens).max()))
+    assert abs(priced.potential - state.potential - rec.cost) <= BELIEF_COST_ULPS * 2.0**-52 * scale
+    assert moved.potential == state.potential + rec.cost
+
+    path = log_dir / "belief_trade.jsonl"
+    write_log(path, state, [rec])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        final, (replayed,), _ = replay(path.read_text().splitlines())
+    assert (final.t, final.potential, replayed.cost) == (t, moved.potential, rec.cost)
+    assert final.shares.tobytes() == rec.post_shares.tobytes()
+
+
 def counting_steps(monkeypatch):
     """Record (rows, ndim of the level) of every ``amm._step`` call."""
     priced, step = [], amm._step
@@ -1460,9 +1573,10 @@ def test_verified_states_are_not_priced_again(monkeypatch, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         batch = simulate_sessions(opening, model, draw_worlds(model, 3, 6))
-    # Three trades per block of four 4,096-bin sessions, and nothing after:
-    # the last session's states reuse the potentials of their block.
-    assert priced == [(4, 0)] * 3 + [(2, 0)] * 3
+    # Belief trades take their costs in closed form: no block calls the
+    # market step, and the last session's states reuse their block's
+    # potentials.
+    assert priced == []
 
     path = tmp_path / "session.jsonl"
     write_log(path, opening, batch.records, batch.settlement)
@@ -1476,20 +1590,20 @@ def test_verified_states_are_not_priced_again(monkeypatch, tmp_path):
     monkeypatch.setattr(amm, "_verify_block", marking)
     del priced[:]
     final, records, report = replay(path.read_text().splitlines())
-    # The header's state, then the block's three rebuilt inventories in one
-    # call, its guessed potentials all right; the final state reuses the
-    # last one's potential.
-    assert priced == [(1, 0), (3, 1), "verified"]
+    # The header's state alone: the block's three belief records take their
+    # costs in closed form, and the final state reuses the last potential.
+    assert priced == [(1, 0), "verified"]
     assert report == batch.settlement
-    assert final.potential == MarketState(
-        grid=final.grid, shares=final.shares, t=final.t, schedule=final.schedule,
-        prior=final.prior, affine_shift=final.affine_shift).potential
+    want = opening.potential
+    for rec in batch.records:
+        want += rec.cost
+    assert final.potential == want
 
 
 def test_replay_rebuilds_beliefs_exactly_when_the_costs_do_not_add_up(monkeypatch, tmp_path):
     # Belief and delta trades in one 64-bin block, each logged cost moved by
-    # 1e-13: within the cost tolerance, but every potential guessed from the
-    # costs is wrong, so each call confirms one more row.
+    # 1e-13: within the cost tolerance, but no potential summed from the
+    # logged costs is right. Replay sums the costs it recomputes.
     state = opening = open_market(STD, SESSION_SCHEDULES[1], n_bins=64)
     records = []
     for target in (NormalBelief(0.3, 2.0), np.ones(64), NormalBelief(-0.2, 5.0),
@@ -1506,9 +1620,9 @@ def test_replay_rebuilds_beliefs_exactly_when_the_costs_do_not_add_up(monkeypatc
         lines = with_cost_moved(lines, index, 1e-13)
     priced = counting_steps(monkeypatch)
     final, replayed, _ = replay(lines)
-    # Rebuilt rows 2, 3 and 5 follow a wrong guess, so the calls start at
-    # rows 0, 2, 3 and 5.
-    assert priced == [(1, 0), (6, 1), (4, 1), (3, 1), (1, 1)]
+    # The header's state, then the block's two delta records in one call at
+    # a level per row; its four belief records take no call.
+    assert priced == [(1, 0), (2, 1)]
     assert final.shares.tobytes() == state.shares.tobytes()
     assert [r.post_shares.tobytes() for r in replayed] == [
         r.post_shares.tobytes() for r in records]

@@ -526,8 +526,10 @@ def test_market_replay_malformed_belief_exits_4(case, tmp_path, capsys):
 # above, the message after "consistency error: "). Record 0 trades at
 # counter 1 and record 1 at counter 2. Replay reads log version 3 alone:
 # versions 1 and 2, which logged each record's pre and post inventories,
-# are refused as version 4 is.
+# are refused as version 4 is, and so is a field the writer never writes,
+# such as a leftover ``pre``.
 REGRESSED = "record 1: line 3: counter regressed"
+UNKNOWN = "holds an unknown field"
 UNREACHED_REFUSALS = {
     "v3_counter_regressed": (False, lambda o: o[2].update(t=0), REGRESSED),
     "posts_counter_regressed": (True, lambda o: o[2].update(t=0), REGRESSED),
@@ -538,6 +540,20 @@ UNREACHED_REFUSALS = {
         False, lambda o, version=version: o[0].update(version=version),
         f"record 0: line 1: unsupported log version {version}: replay reads version 3 only")
        for version in (1, 2, 4)},
+    "header_extra": (False, lambda o: o[0].update(extra={"x": 1}),
+                     f"record 0: line 1: the header {UNKNOWN} 'extra'"),
+    "header_prior_extra": (False, lambda o: o[0]["prior"].update(zzz=1.0),
+                           f"record 0: line 1: field 'prior' {UNKNOWN} 'zzz'"),
+    "header_schedule_extra": (False, lambda o: o[0]["schedule"].update(zzz=[1, 2]),
+                              f"record 0: line 1: field 'schedule' {UNKNOWN} 'zzz'"),
+    "record_leftover_pre": (False, lambda o: o[1].update(pre="anything"),
+                            f"record 0: line 2: the record {UNKNOWN} 'pre'"),
+    "posts_record_leftover_pre": (True, lambda o: o[2].update(pre=o[1]["post"]),
+                                  f"record 1: line 3: the record {UNKNOWN} 'pre'"),
+    "record_note": (False, lambda o: o[3].update(note=[1, 2]),
+                    f"record 2: line 4: the record {UNKNOWN} 'note'"),
+    "belief_extra": (False, lambda o: o[2]["belief"].update(zzz=None),
+                     f"record 1: line 3: field 'belief' {UNKNOWN} 'zzz'"),
 }
 
 
@@ -565,9 +581,10 @@ def test_market_replay_splits_lines_at_line_feeds_only(tmp_path, capsys):
 
 # A log and its replay report, of 40 belief trades by five traders on 64
 # bins, counters advancing by 1 or 2, a reset at counter 21 and a
-# settlement. The report was first written by the replay of the same
-# session logged in an earlier format, before replay verified costs in
-# blocks.
+# settlement. Both were rewritten when belief trades began to cost
+# k(t) log M in closed form: only the costs and the settlement's amounts
+# moved, each by at most 1.5e-14, and the log written before replayed with
+# exit 0 and the same report.
 V3_LOG = "market_v3_multi_trader_settled"
 
 
@@ -771,11 +788,13 @@ def test_cli_prints_a_warning_as_one_line(tmp_path):
     assert warnings.formatwarning is before
 
 
-# market simulate reports and logs written before trade, simulate_sessions
-# and replay priced their inventories in one step: (config, sessions, the
-# clipped-bin warning). Each session count spans three blocks of sessions;
-# the 4,096-bin case is the loss-bound counterexample, whose sharp beliefs
-# clip bins in every session.
+# market simulate reports, written before trade, simulate_sessions and
+# replay priced their inventories in one step, and logs, rewritten when
+# belief trades began to cost k(t) log M in closed form (each cost and
+# settlement amount moved by at most 4.5e-16, and no report moved):
+# (config, sessions, the clipped-bin warning). Each session count spans
+# three blocks of sessions; the 4,096-bin case is the loss-bound
+# counterexample, whose sharp beliefs clip bins in every session.
 MARKET_SIMULATE_CASES = {
     "constant_128": ({
         "model": {"tau_a": 2.0, "tau_b": 0.7, "tau_c": 0.5, "rho": -0.4, "c0": 0.3},
@@ -839,15 +858,21 @@ WRITE_AND_REPLAY = (
 )
 
 
+def logged_costs(log):
+    """The ``cost`` of each record of the log at path ``log``, as logged."""
+    with open(log, encoding="utf-8") as fh:
+        return [obj["cost"] for obj in map(json.loads, fh) if "cost" in obj]
+
+
 def test_fresh_market_logs_replay_alike_on_both_numpy_paths(tmp_path, capsys):
     # Settled market simulate logs at 128, 512 and 4,096 bins, the last
     # with beliefs that clip, written here and on numpy's AVX2 path, and
     # each replayed on both paths: exit 0, the same trade count, settlement
     # amounts within 1e-10 and the other fields equal. On a host without
-    # AVX-512 both runs take one path. At these seeds the two paths write
-    # logs that differ in their costs or settlement on a CPU with AVX-512
-    # (numpy 2.4.6, scipy 1.17.1), so each replay of the other path's log
-    # recomputes other bits.
+    # AVX-512 both runs take one path. Each log's s0, inventories and
+    # settlement still pass through numpy's log and exp, whose bits the two
+    # paths may differ in, though at these seeds they wrote the same bytes
+    # on a CPU with AVX-512 (numpy 2.4.6, scipy 1.17.1).
     writes = {"here": [], "avx2": []}
     for name, seed in (("constant_128", 13), ("reset_512", 2), ("clipped_4096", 3)):
         config, sessions, _ = MARKET_SIMULATE_CASES[name]
@@ -869,6 +894,10 @@ def test_fresh_market_logs_replay_alike_on_both_numpy_paths(tmp_path, capsys):
     )
     assert done.returncode == 0, done.stderr
     theirs = json.loads(done.stdout)
+    # A belief trade costs k(t) log M, from scipy's ndtr and numpy's basic
+    # arithmetic, so both paths write every cost bit for bit alike.
+    for here, there in zip(writes["here"], writes["avx2"]):
+        assert logged_costs(here[-1]) == logged_costs(there[-1])
     ours = []
     for log in logs:
         code = run(["market", "replay", "--log", log], capsys)[0]
